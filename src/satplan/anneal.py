@@ -5,6 +5,30 @@ geometric inverse-temperature ramp.  Chains for all reads run in lockstep
 as numpy arrays; flip energies come from cached local fields, and final
 energies are recomputed from scratch so that stored values are exactly
 reproducible with :meth:`satplan.qubo.Qubo.energy`.
+
+Kernel layout.  ``sgn = 1 - 2x`` (+1 or -1) and the local fields are kept
+as contiguous ``(variables, reads)`` arrays, so one variable's values over
+all reads form one row.  The flip cost of variable ``i`` is
+``delta = sgn[i] * fields[i]`` and a flip is accepted when
+``u < exp(min(-beta * delta, 0))``, i.e. when ``delta <= 0`` or
+``u < exp(-beta * delta)``.  Each sweep draws its ``(variables, reads)``
+block of uniforms in one call, which is the same stream, in the same
+order, as one ``rng.random(reads)`` per variable.
+
+Screen.  From that block the sweep computes one threshold per draw,
+``(-ln(u) * (1 + 1e-9) + 1e-12) / beta`` (``+inf`` for ``u = 0``).  Only
+reads with ``delta`` below their threshold go on to the exact test above;
+late in the ramp almost none do, so most (sweep, variable) steps end after
+one multiply and one compare.  An accepted uphill flip has
+``beta * delta < -ln(u)`` up to a few ulp of rounding in ``exp`` and
+``log``; the relative and absolute margins are many orders of magnitude
+wider than that for every ``beta > 0``, so the screen never drops an
+accept.  A downhill or zero-cost flip always passes, because every
+threshold is positive.  Accepted flips update the fields only on the rows
+of nonzero couplings: a zero coupling would add ``+-0.0``, which can only
+change the sign of a zero field, and a zero field gives ``delta = +-0``,
+accepted either way.  The accept/reject decisions, and with them the
+samples, are therefore exactly those of the plain per-read test.
 """
 
 from __future__ import annotations
@@ -96,6 +120,17 @@ class SampleSet:
         return json.dumps(self.to_json_dict(), sort_keys=True) + "\n"
 
 
+def _screen_thresholds(us: np.ndarray, beta: float, out: np.ndarray) -> np.ndarray:
+    """Per-draw bounds on the flip cost: ``u < exp(-beta * delta)`` implies
+    ``delta < out``.  Margins of 1e-9 relative and 1e-12/beta absolute cover
+    the rounding of ``exp`` and ``log``; ``u = 0`` gives ``+inf``."""
+    with np.errstate(divide="ignore"):
+        np.log(us, out=out)
+    out *= -(1.0 + 1e-9) / beta
+    out += 1e-12 / beta
+    return out
+
+
 def sample_sa(
     q: Qubo,
     reads: int,
@@ -116,26 +151,39 @@ def sample_sa(
     diag = q.linear_terms()
     w = q.interaction_matrix()
     betas = np.geomspace(sched.beta_start, sched.beta_end, sched.sweeps)
+    neighbours = [np.flatnonzero(row) for row in w]
+    couplings = [w[i, nbrs][:, None] for i, nbrs in enumerate(neighbours)]
 
+    us = np.empty((nv, reads))
+    thresholds = np.empty((nv, reads))
+    delta = np.empty(reads)
+    candidate = np.empty(reads, dtype=bool)
     best_states: np.ndarray | None = None
     best_energies: np.ndarray | None = None
     for _ in range(sched.restarts_per_read):
         states = rng.integers(0, 2, size=(reads, nv), dtype=np.uint8)
-        x = states.astype(np.float64)
-        fields = diag[None, :] + x @ w  # flip cost of var i is (1 - 2 x_i) * field_i
+        fields = states.astype(np.float64) @ w
+        fields += diag
+        fields = np.ascontiguousarray(fields.T)
+        sgn = np.ascontiguousarray(states.T, dtype=np.float64)
+        sgn *= -2.0
+        sgn += 1.0
         for beta in betas:
+            rng.random(out=us)
+            _screen_thresholds(us, beta, out=thresholds)
             for i in range(nv):
-                delta = (1.0 - 2.0 * x[:, i]) * fields[:, i]
-                u = rng.random(reads)
-                accept = delta <= 0.0
-                hot = ~accept
-                if hot.any():
-                    accept[hot] = u[hot] < np.exp(-beta * delta[hot])
-                if accept.any():
-                    step = np.where(accept, 1.0 - 2.0 * x[:, i], 0.0)
-                    x[:, i] += step
-                    fields += step[:, None] * w[i][None, :]
-        states = x.astype(np.uint8)
+                np.multiply(sgn[i], fields[i], out=delta)
+                np.less(delta, thresholds[i], out=candidate)
+                cols = candidate.nonzero()[0]
+                if cols.size == 0:
+                    continue
+                cols = cols[us[i, cols] < np.exp(np.minimum(-beta * delta[cols], 0.0))]
+                if cols.size == 0:
+                    continue
+                step = sgn[i, cols]  # x_i changes by sgn_i = 1 - 2 x_i
+                sgn[i, cols] = -step
+                fields[np.ix_(neighbours[i], cols)] += couplings[i] * step
+        states = np.ascontiguousarray((sgn < 0.0).T, dtype=np.uint8)  # x = 1 where sgn = -1
         energies = q.energies(states)
         if best_states is None:
             best_states, best_energies = states, energies

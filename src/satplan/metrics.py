@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from statistics import mean, stdev
 
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from .anneal import SampleSet
 from .exact import check_feasible, objective
@@ -80,7 +80,7 @@ def aggregate(runs: list[RunMetrics]) -> AggregateMetrics:
     if len(runs) < 2:
         raise ValueError("need at least 2 runs for a confidence interval")
     k = len(runs)
-    crit = float(student_t.ppf(0.975, k - 1))
+    crit = float(stdtrit(k - 1, 0.975))  # Student-t quantile; avoids importing scipy.stats
     expected = [r.expected_ar for r in runs]
     best = [r.best_ar for r in runs]
     return AggregateMetrics(

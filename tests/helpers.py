@@ -10,9 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from satplan import (
+    AnnealSchedule,
     Assignment,
     Instance,
+    Qubo,
     Request,
+    SampleSet,
     VarRef,
     check_feasible,
     objective,
@@ -224,3 +227,57 @@ def feasible_decision_mask(inst: Instance) -> np.ndarray:
                 load += c * bit(i).astype(np.int64)
         ok &= load <= inst.disk_capacity
     return ok
+
+
+def reference_sample_sa(
+    q: Qubo,
+    reads: int,
+    sched: AnnealSchedule | None = None,
+    seed: int = 0,
+) -> SampleSet:
+    """The annealer's plain per-variable Metropolis loop: one
+    ``rng.random(reads)`` and one exact test per (sweep, variable) step,
+    on a (reads, variables) layout.  ``sample_sa`` must return exactly
+    the same sample set."""
+    if reads < 1:
+        raise ValueError("reads must be >= 1")
+    sched = sched or AnnealSchedule()
+    rng = np.random.default_rng(seed)
+    nv = q.num_variables
+
+    if nv == 0:
+        states = np.zeros((reads, 0), dtype=np.uint8)
+        return SampleSet.from_states(states, q.energies(states), "sa", seed)
+
+    diag = q.linear_terms()
+    w = q.interaction_matrix()
+    betas = np.geomspace(sched.beta_start, sched.beta_end, sched.sweeps)
+
+    best_states: np.ndarray | None = None
+    best_energies: np.ndarray | None = None
+    for _ in range(sched.restarts_per_read):
+        states = rng.integers(0, 2, size=(reads, nv), dtype=np.uint8)
+        x = states.astype(np.float64)
+        fields = diag[None, :] + x @ w  # flip cost of var i is (1 - 2 x_i) * field_i
+        for beta in betas:
+            for i in range(nv):
+                delta = (1.0 - 2.0 * x[:, i]) * fields[:, i]
+                u = rng.random(reads)
+                accept = delta <= 0.0
+                hot = ~accept
+                if hot.any():
+                    accept[hot] = u[hot] < np.exp(-beta * delta[hot])
+                if accept.any():
+                    step = np.where(accept, 1.0 - 2.0 * x[:, i], 0.0)
+                    x[:, i] += step
+                    fields += step[:, None] * w[i][None, :]
+        states = x.astype(np.uint8)
+        energies = q.energies(states)
+        if best_states is None:
+            best_states, best_energies = states, energies
+        else:
+            improved = energies < best_energies
+            best_states[improved] = states[improved]
+            best_energies[improved] = energies[improved]
+
+    return SampleSet.from_states(best_states, best_energies, "sa", seed)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from satplan import AnnealSchedule, SampleSet, encode, sample_sa, solve_exhaustive
+from satplan.anneal import _screen_thresholds
 from satplan.qubo import Qubo
-from helpers import random_instance
+from helpers import random_instance, reference_sample_sa
 
 
 def test_single_downhill_variable():
@@ -130,3 +131,82 @@ def test_finds_optimum_on_small_encoded_instance():
     _, floor = solve_exhaustive(q)
     result = sample_sa(q, reads=500, seed=23)
     assert result.best().energy == floor
+
+
+def _encoded(seed: int, with_capacity: bool, n_requests: int) -> Qubo:
+    rng = np.random.default_rng(seed)
+    inst = random_instance(
+        rng, n_requests=n_requests, n_pairs=3, n_triples=2,
+        with_capacity=with_capacity, name=f"ref{seed}",
+    )
+    return encode(inst)
+
+
+# Variable 2 has no terms at all, and variable 1's field is exactly zero
+# whenever x0 = 0, so both see flip costs of +-0.
+_FREE = Qubo({(0, 0): -1.0, (0, 1): 1.0}, num_variables=3)
+
+REFERENCE_CASES = {
+    "capacity-clique": (lambda: _encoded(6, True, 7), 300, AnnealSchedule(sweeps=80)),
+    "sparse": (lambda: _encoded(3, False, 8), 300, AnnealSchedule(sweeps=80)),
+    "free-variable": (lambda: _FREE, 200, AnnealSchedule(sweeps=40)),
+    "restarts": (
+        lambda: _encoded(11, True, 4), 150, AnnealSchedule(sweeps=40, restarts_per_read=3),
+    ),
+    "one-read": (lambda: _encoded(5, True, 5), 1, AnnealSchedule(sweeps=200)),
+    "one-variable": (
+        lambda: Qubo.from_coefficients({(0, 0): 0.5}), 100, AnnealSchedule(sweeps=60),
+    ),
+    "extreme-betas": (
+        lambda: _encoded(13, True, 5), 300,
+        AnnealSchedule(sweeps=30, beta_start=1e-6, beta_end=1e3),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 29])
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_sample_sa_matches_reference_loop(case, seed):
+    build, reads, sched = REFERENCE_CASES[case]
+    q = build()
+    assert sample_sa(q, reads, sched, seed) == reference_sample_sa(q, reads, sched, seed)
+
+
+def test_capacity_case_is_densely_coupled():
+    # the "capacity-clique" case above must really exercise dense couplings
+    w = _encoded(6, True, 7).interaction_matrix()
+    nv = w.shape[0]
+    assert nv >= 15
+    assert np.count_nonzero(w) >= 0.6 * nv * (nv - 1)
+
+
+def test_screen_keeps_every_exact_accept():
+    rng = np.random.default_rng(2024)
+    fixed = np.array([0.0, 5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+    us = np.concatenate([fixed, rng.random(300), rng.random(50) ** 40, 1.0 - rng.random(50) * 1e-12])
+    accepted_near_boundary = rejected_near_boundary = 0
+    for beta in np.geomspace(1e-6, 1e3, 37):
+        thr = _screen_thresholds(us, beta, out=np.empty_like(us))
+        assert np.all(thr > 0.0)
+        assert thr[0] == np.inf
+        with np.errstate(divide="ignore"):
+            centre = -np.log(us) / beta
+        finite = np.isfinite(centre)
+        lo = hi = centre[finite]
+        deltas = [centre[finite]]
+        for _ in range(40):
+            lo = np.nextafter(lo, -np.inf)
+            hi = np.nextafter(hi, np.inf)
+            deltas += [lo, hi]
+        delta = np.stack(deltas)
+        u, t = us[finite], thr[finite]
+        accept = u < np.exp(np.minimum(-beta * delta, 0.0))
+        assert np.all(delta[accept] < np.broadcast_to(t, delta.shape)[accept])
+        accepted_near_boundary += np.count_nonzero(accept)
+        rejected_near_boundary += np.count_nonzero(~accept)
+        # u = 0 passes every finite cost to the exact test
+        assert np.all(np.array([1e-300, 1.0, 1e300]) < thr[0])
+        # downhill and zero-cost flips always pass
+        assert np.all(np.array([-0.0, 0.0, -1.0, -1e300])[:, None] < thr[None, :])
+    # the window straddles the boundary, so both outcomes occur in it
+    assert accepted_near_boundary > 0 and rejected_near_boundary > 0

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import satplan
 from satplan import Instance, Request, VarRef, load_instance, save_instance
 from satplan.cli import main
 
@@ -113,3 +118,10 @@ def test_partial_failure_exit_code(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
     assert main(["run", str(cfg_path), "-o", str(tmp_path / "out")]) == 1
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats adds over a second of import time and nothing needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(satplan.__file__).parents[1]))
+    code = "import sys, satplan.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

@@ -129,6 +129,12 @@ def test_aggregate_two_runs_closed_form():
     agg = aggregate([_metrics(0.0), _metrics(1.0)])
     assert agg.mean_expected_ar == 0.5
     assert agg.ci95_expected == pytest.approx(math.tan(0.475 * math.pi) / 2, rel=1e-12)
+    # Three runs: Student t with 2 degrees of freedom has the quantile
+    # (2p - 1) / sqrt(2p(1 - p)), and stdev({0, 1/2, 1}) = 1/2.
+    p = 0.975
+    agg = aggregate([_metrics(0.0), _metrics(0.5), _metrics(1.0)])
+    t2 = (2 * p - 1) / math.sqrt(2 * p * (1 - p))
+    assert agg.ci95_expected == pytest.approx(t2 * 0.5 / math.sqrt(3), rel=1e-12)
 
 
 def test_aggregate_is_permutation_invariant():
