@@ -40,6 +40,8 @@ import numpy as np
 
 from .qubo import Qubo
 
+MAX_EXHAUSTIVE_VARIABLES = 24  # 2**24 energies, 128 MiB as float64
+
 
 @dataclass(frozen=True)
 class AnnealSchedule:
@@ -199,8 +201,10 @@ def solve_exhaustive(q: Qubo) -> tuple[np.ndarray, float]:
     """Global minimiser by full enumeration; ties go to the lexicographically
     smallest bit vector (variable 0 first)."""
     nv = q.num_variables
-    if nv > 24:
-        raise ValueError(f"exhaustive enumeration limited to 24 variables, got {nv}")
+    if nv > MAX_EXHAUSTIVE_VARIABLES:
+        raise ValueError(
+            f"exhaustive enumeration limited to {MAX_EXHAUSTIVE_VARIABLES} variables, got {nv}"
+        )
     table = q.energy_table()
     best = table.min()
     candidates = np.flatnonzero(table == best)

@@ -21,7 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .anneal import AnnealSchedule, SampleEntry, SampleSet, sample_sa, solve_exhaustive
+from .anneal import (
+    MAX_EXHAUSTIVE_VARIABLES,
+    AnnealSchedule,
+    SampleEntry,
+    SampleSet,
+    sample_sa,
+    solve_exhaustive,
+)
 from .exact import DEFAULT_NODE_BUDGET, solve_exact
 from .instance import Instance, load_instance
 from .metrics import AggregateMetrics, RunMetrics, aggregate, run_metrics
@@ -206,6 +213,16 @@ def run_cell(
     raise ConfigError(f"unknown solver {solver!r}")
 
 
+def _skip_reason(solver: str, qubo: Qubo) -> str | None:
+    """Why ``solver`` cannot run on ``qubo`` for its size, or None when it can."""
+    n = qubo.num_variables
+    if solver == "qaoa" and n > MAX_QUBITS:
+        return f"{n} qubits exceed the {MAX_QUBITS}-qubit statevector limit"
+    if solver == "exhaustive" and n > MAX_EXHAUSTIVE_VARIABLES:
+        return f"{n} variables exceed the {MAX_EXHAUSTIVE_VARIABLES}-variable enumeration limit"
+    return None
+
+
 def _metrics_dict(m: RunMetrics, run: int, seed: int) -> dict:
     return {
         "run": run,
@@ -272,10 +289,8 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> tuple[dict, int]:
         if inst is None:
             continue
         for solver in cfg.solvers:
-            if solver == "qaoa" and qubo.num_variables > MAX_QUBITS:
+            if _skip_reason(solver, qubo):
                 continue  # recorded as skipped below
-            if solver == "exhaustive" and qubo.num_variables > 24:
-                continue
             for run in range(cfg.runs):
                 jobs.append((idx, solver, run, inst, qubo, f_max))
 
@@ -309,21 +324,9 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> tuple[dict, int]:
             continue
         solver_docs: dict = {}
         for solver in cfg.solvers:
-            if solver == "qaoa" and qubo.num_variables > MAX_QUBITS:
-                solver_docs[solver] = {
-                    "runs": [],
-                    "aggregate": None,
-                    "error": None,
-                    "skipped": f"{qubo.num_variables} qubits exceed the {MAX_QUBITS}-qubit statevector limit",
-                }
-                continue
-            if solver == "exhaustive" and qubo.num_variables > 24:
-                solver_docs[solver] = {
-                    "runs": [],
-                    "aggregate": None,
-                    "error": None,
-                    "skipped": f"{qubo.num_variables} variables exceed the 24-variable enumeration limit",
-                }
+            skipped = _skip_reason(solver, qubo)
+            if skipped:
+                solver_docs[solver] = {"runs": [], "aggregate": None, "error": None, "skipped": skipped}
                 continue
             run_docs = []
             metrics_list = []

@@ -122,6 +122,7 @@ def _cmd_solve(args) -> int:
         "seed": seed,
         "reads": args.reads,
         "f_max": exact.best_value,
+        "proven_optimal": exact.proven_optimal,
         "metrics": {
             "expected_ar": metrics.expected_ar,
             "best_ar": metrics.best_ar,

@@ -7,11 +7,21 @@ current value, which is admissible because weights are non-negative.
 Constraint violations are pruned incrementally; all constraint families are
 monotone under taking more requests, so a violated partial selection can
 never recover.
+
+The search is a loop over an explicit stack of unvisited nodes
+``(request, value, load, taken bits)``, so its depth is not limited by
+Python's recursion limit.  The taken selection is one int bitmask over the
+flattened variables; each variable carries a pair-conflict mask and one
+two-bit mask per forbidden triple it belongs to.  A node pushes its skip
+child first and its take children highest camera first, so children pop
+lowest camera first and skip last: the tree, the node count, the budget
+cut-off and the first-found tie-break are those of the plain recursion
+that visits cameras in ascending order and then the skip.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .instance import Assignment, Instance, VarRef
 
@@ -87,94 +97,81 @@ def check_feasible(inst: Instance, a: Assignment) -> FeasibilityReport:
     return FeasibilityReport(feasible=not violations, violations=tuple(violations))
 
 
-@dataclass
-class _SearchState:
-    nodes: int = 0
-    best_value: float = 0.0
-    best_taken: tuple[VarRef, ...] = ()
-    exhausted: bool = False
-    budget: int = DEFAULT_NODE_BUDGET
-    # scratch, indexed by flattened variable id
-    taken_mask: list[bool] = field(default_factory=list)
-    taken_refs: list[VarRef] = field(default_factory=list)
-
-
 def solve_exact(inst: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
     """Exact maximum-value feasible selection via branch-and-bound.
 
     Returns the optimum with ``proven_optimal=True`` unless the node budget
     ran out, in which case the best incumbent found so far is returned.
     Ties between equal-value optima go to the first one found in
-    depth-first order.
+    depth-first order.  Nodes are counted, checked against the budget and
+    bounded when popped from the explicit stack, exactly where a recursive
+    search would on entry; there is no depth limit.
     """
-    order = inst.variables
     index = inst.variable_index
     n_req = len(inst.requests)
-
-    # per-request variable ids, ordered cameras ascending
-    req_vars: list[list[int]] = []
-    weights: list[float] = []
-    pos = 0
-    for req in inst.requests:
-        ids = list(range(pos, pos + len(req.allowed_cameras)))
-        req_vars.append(ids)
-        weights.append(req.weight)
-        pos += len(req.allowed_cameras)
-
+    weights = [req.weight for req in inst.requests]
     suffix = [0.0] * (n_req + 1)
     for k in range(n_req - 1, -1, -1):
         suffix[k] = suffix[k + 1] + weights[k]
 
-    pair_partners: list[list[int]] = [[] for _ in order]
+    n_var = len(inst.variables)
+    pair_mask = [0] * n_var
     for p, q in inst.binary_forbidden:
-        pair_partners[index[p]].append(index[q])
-        pair_partners[index[q]].append(index[p])
-    triple_partners: list[list[tuple[int, int]]] = [[] for _ in order]
+        pair_mask[index[p]] |= 1 << index[q]
+        pair_mask[index[q]] |= 1 << index[p]
+    triple_masks: list[list[int]] = [[] for _ in range(n_var)]
     for t in inst.ternary_forbidden:
         i, j, k = (index[r] for r in t)
-        triple_partners[i].append((j, k))
-        triple_partners[j].append((i, k))
-        triple_partners[k].append((i, j))
+        triple_masks[i].append((1 << j) | (1 << k))
+        triple_masks[j].append((1 << i) | (1 << k))
+        triple_masks[k].append((1 << i) | (1 << j))
 
-    caps = [inst.capacity_of(ref) for ref in order]
-    budget_c = inst.disk_capacity  # None: capacities ignored
+    if inst.disk_capacity is None:  # capacities ignored: every load is 0 and fits
+        limit, caps = 0, [0] * n_var
+    else:
+        limit, caps = inst.disk_capacity, [inst.capacity_of(ref) for ref in inst.variables]
 
-    st = _SearchState(budget=node_budget)
-    st.taken_mask = [False] * len(order)
+    # per request, (bit, pair mask, triple masks, capacity) of each camera,
+    # highest camera first: pushed in this order, the lowest camera pops first
+    choices = []
+    pos = 0
+    for req in inst.requests:
+        ids = range(pos + len(req.allowed_cameras) - 1, pos - 1, -1)
+        choices.append(tuple((1 << v, pair_mask[v], tuple(triple_masks[v]), caps[v]) for v in ids))
+        pos += len(req.allowed_cameras)
 
-    def descend(k: int, value: float, load: int) -> None:
-        st.nodes += 1
-        if st.nodes > st.budget:
-            st.exhausted = True
-            return
+    nodes = 0
+    best_value = 0.0
+    best_taken = 0
+    exhausted = False
+    stack = [(0, 0.0, 0, 0)]  # (request, value, load, taken bits) of unvisited nodes
+    pop, push = stack.pop, stack.append
+    while stack:
+        k, value, load, taken = pop()
+        nodes += 1
+        if nodes > node_budget:
+            exhausted = True
+            break
         if k == n_req:
-            if value > st.best_value:
-                st.best_value = value
-                st.best_taken = tuple(st.taken_refs)
-            return
-        if value + suffix[k] <= st.best_value:
-            return  # no completion can beat the incumbent
-        for v in req_vars[k]:
-            if any(st.taken_mask[u] for u in pair_partners[v]):
+            if value > best_value:
+                best_value, best_taken = value, taken
+            continue
+        if value + suffix[k] <= best_value:
+            continue  # no completion can beat the incumbent
+        push((k + 1, value, load, taken))  # skip request k, visited after every take
+        taken_value = value + weights[k]
+        for bit, pairs, triples, cap in choices[k]:
+            if taken & pairs or load + cap > limit:
                 continue
-            if any(st.taken_mask[u] and st.taken_mask[w] for u, w in triple_partners[v]):
+            if triples and any(taken & m == m for m in triples):
                 continue
-            if budget_c is not None and load + caps[v] > budget_c:
-                continue
-            st.taken_mask[v] = True
-            st.taken_refs.append(order[v])
-            descend(k + 1, value + weights[k], load + (caps[v] if budget_c is not None else 0))
-            st.taken_refs.pop()
-            st.taken_mask[v] = False
-            if st.exhausted:
-                return
-        if not st.exhausted:
-            descend(k + 1, value, load)
+            push((k + 1, taken_value, load + cap, taken | bit))
 
-    descend(0, 0.0, 0)
     return ExactResult(
-        best_value=st.best_value,
-        best_assignment=Assignment(st.best_taken),
-        nodes_explored=st.nodes,
-        proven_optimal=not st.exhausted,
+        best_value=best_value,
+        best_assignment=Assignment(
+            tuple(ref for v, ref in enumerate(inst.variables) if best_taken >> v & 1)
+        ),
+        nodes_explored=nodes,
+        proven_optimal=not exhausted,
     )

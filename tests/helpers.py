@@ -7,11 +7,14 @@ code with the library paths they check.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from satplan import (
     AnnealSchedule,
     Assignment,
+    ExactResult,
     Instance,
     Qubo,
     Request,
@@ -20,6 +23,7 @@ from satplan import (
     check_feasible,
     objective,
 )
+from satplan.exact import DEFAULT_NODE_BUDGET
 
 CAMERA_SUBSETS = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
 
@@ -281,3 +285,103 @@ def reference_sample_sa(
             best_energies[improved] = energies[improved]
 
     return SampleSet.from_states(best_states, best_energies, "sa", seed)
+
+
+@dataclass
+class _SearchState:
+    nodes: int = 0
+    best_value: float = 0.0
+    best_taken: tuple[VarRef, ...] = ()
+    exhausted: bool = False
+    budget: int = DEFAULT_NODE_BUDGET
+    # scratch, indexed by flattened variable id
+    taken_mask: list[bool] = field(default_factory=list)
+    taken_refs: list[VarRef] = field(default_factory=list)
+
+
+def reference_solve_exact(
+    inst: Instance, node_budget: int = DEFAULT_NODE_BUDGET
+) -> ExactResult:
+    """The recursive branch-and-bound that ``solve_exact`` replaced: one
+    Python call per node, scratch lists instead of bitmasks.
+    ``solve_exact`` must return exactly the same result, node count
+    included.
+
+    Exact maximum-value feasible selection via branch-and-bound.
+
+    Returns the optimum with ``proven_optimal=True`` unless the node budget
+    ran out, in which case the best incumbent found so far is returned.
+    Ties between equal-value optima go to the first one found in
+    depth-first order.
+    """
+    order = inst.variables
+    index = inst.variable_index
+    n_req = len(inst.requests)
+
+    # per-request variable ids, ordered cameras ascending
+    req_vars: list[list[int]] = []
+    weights: list[float] = []
+    pos = 0
+    for req in inst.requests:
+        ids = list(range(pos, pos + len(req.allowed_cameras)))
+        req_vars.append(ids)
+        weights.append(req.weight)
+        pos += len(req.allowed_cameras)
+
+    suffix = [0.0] * (n_req + 1)
+    for k in range(n_req - 1, -1, -1):
+        suffix[k] = suffix[k + 1] + weights[k]
+
+    pair_partners: list[list[int]] = [[] for _ in order]
+    for p, q in inst.binary_forbidden:
+        pair_partners[index[p]].append(index[q])
+        pair_partners[index[q]].append(index[p])
+    triple_partners: list[list[tuple[int, int]]] = [[] for _ in order]
+    for t in inst.ternary_forbidden:
+        i, j, k = (index[r] for r in t)
+        triple_partners[i].append((j, k))
+        triple_partners[j].append((i, k))
+        triple_partners[k].append((i, j))
+
+    caps = [inst.capacity_of(ref) for ref in order]
+    budget_c = inst.disk_capacity  # None: capacities ignored
+
+    st = _SearchState(budget=node_budget)
+    st.taken_mask = [False] * len(order)
+
+    def descend(k: int, value: float, load: int) -> None:
+        st.nodes += 1
+        if st.nodes > st.budget:
+            st.exhausted = True
+            return
+        if k == n_req:
+            if value > st.best_value:
+                st.best_value = value
+                st.best_taken = tuple(st.taken_refs)
+            return
+        if value + suffix[k] <= st.best_value:
+            return  # no completion can beat the incumbent
+        for v in req_vars[k]:
+            if any(st.taken_mask[u] for u in pair_partners[v]):
+                continue
+            if any(st.taken_mask[u] and st.taken_mask[w] for u, w in triple_partners[v]):
+                continue
+            if budget_c is not None and load + caps[v] > budget_c:
+                continue
+            st.taken_mask[v] = True
+            st.taken_refs.append(order[v])
+            descend(k + 1, value + weights[k], load + (caps[v] if budget_c is not None else 0))
+            st.taken_refs.pop()
+            st.taken_mask[v] = False
+            if st.exhausted:
+                return
+        if not st.exhausted:
+            descend(k + 1, value, load)
+
+    descend(0, 0.0, 0)
+    return ExactResult(
+        best_value=st.best_value,
+        best_assignment=Assignment(st.best_taken),
+        nodes_explored=st.nodes,
+        proven_optimal=not st.exhausted,
+    )

@@ -127,6 +127,34 @@ def test_crash_isolation(instance_file, tmp_path):
     assert good["solvers"]["exhaustive"]["runs"][0]["best_ar"] == 1.0
 
 
+def test_oversized_cells_are_skipped_with_reason(tmp_path):
+    wide = Instance(
+        name="wide27",
+        requests=tuple(
+            Request(id=i, kind="mono", weight=1.0, allowed_cameras=(1,)) for i in range(27)
+        ),
+    )
+    path = tmp_path / "wide27.json"
+    save_instance(wide, path)
+    cfg = ExperimentConfig(
+        instances=[str(path)], solvers=["exact", "exhaustive", "qaoa"], reads=10, runs=1
+    )
+    report, code = run_pipeline(cfg, tmp_path / "out")
+    assert code == 0
+    cells = report["instances"][0]["solvers"]
+    assert cells["exact"]["skipped"] is None
+    assert cells["exhaustive"] == {
+        "runs": [],
+        "aggregate": None,
+        "error": None,
+        "skipped": "27 variables exceed the 24-variable enumeration limit",
+    }
+    assert cells["qaoa"]["skipped"] == "27 qubits exceed the 26-qubit statevector limit"
+    assert cells["qaoa"]["runs"] == []
+    samples = sorted(p.name for p in (tmp_path / "out" / "samples").iterdir())
+    assert samples == ["wide27__exact__run0.json"]
+
+
 def test_qaoa_cell_runs_and_persists(instance_file, tmp_path):
     cfg = ExperimentConfig(
         instances=[instance_file],

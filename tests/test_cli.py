@@ -56,6 +56,7 @@ def test_solve_one_cell(tmp_path):
     )
     assert code == 0
     doc = json.loads(out.read_text())
+    assert doc["proven_optimal"] is True
     assert doc["metrics"]["best_ar"] == 1.0
     assert doc["samples"]["reads"] == 50
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from satplan import (
     objective,
     solve_exact,
 )
-from helpers import brute_force_best, random_instance
+from helpers import brute_force_best, random_instance, reference_solve_exact
 
 
 def _mono(rid, weight=1.0, cams=(1,), caps=None):
@@ -141,3 +143,57 @@ def test_budget_exhaustion_returns_incumbent():
     full = solve_exact(inst)
     assert full.proven_optimal
     assert result.best_value <= full.best_value
+
+
+def _weighted(rng, inst, weight):
+    requests = tuple(dataclasses.replace(req, weight=weight(rng)) for req in inst.requests)
+    return dataclasses.replace(inst, requests=requests)
+
+
+# Instance families for the reference comparison; each draws weights its own way.
+_FAMILIES = {
+    "pairs": dict(n_pairs=(0, 10), n_triples=(0, 1), with_capacity=False, weight=None),
+    "triples": dict(n_pairs=(0, 3), n_triples=(1, 6), with_capacity=False, weight=None),
+    "capacity": dict(n_pairs=(0, 5), n_triples=(0, 4), with_capacity=True, weight=None),
+    "ties": dict(n_pairs=(0, 6), n_triples=(0, 3), with_capacity=True,
+                 weight=lambda rng: float(rng.integers(1, 3))),
+    "tenths": dict(n_pairs=(0, 6), n_triples=(0, 3), with_capacity=True,
+                   weight=lambda rng: 0.1 * int(rng.integers(1, 30))),
+    "zeros": dict(n_pairs=(0, 6), n_triples=(0, 3), with_capacity=True,
+                  weight=lambda rng: float(rng.integers(0, 3))),
+}
+_BUDGETS = {"1": lambda n: 1, "2": lambda n: 2, "5": lambda n: 5,
+            "nodes-1": lambda n: n - 1, "nodes": lambda n: n, "nodes+1": lambda n: n + 1}
+
+
+@pytest.mark.parametrize("budget", sorted(_BUDGETS))
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_solver_matches_recursive_reference(family, budget):
+    spec = _FAMILIES[family]
+    rng = np.random.default_rng([sorted(_FAMILIES).index(family), 7])
+    for trial in range(25):
+        inst = random_instance(
+            rng,
+            n_requests=int(rng.integers(1, 13)),
+            n_pairs=int(rng.integers(*spec["n_pairs"])),
+            n_triples=int(rng.integers(*spec["n_triples"])),
+            with_capacity=spec["with_capacity"],
+            name=f"{family}{trial}",
+        )
+        if spec["weight"] is not None:
+            inst = _weighted(rng, inst, spec["weight"])
+        nodes = reference_solve_exact(inst).nodes_explored
+        node_budget = max(1, _BUDGETS[budget](nodes))
+        assert solve_exact(inst, node_budget) == reference_solve_exact(inst, node_budget)
+
+
+def test_deep_instance_needs_no_recursion():
+    # one search level per request: deeper than the default recursion limit,
+    # with enough conflicts that the budget runs out before the proof
+    rng = np.random.default_rng(1200)
+    inst = random_instance(rng, n_requests=1200, n_pairs=600, n_triples=100, name="deep")
+    result = solve_exact(inst, node_budget=200_000)
+    assert not result.proven_optimal
+    assert result.nodes_explored == 200_001
+    assert check_feasible(inst, result.best_assignment).feasible
+    assert objective(inst, result.best_assignment) == result.best_value > 0
