@@ -57,11 +57,8 @@ from .qubo import (
     TernaryPairSlack,
     VarRegistry,
     capacity_slack_count,
-    decode,
     encode,
     min_slack_penalty,
-    qubo_energy,
-    to_ising,
 )
 from .reductor import (
     ReductionError,

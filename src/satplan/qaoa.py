@@ -7,11 +7,16 @@ RX(2 * beta) on every qubit.  Basis states are indexed little-endian, the
 same convention as the QUBO/Ising energy tables, so the diagonal phase is a
 plain elementwise multiply against a precomputed energy table.
 
-Parameter optimisation is local and derivative-free (COBYLA) with the best
-evaluation tracked explicitly, so the reported value never exceeds the
-value at the initial point.  ``run_schedule`` implements layer-wise
-parameter fixing: the optimised 2*L parameters of the L-layer ansatz seed
-the (L+1)-layer search together with gamma = beta = 0 for the new layer.
+Parameter optimisation is local and derivative-free (Powell's
+direction-set method) with the best evaluation tracked explicitly, so the
+reported value never exceeds the value at the initial point.
+``run_schedule`` implements layer-wise parameter fixing: the optimised 2*L
+parameters of the L-layer ansatz seed the (L+1)-layer search together with
+gamma = beta = 0 for the new layer.  That start is a stationary point of
+the expectation (the new cost phase commutes with the cost, and the new
+mixer angle has the gradient of the previous one, zero at its optimum), so
+a gradient method stalls there; Powell's line searches bracket outward and
+leave it.
 """
 
 from __future__ import annotations
@@ -61,7 +66,6 @@ class QaoaParams:
 class OptimizerConfig:
     tolerance: float = 1e-6
     max_evals: int = 1000
-    initial_step: float = 0.5
 
     def __post_init__(self) -> None:
         if self.tolerance <= 0:
@@ -100,16 +104,23 @@ def uniform_state(num_qubits: int) -> StateVector:
 
 
 def _apply_mixer(psi: StateVector, num_qubits: int, beta: float) -> StateVector:
-    """RX(2*beta) on every qubit."""
+    """RX(2*beta) on every qubit q: new[i] = c * psi[i] + s * psi[i ^ (1 << q)].
+
+    ``psi`` is overwritten; the result is ``psi`` or a new array.  The two
+    state buffers swap roles after every qubit, so no per-qubit array is
+    allocated.
+    """
     c = np.cos(beta)
     s = -1j * np.sin(beta)
+    out = np.empty_like(psi)
+    s_partner = np.empty_like(psi)
     for qubit in range(num_qubits):
-        stride = 1 << qubit
-        view = psi.reshape(-1, 2, stride)
-        a0 = view[:, 0, :].copy()
-        a1 = view[:, 1, :]
-        view[:, 0, :] = c * a0 + s * a1
-        view[:, 1, :] = s * a0 + c * a1
+        shape = (-1, 2, 1 << qubit)
+        # the reversed middle axis maps index i to i ^ (1 << qubit)
+        np.multiply(s, psi.reshape(shape)[:, ::-1, :], out=s_partner.reshape(shape))
+        np.multiply(c, psi, out=out)
+        np.add(out, s_partner, out=out)
+        psi, out = out, psi
     return psi
 
 
@@ -165,7 +176,9 @@ def optimize_layer(
     cfg: OptimizerConfig | None = None,
     energy_table: np.ndarray | None = None,
 ) -> tuple[QaoaParams, float]:
-    """Local derivative-free minimisation of the ansatz expectation.
+    """Local derivative-free minimisation of the ansatz expectation with
+    Powell's method, at most ``cfg.max_evals`` evaluations after the one at
+    ``init``.
 
     Returns the best parameters seen over all evaluations, so the result is
     never worse than the initial point.
@@ -189,9 +202,9 @@ def optimize_layer(
     minimize(
         objective,
         init.to_flat(),
-        method="COBYLA",
+        method="Powell",
         tol=cfg.tolerance,
-        options={"maxiter": cfg.max_evals, "rhobeg": cfg.initial_step},
+        options={"maxfev": cfg.max_evals},
     )
     return QaoaParams.from_flat(best_x), float(best_val)
 

@@ -425,18 +425,6 @@ def encode(inst: Instance, m: float | None = None) -> Qubo:
     )
 
 
-def qubo_energy(q: Qubo, bits) -> float:
-    return q.energy(bits)
-
-
-def to_ising(q: Qubo) -> IsingModel:
-    return q.to_ising()
-
-
-def decode(q: Qubo, bits) -> Assignment:
-    return q.decode(bits)
-
-
 def min_slack_penalty(q: Qubo, decision_bits) -> float:
     """Minimum total penalty over all slack completions of the decision bits.
 

@@ -17,13 +17,17 @@ from satplan import (
     ExactResult,
     Instance,
     Qubo,
+    IsingModel,
+    QaoaParams,
     Request,
     SampleSet,
     VarRef,
     check_feasible,
     objective,
+    uniform_state,
 )
 from satplan.exact import DEFAULT_NODE_BUDGET
+from satplan.qaoa import _check_size
 
 CAMERA_SUBSETS = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
 
@@ -385,3 +389,40 @@ def reference_solve_exact(
         nodes_explored=st.nodes,
         proven_optimal=not st.exhausted,
     )
+
+
+def _reference_mixer(psi: np.ndarray, num_qubits: int, beta: float) -> np.ndarray:
+    """RX(2*beta) on every qubit."""
+    c = np.cos(beta)
+    s = -1j * np.sin(beta)
+    for qubit in range(num_qubits):
+        stride = 1 << qubit
+        view = psi.reshape(-1, 2, stride)
+        a0 = view[:, 0, :].copy()
+        a1 = view[:, 1, :]
+        view[:, 0, :] = c * a0 + s * a1
+        view[:, 1, :] = s * a0 + c * a1
+    return psi
+
+
+def reference_apply_ansatz(
+    ising: IsingModel, params: QaoaParams, energy_table: np.ndarray | None = None
+) -> np.ndarray:
+    """The ansatz with the mixer's slice-assignment loop that
+    ``apply_ansatz`` replaced: a copy of one half and four temporaries per
+    qubit.  ``apply_ansatz`` must return exactly the same state, bit for
+    bit.
+
+    Prepare the layered ansatz state for the given cost model and angles.
+    """
+    nq = ising.num_variables
+    _check_size(nq)
+    if energy_table is None:
+        energy_table = ising.energy_table()
+    elif len(energy_table) != (1 << nq):
+        raise ValueError("energy table size does not match the model")
+    psi = uniform_state(nq)
+    for gamma, beta in zip(params.gammas, params.betas):
+        psi *= np.exp(-1j * gamma * energy_table)
+        psi = _reference_mixer(psi, nq, beta)
+    return psi

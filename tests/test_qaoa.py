@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+import satplan.qaoa as qaoa
 from satplan import (
     OptimizerConfig,
     QaoaParams,
+    ReductionSpec,
     apply_ansatz,
     encode,
     expectation,
     optimize_layer,
+    reduce,
     run_schedule,
     sample_state,
     solve_exhaustive,
@@ -16,7 +19,7 @@ from satplan import (
 from satplan.qaoa import _apply_mixer
 from satplan.qubo import IsingModel
 from test_ising import random_integer_qubo
-from helpers import random_instance
+from helpers import acceptance_source, random_instance, reference_apply_ansatz
 
 
 def test_zero_angles_leave_uniform_state():
@@ -102,6 +105,89 @@ def test_mixer_half_turn_flips_basis_states():
     probs = np.abs(flipped) ** 2
     complement = k ^ ((1 << n) - 1)
     assert probs[complement] == pytest.approx(1.0, abs=1e-12)
+
+
+SPECIAL_ANGLES = (0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 1e-3, -1e-3, 1e3, -1e3)
+
+
+def _angle_sets(rng: np.random.Generator, layers: int) -> list[QaoaParams]:
+    """Every special angle as a gamma and as a beta, then random angles:
+    gamma with magnitude 1e-3..1e3 and either sign, beta in [-pi, pi]."""
+    k = len(SPECIAL_ANGLES)
+    sets = [
+        QaoaParams(
+            tuple(SPECIAL_ANGLES[(i + j) % k] for j in range(layers)),
+            tuple(SPECIAL_ANGLES[(i + 3 * j + 1) % k] for j in range(layers)),
+        )
+        for i in range(k)
+    ]
+    for _ in range(6):
+        gammas = rng.choice([-1.0, 1.0], size=layers) * 10.0 ** rng.uniform(-3, 3, size=layers)
+        sets.append(QaoaParams(tuple(gammas), tuple(rng.uniform(-np.pi, np.pi, size=layers))))
+    return sets
+
+
+def _assert_bitwise_equal(new: np.ndarray, ref: np.ndarray) -> None:
+    # compare the bits, not the floats: -0.0 == 0.0 as floats
+    assert np.array_equal(new.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3, 4])
+@pytest.mark.parametrize("num_qubits", range(1, 11))
+def test_ansatz_matches_reference_bit_for_bit(num_qubits, layers):
+    rng = np.random.default_rng(100 * num_qubits + layers)
+    ising = random_integer_qubo(rng, num_qubits).to_ising()
+    table = ising.energy_table()
+    for params in _angle_sets(rng, layers):
+        new = apply_ansatz(ising, params, table)
+        ref = reference_apply_ansatz(ising, params, table)
+        _assert_bitwise_equal(new, ref)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3, 4])
+def test_ansatz_matches_reference_on_capacity_instance(layers):
+    inst = reduce(acceptance_source(), ReductionSpec(4, True, 1))
+    q = encode(inst)
+    assert inst.disk_capacity > 0
+    assert q.num_variables == 10 > len(inst.variables)  # capacity slack bits
+    ising = q.to_ising()
+    table = ising.energy_table()
+    for params in _angle_sets(np.random.default_rng(layers), layers):
+        _assert_bitwise_equal(
+            apply_ansatz(ising, params, table), reference_apply_ansatz(ising, params, table)
+        )
+
+
+@pytest.mark.parametrize("max_evals", [1, 5, 40])
+def test_optimizer_stays_within_evaluation_budget(monkeypatch, max_evals):
+    calls = []
+    original = qaoa.apply_ansatz
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qaoa, "apply_ansatz", counted)
+    ising = random_integer_qubo(np.random.default_rng(43), 5).to_ising()
+    init = QaoaParams((0.4, 0.0), (0.3, 0.0))
+    optimize_layer(ising, init, OptimizerConfig(max_evals=max_evals))
+    # one evaluation at init, then at most max_evals by the optimizer
+    assert 2 <= len(calls) <= max_evals + 1
+
+
+def test_layer_expectations_never_increase():
+    rng = np.random.default_rng(47)
+    isings = [random_integer_qubo(rng, 6).to_ising() for _ in range(2)]
+    inst = random_instance(rng, n_requests=3, n_pairs=1, n_triples=0, name="mono")
+    isings.append(encode(inst).to_ising())
+    for ising in isings:
+        results = run_schedule(
+            ising, max_layers=4, n_inits=2, cfg=OptimizerConfig(max_evals=60), seed=3, reads=50
+        )
+        # each stage starts at the previous optimum plus a zero-angle
+        # layer, the same state, and keeps the best value it sees
+        for prev, nxt in zip(results, results[1:]):
+            assert nxt.expectation <= prev.expectation
 
 
 def test_optimize_single_qubit_reaches_ground_state():
