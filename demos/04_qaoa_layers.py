@@ -34,14 +34,13 @@ instance = Instance(
 )
 
 qubo = encode(instance)
-ising = qubo.to_ising()
 f_max = solve_exact(instance).best_value
 _, floor = solve_exhaustive(qubo)
 print(f"{instance.name}: {qubo.num_variables} qubits, F_max={f_max}, ground energy={floor}")
 
 ranker = lambda samples: run_metrics(instance, f_max, samples, qubo.n).expected_ar
 layers = run_schedule(
-    ising,
+    qubo.energy_table(),
     max_layers=8,
     n_inits=5,
     cfg=OptimizerConfig(tolerance=1e-6),

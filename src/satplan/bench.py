@@ -13,9 +13,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,7 +36,6 @@ from .reductor import ReductionSpec, reduce as reduce_instance
 
 SOLVERS = ("exact", "sa", "qaoa", "exhaustive")
 _SOLVER_CODES = {name: i for i, name in enumerate(SOLVERS)}
-WORKERS_ENV = "SATPLAN_WORKERS"
 
 
 class ConfigError(ValueError):
@@ -63,7 +60,6 @@ class ExperimentConfig:
     penalty_m: float | None = None
     master_seed: int = 0
     node_budget: int = DEFAULT_NODE_BUDGET
-    workers: int | None = None
 
     def __post_init__(self) -> None:
         if not self.instances:
@@ -106,17 +102,6 @@ class ExperimentConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(doc, **overrides)
-
-    def effective_workers(self) -> int:
-        if self.workers is not None:
-            return max(1, self.workers)
-        env = os.environ.get(WORKERS_ENV)
-        if env:
-            try:
-                return max(1, int(env))
-            except ValueError as exc:
-                raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
-        return 1
 
 
 def cell_seed(master_seed: int, inst_idx: int, solver: str, run: int) -> int:
@@ -184,10 +169,9 @@ def run_cell(
         samples = _constant_sample_set(bits, qubo.energy(bits), reads, "exact", seed)
         return run_metrics(inst, f_max, samples, n), samples.to_json_dict(), None
     if solver == "qaoa":
-        ising = qubo.to_ising()
         ranker = lambda ss: run_metrics(inst, f_max, ss, n).expected_ar
         layers = run_schedule(
-            ising,
+            qubo.energy_table(),
             max_layers=cfg.max_layers,
             n_inits=cfg.n_inits,
             cfg=OptimizerConfig(),
@@ -284,36 +268,6 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> tuple[dict, int]:
             record.update(name=record["spec"] if isinstance(entry, str) else None, error=str(exc))
             prepared.append((idx, record, None, None, None))
 
-    jobs = []
-    for idx, record, inst, qubo, f_max in prepared:
-        if inst is None:
-            continue
-        for solver in cfg.solvers:
-            if _skip_reason(solver, qubo):
-                continue  # recorded as skipped below
-            for run in range(cfg.runs):
-                jobs.append((idx, solver, run, inst, qubo, f_max))
-
-    def execute(job):
-        idx, solver, run, inst, qubo, f_max = job
-        seed = cell_seed(cfg.master_seed, idx, solver, run)
-        try:
-            metrics, samples_doc, extra = run_cell(inst, qubo, f_max, solver, seed, cfg)
-            return (idx, solver, run), (metrics, seed, samples_doc, extra, None)
-        except Exception as exc:  # noqa: BLE001 - isolate per cell
-            return (idx, solver, run), (None, seed, None, None, str(exc))
-
-    results: dict = {}
-    workers = cfg.effective_workers()
-    if workers == 1:
-        for job in jobs:
-            key, value = execute(job)
-            results[key] = value
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for key, value in pool.map(execute, jobs):
-                results[key] = value
-
     any_error = False
     instances_doc = []
     for idx, record, inst, qubo, f_max in prepared:
@@ -332,9 +286,11 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> tuple[dict, int]:
             metrics_list = []
             error = None
             for run in range(cfg.runs):
-                metrics, seed, samples_doc, extra, err = results[(idx, solver, run)]
-                if err is not None:
-                    error = err
+                seed = cell_seed(cfg.master_seed, idx, solver, run)
+                try:
+                    metrics, samples_doc, extra = run_cell(inst, qubo, f_max, solver, seed, cfg)
+                except Exception as exc:  # noqa: BLE001 - isolate per cell
+                    error = str(exc)
                     any_error = True
                     continue
                 doc = _metrics_dict(metrics, run, seed)

@@ -64,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-inits", type=int, default=None)
     p.add_argument("--penalty", type=float, default=None)
     p.add_argument("--master-seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
 
     p = sub.add_parser("report", help="emit plot-ready CSV tables from a report.json")
     p.add_argument("report")
@@ -146,7 +145,6 @@ def _cmd_run(args) -> int:
         n_inits=args.n_inits,
         penalty_m=args.penalty,
         master_seed=args.master_seed,
-        workers=args.workers,
     )
     report, code = run_pipeline(cfg, args.output)
     failed = [i["spec"] for i in report["instances"] if i.get("error")]

@@ -3,9 +3,11 @@
 The ansatz starts from the uniform superposition (ground state of the
 transverse-field mixer sum_i X_i) and alternates, per layer, a diagonal
 cost phase exp(-i * gamma * E_x) with a single-qubit mixer rotation
-RX(2 * beta) on every qubit.  Basis states are indexed little-endian, the
-same convention as the QUBO/Ising energy tables, so the diagonal phase is a
-plain elementwise multiply against a precomputed energy table.
+RX(2 * beta) on every qubit.  The cost Hamiltonian's diagonal is the
+QUBO's own energy table, ``Qubo.energy_table()``: the energy of every basis
+state, indexed little-endian, so the cost phase is a plain elementwise
+multiply and sampled energies equal ``Qubo.energy`` of their bits exactly.
+Every function takes that table; the qubit count is its length's log2.
 
 Parameter optimisation is local and derivative-free (Powell's
 direction-set method) with the best evaluation tracked explicitly, so the
@@ -28,7 +30,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .anneal import SampleSet
-from .qubo import IsingModel
 
 MAX_QUBITS = 26
 
@@ -97,6 +98,16 @@ def _check_size(num_qubits: int) -> None:
         raise ValueError("need at least one qubit")
 
 
+def _num_qubits(energy_table: np.ndarray) -> int:
+    """Qubit count of a 2^n-entry energy table, checked against the limits."""
+    size = len(energy_table)
+    nq = size.bit_length() - 1
+    if size < 1 or size != 1 << nq:
+        raise ValueError(f"energy table has {size} entries, not a power of two")
+    _check_size(nq)
+    return nq
+
+
 def uniform_state(num_qubits: int) -> StateVector:
     _check_size(num_qubits)
     dim = 1 << num_qubits
@@ -124,16 +135,9 @@ def _apply_mixer(psi: StateVector, num_qubits: int, beta: float) -> StateVector:
     return psi
 
 
-def apply_ansatz(
-    ising: IsingModel, params: QaoaParams, energy_table: np.ndarray | None = None
-) -> StateVector:
-    """Prepare the layered ansatz state for the given cost model and angles."""
-    nq = ising.num_variables
-    _check_size(nq)
-    if energy_table is None:
-        energy_table = ising.energy_table()
-    elif len(energy_table) != (1 << nq):
-        raise ValueError("energy table size does not match the model")
+def apply_ansatz(energy_table: np.ndarray, params: QaoaParams) -> StateVector:
+    """Prepare the layered ansatz state for the given cost diagonal and angles."""
+    nq = _num_qubits(energy_table)
     psi = uniform_state(nq)
     for gamma, beta in zip(params.gammas, params.betas):
         psi *= np.exp(-1j * gamma * energy_table)
@@ -141,12 +145,8 @@ def apply_ansatz(
     return psi
 
 
-def expectation(
-    ising: IsingModel, psi: StateVector, energy_table: np.ndarray | None = None
-) -> float:
+def expectation(energy_table: np.ndarray, psi: StateVector) -> float:
     """<psi| H |psi> including the constant offset, comparable to QUBO energies."""
-    if energy_table is None:
-        energy_table = ising.energy_table()
     if psi.shape != energy_table.shape:
         raise ValueError("state vector and energy table sizes differ")
     probs = np.abs(psi) ** 2
@@ -171,10 +171,7 @@ def sample_state(
 
 
 def optimize_layer(
-    ising: IsingModel,
-    init: QaoaParams,
-    cfg: OptimizerConfig | None = None,
-    energy_table: np.ndarray | None = None,
+    energy_table: np.ndarray, init: QaoaParams, cfg: OptimizerConfig | None = None
 ) -> tuple[QaoaParams, float]:
     """Local derivative-free minimisation of the ansatz expectation with
     Powell's method, at most ``cfg.max_evals`` evaluations after the one at
@@ -184,16 +181,12 @@ def optimize_layer(
     never worse than the initial point.
     """
     cfg = cfg or OptimizerConfig()
-    if energy_table is None:
-        energy_table = ising.energy_table()
     best_x = init.to_flat()
-    best_val = expectation(ising, apply_ansatz(ising, init, energy_table), energy_table)
+    best_val = expectation(energy_table, apply_ansatz(energy_table, init))
 
     def objective(x: np.ndarray) -> float:
         nonlocal best_x, best_val
-        val = expectation(
-            ising, apply_ansatz(ising, QaoaParams.from_flat(x), energy_table), energy_table
-        )
+        val = expectation(energy_table, apply_ansatz(energy_table, QaoaParams.from_flat(x)))
         if val < best_val:
             best_val = val
             best_x = np.array(x)
@@ -210,7 +203,7 @@ def optimize_layer(
 
 
 def run_schedule(
-    ising: IsingModel,
+    energy_table: np.ndarray,
     max_layers: int,
     n_inits: int = 5,
     cfg: OptimizerConfig | None = None,
@@ -234,9 +227,6 @@ def run_schedule(
     if n_inits < 1:
         raise ValueError("n_inits must be >= 1")
     cfg = cfg or OptimizerConfig()
-    nq = ising.num_variables
-    _check_size(nq)
-    table = ising.energy_table()
     rng = np.random.default_rng(seed)
 
     candidates = [
@@ -247,9 +237,9 @@ def run_schedule(
 
     best_candidate: tuple[float, QaoaParams, float, SampleSet] | None = None
     for k, cand in enumerate(candidates):
-        params, value = optimize_layer(ising, cand, cfg, table)
-        psi = apply_ansatz(ising, params, table)
-        samples = sample_state(psi, reads, sample_seeds[k], table)
+        params, value = optimize_layer(energy_table, cand, cfg)
+        psi = apply_ansatz(energy_table, params)
+        samples = sample_state(psi, reads, sample_seeds[k], energy_table)
         score = ranker(samples) if ranker is not None else -value
         if best_candidate is None or score > best_candidate[0]:
             best_candidate = (score, params, value, samples)
@@ -258,8 +248,8 @@ def run_schedule(
     results = [LayerResult(layer=1, params=params, expectation=value, samples=samples)]
     for layer in range(2, max_layers + 1):
         init = results[-1].params.extended(0.0, 0.0)
-        params, value = optimize_layer(ising, init, cfg, table)
-        psi = apply_ansatz(ising, params, table)
-        samples = sample_state(psi, reads, sample_seeds[n_inits + layer - 2], table)
+        params, value = optimize_layer(energy_table, init, cfg)
+        psi = apply_ansatz(energy_table, params)
+        samples = sample_state(psi, reads, sample_seeds[n_inits + layer - 2], energy_table)
         results.append(LayerResult(layer=layer, params=params, expectation=value, samples=samples))
     return results

@@ -130,13 +130,6 @@ class Qubo:
             objective_diag = np.zeros(nv)
         self._objective_diag = np.asarray(objective_diag, dtype=np.float64)
 
-    @classmethod
-    def from_coefficients(
-        cls, coefficients: Mapping[tuple[int, int], float], offset: float = 0.0
-    ) -> "Qubo":
-        """Bare quadratic form with no instance attached (tests, experiments)."""
-        return cls(coefficients, offset=offset)
-
     # -- shape ---------------------------------------------------------
 
     @property

@@ -151,18 +151,17 @@ def test_criterion_6_statevector_invariants():
         rng = np.random.default_rng(30_000)
         for _ in range(3):
             qubo = random_integer_qubo(rng, 8)
-            ising = qubo.to_ising()
-            table = ising.energy_table()
+            table = qubo.energy_table()
             gammas = tuple(rng.uniform(0, 2 * np.pi, size=4))
             betas = tuple(rng.uniform(0, np.pi, size=4))
             for layers in range(1, 5):
-                psi = apply_ansatz(ising, QaoaParams(gammas[:layers], betas[:layers]), table)
+                psi = apply_ansatz(table, QaoaParams(gammas[:layers], betas[:layers]))
                 assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
             assert abs(
-                expectation(ising, uniform_state(8), table) - qubo.energy_table().mean()
+                expectation(table, uniform_state(8)) - qubo.energy_table().mean()
             ) < 1e-9
-            psi = apply_ansatz(ising, QaoaParams(gammas[:2], betas[:2]), table)
-            value = expectation(ising, psi, table)
+            psi = apply_ansatz(table, QaoaParams(gammas[:2], betas[:2]))
+            value = expectation(table, psi)
             probs = np.abs(psi) ** 2
             stderr = math.sqrt(max(float(probs @ table**2 - value**2), 0.0) / 2000)
             samples = sample_state(psi, 2000, seed=77, energy_table=table)
@@ -185,7 +184,7 @@ def test_criterion_7_qaoa_desk_scale():
             f_max = solve_exact(inst).best_value
             ranker = lambda ss: run_metrics(inst, f_max, ss, qubo.n).expected_ar
             layers = run_schedule(
-                qubo.to_ising(),
+                qubo.energy_table(),
                 max_layers=10,
                 n_inits=5,
                 cfg=OptimizerConfig(tolerance=1e-6),

@@ -8,7 +8,7 @@ from helpers import random_instance, reference_sample_sa
 
 
 def test_single_downhill_variable():
-    q = Qubo.from_coefficients({(0, 0): -1.0})
+    q = Qubo({(0, 0): -1.0})
     result = sample_sa(q, reads=50, sched=AnnealSchedule(sweeps=10), seed=1)
     assert len(result.entries) == 1
     assert result.entries[0].bits == "1"
@@ -72,7 +72,7 @@ def test_oracle_dominance():
 
 
 def test_exhaustive_basics():
-    q = Qubo.from_coefficients({(0, 0): 1.0}, offset=0.25)
+    q = Qubo({(0, 0): 1.0}, offset=0.25)
     bits, energy = solve_exhaustive(q)
     assert bits.tolist() == [0]
     assert energy == 0.25
@@ -80,7 +80,7 @@ def test_exhaustive_basics():
 
 def test_exhaustive_tie_breaks_lexicographically():
     # two degenerate minima: x=(1,0) and x=(0,1) both score -1
-    q = Qubo.from_coefficients({(0, 0): -1.0, (1, 1): -1.0, (0, 1): 1.0})
+    q = Qubo({(0, 0): -1.0, (1, 1): -1.0, (0, 1): 1.0})
     bits, energy = solve_exhaustive(q)
     assert energy == -1.0
     assert bits.tolist() == [0, 1]  # (0,1) precedes (1,0)
@@ -155,7 +155,7 @@ REFERENCE_CASES = {
     ),
     "one-read": (lambda: _encoded(5, True, 5), 1, AnnealSchedule(sweeps=200)),
     "one-variable": (
-        lambda: Qubo.from_coefficients({(0, 0): 0.5}), 100, AnnealSchedule(sweeps=60),
+        lambda: Qubo({(0, 0): 0.5}), 100, AnnealSchedule(sweeps=60),
     ),
     "extreme-betas": (
         lambda: _encoded(13, True, 5), 300,

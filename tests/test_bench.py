@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from satplan import Instance, Request, VarRef, save_instance
+from satplan import Instance, Request, SampleEntry, VarRef, encode, save_instance, solve_exact
 from satplan.bench import (
     ConfigError,
     ExperimentConfig,
     cell_seed,
     emit_plot_data,
     resolve_instance,
+    run_cell,
     run_pipeline,
 )
 
@@ -176,14 +177,38 @@ def test_qaoa_cell_runs_and_persists(instance_file, tmp_path):
     assert all("gammas" in l and "betas" in l and "expectation" in l for l in doc["layers"])
 
 
-def test_worker_pool_matches_serial(instance_file, tmp_path, monkeypatch):
-    cfg = dict(instances=[instance_file], solvers=["sa", "exact"], reads=20, runs=2)
-    run_pipeline(ExperimentConfig(**cfg, workers=1), tmp_path / "serial")
-    monkeypatch.setenv("SATPLAN_WORKERS", "4")
-    run_pipeline(ExperimentConfig(**cfg), tmp_path / "pooled")
-    assert (tmp_path / "serial" / "results.csv").read_bytes() == (
-        tmp_path / "pooled" / "results.csv"
-    ).read_bytes()
+def tenths_instance():
+    """Weights in multiples of 0.1, so QUBO coefficients are not integers."""
+    return Instance(
+        name="tenths",
+        requests=(
+            Request(id=0, kind="mono", weight=0.3, allowed_cameras=(1, 2)),
+            Request(id=1, kind="mono", weight=0.7, allowed_cameras=(2, 3)),
+            Request(id=2, kind="stereo", weight=1.1, allowed_cameras=(4,)),
+            Request(id=3, kind="mono", weight=0.2, allowed_cameras=(1,)),
+            Request(id=4, kind="mono", weight=0.9, allowed_cameras=(3,)),
+        ),
+        binary_forbidden=frozenset({(VarRef(0, 2), VarRef(1, 2))}),
+        ternary_forbidden=frozenset({(VarRef(0, 1), VarRef(2, 4), VarRef(3, 1))}),
+    )
+
+
+@pytest.mark.parametrize("solver", ["qaoa", "sa", "exhaustive", "exact"])
+def test_sample_energies_are_qubo_energies(solver):
+    # every solver stores energies that Qubo.energy reproduces exactly; the
+    # Ising table of this QUBO differs from the QUBO's in the last ulps
+    inst = tenths_instance()
+    qubo = encode(inst)
+    assert qubo.num_variables == 8
+    assert not np.array_equal(qubo.energy_table(), qubo.to_ising().energy_table())
+    cfg = ExperimentConfig(instances=["-"], solvers=[solver], reads=200, max_layers=2, n_inits=1)
+    f_max = solve_exact(inst).best_value
+    _, doc, _ = run_cell(inst, qubo, f_max, solver, cell_seed(0, 0, solver, 0), cfg)
+    sample_sets = doc["layers"] if solver == "qaoa" else [doc]
+    assert len(sample_sets) == (2 if solver == "qaoa" else 1)
+    for sample_set in sample_sets:
+        for entry in (SampleEntry(**e) for e in sample_set["entries"]):
+            assert entry.energy == qubo.energy(entry.bit_array())
 
 
 def test_generation_spec_entries(tmp_path):

@@ -17,7 +17,7 @@ def random_integer_qubo(rng: np.random.Generator, n: int, density: float = 0.5) 
 
 
 def test_single_diagonal_entry():
-    q = Qubo.from_coefficients({(0, 0): -1.0})
+    q = Qubo({(0, 0): -1.0})
     ising = q.to_ising()
     assert ising.h.tolist() == [0.5]
     assert ising.offset == -0.5

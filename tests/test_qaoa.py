@@ -17,77 +17,71 @@ from satplan import (
     uniform_state,
 )
 from satplan.qaoa import _apply_mixer
-from satplan.qubo import IsingModel
 from test_ising import random_integer_qubo
 from helpers import acceptance_source, random_instance, reference_apply_ansatz
 
 
 def test_zero_angles_leave_uniform_state():
     rng = np.random.default_rng(1)
-    ising = random_integer_qubo(rng, 4).to_ising()
-    psi = apply_ansatz(ising, QaoaParams((0.0,), (0.0,)))
+    table = random_integer_qubo(rng, 4).energy_table()
+    psi = apply_ansatz(table, QaoaParams((0.0,), (0.0,)))
     assert np.array_equal(psi, uniform_state(4))
 
 
 def test_norm_preserved_after_every_layer():
     rng = np.random.default_rng(3)
     for _ in range(5):
-        ising = random_integer_qubo(rng, 8).to_ising()
+        table = random_integer_qubo(rng, 8).energy_table()
         gammas = tuple(rng.uniform(0, 2 * np.pi, size=4))
         betas = tuple(rng.uniform(0, np.pi, size=4))
         for layers in range(1, 5):
-            psi = apply_ansatz(ising, QaoaParams(gammas[:layers], betas[:layers]))
+            psi = apply_ansatz(table, QaoaParams(gammas[:layers], betas[:layers]))
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
 
 
 def test_single_qubit_pauli_z_quarter_turn():
     # H = Z, gamma = 0, beta = pi/2: RX(pi) on |+> is |+> up to global phase
-    ising = IsingModel(h=[1.0], couplings={}, offset=0.0)
-    psi = apply_ansatz(ising, QaoaParams((0.0,), (np.pi / 2,)))
+    table = np.array([1.0, -1.0])
+    psi = apply_ansatz(table, QaoaParams((0.0,), (np.pi / 2,)))
     plus = uniform_state(1)
     phase = psi[0] / plus[0]
     assert abs(abs(phase) - 1.0) < 1e-12
     assert np.allclose(psi, phase * plus, atol=1e-12)
-    assert abs(expectation(ising, psi)) < 1e-12
+    assert abs(expectation(table, psi)) < 1e-12
 
 
 def test_expectation_of_uniform_state_is_mean_energy():
     rng = np.random.default_rng(7)
     q = random_integer_qubo(rng, 8)
-    ising = q.to_ising()
-    value = expectation(ising, uniform_state(8))
+    value = expectation(q.energy_table(), uniform_state(8))
     assert abs(value - q.energy_table().mean()) < 1e-9
 
 
 def test_expectation_of_basis_state_is_exact():
     rng = np.random.default_rng(11)
-    q = random_integer_qubo(rng, 6)
-    ising = q.to_ising()
-    table = q.energy_table()
+    table = random_integer_qubo(rng, 6).energy_table()
     for k in (0, 13, 63):
         psi = np.zeros(64, dtype=np.complex128)
         psi[k] = 1.0
-        assert expectation(ising, psi) == table[k]
+        assert expectation(table, psi) == table[k]
 
 
 def test_expectation_bounded_below_by_exhaustive_minimum():
     rng = np.random.default_rng(13)
     for _ in range(5):
         q = random_integer_qubo(rng, 6)
-        ising = q.to_ising()
+        table = q.energy_table()
         _, floor = solve_exhaustive(q)
         params = QaoaParams(
             tuple(rng.uniform(0, 2 * np.pi, size=2)), tuple(rng.uniform(0, np.pi, size=2))
         )
-        psi = apply_ansatz(ising, params)
-        assert expectation(ising, psi) >= floor - 1e-9
+        psi = apply_ansatz(table, params)
+        assert expectation(table, psi) >= floor - 1e-9
 
 
 def test_cost_phase_identity_at_zero_and_full_turns():
     rng = np.random.default_rng(17)
-    q = random_integer_qubo(rng, 5)
-    ising = q.to_ising()
-    table = ising.energy_table()
+    table = random_integer_qubo(rng, 5).energy_table()
     psi = uniform_state(5)
     assert np.array_equal(psi * np.exp(-1j * 0.0 * table), psi)
     # integer energies: a full turn is the identity up to float rounding
@@ -139,7 +133,7 @@ def test_ansatz_matches_reference_bit_for_bit(num_qubits, layers):
     ising = random_integer_qubo(rng, num_qubits).to_ising()
     table = ising.energy_table()
     for params in _angle_sets(rng, layers):
-        new = apply_ansatz(ising, params, table)
+        new = apply_ansatz(table, params)
         ref = reference_apply_ansatz(ising, params, table)
         _assert_bitwise_equal(new, ref)
 
@@ -154,7 +148,7 @@ def test_ansatz_matches_reference_on_capacity_instance(layers):
     table = ising.energy_table()
     for params in _angle_sets(np.random.default_rng(layers), layers):
         _assert_bitwise_equal(
-            apply_ansatz(ising, params, table), reference_apply_ansatz(ising, params, table)
+            apply_ansatz(table, params), reference_apply_ansatz(ising, params, table)
         )
 
 
@@ -168,21 +162,21 @@ def test_optimizer_stays_within_evaluation_budget(monkeypatch, max_evals):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(qaoa, "apply_ansatz", counted)
-    ising = random_integer_qubo(np.random.default_rng(43), 5).to_ising()
+    table = random_integer_qubo(np.random.default_rng(43), 5).energy_table()
     init = QaoaParams((0.4, 0.0), (0.3, 0.0))
-    optimize_layer(ising, init, OptimizerConfig(max_evals=max_evals))
+    optimize_layer(table, init, OptimizerConfig(max_evals=max_evals))
     # one evaluation at init, then at most max_evals by the optimizer
     assert 2 <= len(calls) <= max_evals + 1
 
 
 def test_layer_expectations_never_increase():
     rng = np.random.default_rng(47)
-    isings = [random_integer_qubo(rng, 6).to_ising() for _ in range(2)]
+    tables = [random_integer_qubo(rng, 6).energy_table() for _ in range(2)]
     inst = random_instance(rng, n_requests=3, n_pairs=1, n_triples=0, name="mono")
-    isings.append(encode(inst).to_ising())
-    for ising in isings:
+    tables.append(encode(inst).energy_table())
+    for table in tables:
         results = run_schedule(
-            ising, max_layers=4, n_inits=2, cfg=OptimizerConfig(max_evals=60), seed=3, reads=50
+            table, max_layers=4, n_inits=2, cfg=OptimizerConfig(max_evals=60), seed=3, reads=50
         )
         # each stage starts at the previous optimum plus a zero-angle
         # layer, the same state, and keeps the best value it sees
@@ -193,39 +187,35 @@ def test_layer_expectations_never_increase():
 def test_optimize_single_qubit_reaches_ground_state():
     # energies 0 and -1; dense grid search locates the basin, the local
     # optimizer must then reach the exact ground state
-    ising = IsingModel(h=[0.5], couplings={}, offset=-0.5)
-    table = ising.energy_table()
+    table = np.array([0.0, -1.0])
     best_grid = None
     for gamma in np.linspace(0, 2 * np.pi, 24, endpoint=False):
         for beta in np.linspace(0, np.pi, 24, endpoint=False):
             params = QaoaParams((float(gamma),), (float(beta),))
-            val = expectation(ising, apply_ansatz(ising, params, table), table)
+            val = expectation(table, apply_ansatz(table, params))
             if best_grid is None or val < best_grid[0]:
                 best_grid = (val, params)
-    params, value = optimize_layer(ising, best_grid[1])
+    params, value = optimize_layer(table, best_grid[1])
     assert value <= best_grid[0] + 1e-12
     assert value <= -0.99
 
 
 def test_optimizer_never_worse_than_init():
     rng = np.random.default_rng(23)
-    ising = random_integer_qubo(rng, 5).to_ising()
+    table = random_integer_qubo(rng, 5).energy_table()
     init = QaoaParams((1.0, 0.5), (0.3, 0.8))
-    table = ising.energy_table()
-    init_value = expectation(ising, apply_ansatz(ising, init, table), table)
-    params, value = optimize_layer(ising, init)
+    init_value = expectation(table, apply_ansatz(table, init))
+    params, value = optimize_layer(table, init)
     assert value <= init_value
     # restarting at an optimum keeps it (within tolerance)
-    params2, value2 = optimize_layer(ising, params)
+    params2, value2 = optimize_layer(table, params)
     assert value2 <= value + 1e-6
 
 
 def test_sampling_determinism_and_counts():
     rng = np.random.default_rng(29)
-    q = random_integer_qubo(rng, 5)
-    ising = q.to_ising()
-    table = ising.energy_table()
-    psi = apply_ansatz(ising, QaoaParams((0.7,), (0.4,)), table)
+    table = random_integer_qubo(rng, 5).energy_table()
+    psi = apply_ansatz(table, QaoaParams((0.7,), (0.4,)))
     a = sample_state(psi, 500, seed=7, energy_table=table)
     b = sample_state(psi, 500, seed=7, energy_table=table)
     assert a == b
@@ -234,11 +224,9 @@ def test_sampling_determinism_and_counts():
 
 def test_sampled_mean_tracks_expectation():
     rng = np.random.default_rng(31)
-    q = random_integer_qubo(rng, 6)
-    ising = q.to_ising()
-    table = ising.energy_table()
-    psi = apply_ansatz(ising, QaoaParams((0.9,), (0.5,)), table)
-    mean_energy = expectation(ising, psi)
+    table = random_integer_qubo(rng, 6).energy_table()
+    psi = apply_ansatz(table, QaoaParams((0.9,), (0.5,)))
+    mean_energy = expectation(table, psi)
     probs = np.abs(psi) ** 2
     variance = float(probs @ table**2 - mean_energy**2)
     reads = 2000
@@ -251,9 +239,9 @@ def test_sampled_mean_tracks_expectation():
 def test_run_schedule_shape_and_determinism():
     rng = np.random.default_rng(37)
     inst = random_instance(rng, n_requests=3, n_pairs=1, n_triples=0, name="sched")
-    ising = encode(inst).to_ising()
-    a = run_schedule(ising, max_layers=3, n_inits=2, seed=5, reads=200)
-    b = run_schedule(ising, max_layers=3, n_inits=2, seed=5, reads=200)
+    table = encode(inst).energy_table()
+    a = run_schedule(table, max_layers=3, n_inits=2, seed=5, reads=200)
+    b = run_schedule(table, max_layers=3, n_inits=2, seed=5, reads=200)
     assert [r.layer for r in a] == [1, 2, 3]
     assert a == b
     for prev, nxt in zip(a, a[1:]):
@@ -263,23 +251,28 @@ def test_run_schedule_shape_and_determinism():
 def test_single_layer_schedule_beats_uniform_mean():
     rng = np.random.default_rng(41)
     q = random_integer_qubo(rng, 4)
-    ising = q.to_ising()
-    results = run_schedule(ising, max_layers=1, n_inits=3, seed=11, reads=100)
+    results = run_schedule(q.energy_table(), max_layers=1, n_inits=3, seed=11, reads=100)
     assert len(results) == 1
     assert results[0].expectation <= q.energy_table().mean() + 1e-9
 
 
 def test_single_layer_schedule_one_variable():
-    ising = IsingModel(h=[0.5], couplings={}, offset=-0.5)  # energies 0 and -1
-    results = run_schedule(ising, max_layers=1, n_inits=5, seed=2, reads=100)
+    table = np.array([0.0, -1.0])
+    results = run_schedule(table, max_layers=1, n_inits=5, seed=2, reads=100)
     assert len(results) == 1
     assert results[0].expectation <= -0.5  # uniform-superposition mean
 
 
 def test_size_guard():
-    ising = IsingModel(h=np.zeros(27), couplings={}, offset=0.0)
-    with pytest.raises(ValueError):
-        apply_ansatz(ising, QaoaParams((0.1,), (0.1,)))
+    params = QaoaParams((0.1,), (0.1,))
+    # 27 qubits, and tables whose length is no power of two or names no qubit;
+    # zero-stride views, so the 2^27-entry table is never allocated
+    for entries in (1 << 27, 0, 1, 3, 6):
+        table = np.broadcast_to(np.zeros(1), (entries,))
+        with pytest.raises(ValueError):
+            apply_ansatz(table, params)
+        with pytest.raises(ValueError):
+            run_schedule(table, max_layers=1, n_inits=1, reads=1)
 
 
 def test_param_validation():

@@ -134,8 +134,8 @@ def test_capacity_with_all_zero_loads_warns_and_skips():
 
 
 def test_energy_basics():
-    q = Qubo.from_coefficients({}, offset=1.5)
-    q2 = Qubo.from_coefficients({(0, 0): -1.0})
+    q = Qubo({}, offset=1.5)
+    q2 = Qubo({(0, 0): -1.0})
     assert q.energy([]) == 1.5
     assert q2.energy([1]) == -1.0
     assert q2.energy([0]) == 0.0
