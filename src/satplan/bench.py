@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,9 +28,9 @@ from .anneal import (
     sample_sa,
     solve_exhaustive,
 )
-from .exact import DEFAULT_NODE_BUDGET, solve_exact
+from .exact import DEFAULT_NODE_BUDGET, ExactResult, solve_exact
 from .instance import Instance, load_instance
-from .metrics import AggregateMetrics, RunMetrics, aggregate, run_metrics
+from .metrics import RunMetrics, aggregate, run_metrics
 from .qaoa import MAX_QUBITS, OptimizerConfig, run_schedule
 from .qubo import Qubo, encode
 from .reductor import ReductionSpec, reduce as reduce_instance
@@ -62,6 +63,9 @@ class ExperimentConfig:
     node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self) -> None:
+        for name in ("instances", "solvers"):
+            if not isinstance(getattr(self, name), list):
+                raise ConfigError(f"{name} must be a list")
         if not self.instances:
             raise ConfigError("config lists no instances")
         if not self.solvers:
@@ -71,14 +75,12 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown solver {solver!r}; choose from {SOLVERS}")
         if len(set(self.solvers)) != len(self.solvers):
             raise ConfigError("solvers listed more than once")
-        if self.reads < 1:
-            raise ConfigError("reads must be >= 1")
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
-        if self.max_layers < 1 or self.n_inits < 1:
-            raise ConfigError("max_layers and n_inits must be >= 1")
-        if self.penalty_m is not None and self.penalty_m <= 0:
-            raise ConfigError("penalty_m must be positive")
+        for name in ("reads", "runs", "max_layers", "n_inits", "node_budget", "master_seed"):
+            value, least = getattr(self, name), 0 if name == "master_seed" else 1
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        if self.penalty_m is not None and not 0 < self.penalty_m < math.inf:
+            raise ConfigError(f"penalty_m must be positive and finite, got {self.penalty_m!r}")
 
     @classmethod
     def from_dict(cls, doc: dict, **overrides) -> "ExperimentConfig":
@@ -131,16 +133,6 @@ def resolve_instance(entry) -> Instance:
     raise ConfigError(f"instance entry must be a path or generation spec, got {entry!r}")
 
 
-def _constant_sample_set(bits: np.ndarray, energy: float, reads: int, tag: str, seed: int) -> SampleSet:
-    key = "".join("1" if b else "0" for b in bits)
-    return SampleSet(
-        entries=(SampleEntry(bits=key, energy=energy, count=reads),),
-        total_reads=reads,
-        sampler_tag=tag,
-        seed=seed,
-    )
-
-
 def run_cell(
     inst: Instance,
     qubo: Qubo,
@@ -155,19 +147,6 @@ def run_cell(
     """
     n = qubo.n
     reads = cfg.reads
-    if solver == "sa":
-        samples = sample_sa(qubo, reads, AnnealSchedule(), seed)
-        return run_metrics(inst, f_max, samples, n), samples.to_json_dict(), None
-    if solver == "exhaustive":
-        bits, energy = solve_exhaustive(qubo)
-        samples = _constant_sample_set(bits, energy, reads, "exhaustive", seed)
-        return run_metrics(inst, f_max, samples, n), samples.to_json_dict(), None
-    if solver == "exact":
-        result = solve_exact(inst, cfg.node_budget)
-        bits = np.zeros(qubo.num_variables, dtype=np.uint8)
-        bits[:n] = result.best_assignment.to_bits(inst)
-        samples = _constant_sample_set(bits, qubo.energy(bits), reads, "exact", seed)
-        return run_metrics(inst, f_max, samples, n), samples.to_json_dict(), None
     if solver == "qaoa":
         ranker = lambda ss: run_metrics(inst, f_max, ss, n).expected_ar
         layers = run_schedule(
@@ -181,23 +160,39 @@ def run_cell(
         )
         per_layer = []
         for res in layers:
-            m = run_metrics(inst, f_max, res.samples, n)
+            metrics = run_metrics(inst, f_max, res.samples, n)
             per_layer.append(
                 {
                     "layer": res.layer,
                     "expectation": res.expectation,
-                    "expected_ar": m.expected_ar,
-                    "best_ar": m.best_ar,
+                    "expected_ar": metrics.expected_ar,
+                    "best_ar": metrics.best_ar,
                 }
             )
-        final = layers[-1]
-        metrics = run_metrics(inst, f_max, final.samples, n)
         doc = {"layers": [res.to_json_dict() for res in layers]}
-        return metrics, doc, {"layers": per_layer}
-    raise ConfigError(f"unknown solver {solver!r}")
+        return metrics, doc, {"layers": per_layer}  # metrics of the final layer
+    if solver == "sa":
+        samples = sample_sa(qubo, reads, AnnealSchedule(), seed)
+    else:
+        if solver == "exhaustive":
+            bits, energy = solve_exhaustive(qubo)
+        elif solver == "exact":
+            bits = np.zeros(qubo.num_variables, dtype=np.uint8)
+            bits[:n] = solve_exact(inst, cfg.node_budget).best_assignment.to_bits(inst)
+            energy = qubo.energy(bits)
+        else:
+            raise ConfigError(f"unknown solver {solver!r}")
+        key = "".join("1" if b else "0" for b in bits)
+        samples = SampleSet(
+            entries=(SampleEntry(bits=key, energy=energy, count=reads),),
+            total_reads=reads,
+            sampler_tag=solver,
+            seed=seed,
+        )
+    return run_metrics(inst, f_max, samples, n), samples.to_json_dict(), None
 
 
-def _skip_reason(solver: str, qubo: Qubo) -> str | None:
+def skip_reason(solver: str, qubo: Qubo) -> str | None:
     """Why ``solver`` cannot run on ``qubo`` for its size, or None when it can."""
     n = qubo.num_variables
     if solver == "qaoa" and n > MAX_QUBITS:
@@ -207,29 +202,17 @@ def _skip_reason(solver: str, qubo: Qubo) -> str | None:
     return None
 
 
-def _metrics_dict(m: RunMetrics, run: int, seed: int) -> dict:
-    return {
-        "run": run,
-        "expected_ar": m.expected_ar,
-        "best_ar": m.best_ar,
-        "feasible_fraction": m.feasible_fraction,
-        "reads": m.reads,
-        "seed": seed,
-    }
-
-
-def _aggregate_dict(a: AggregateMetrics) -> dict:
-    return {
-        "mean_expected_ar": a.mean_expected_ar,
-        "mean_best_ar": a.mean_best_ar,
-        "ci95_expected": a.ci95_expected,
-        "ci95_best": a.ci95_best,
-        "runs": a.runs,
-    }
-
-
 def _safe_name(name: str) -> str:
     return re.sub(r"[^-._a-zA-Z0-9]", "_", name)
+
+
+def prepare(entry, cfg: ExperimentConfig) -> tuple[Instance, Qubo, ExactResult]:
+    """Resolve one instance entry, prove its reference optimum and encode it."""
+    inst = resolve_instance(entry)
+    exact = solve_exact(inst, cfg.node_budget)
+    if exact.best_value <= 0:
+        raise ConfigError(f"instance {inst.name!r} has non-positive optimum; AR undefined")
+    return inst, encode(inst, cfg.penalty_m), exact
 
 
 def run_pipeline(cfg: ExperimentConfig, out_dir) -> tuple[dict, int]:
@@ -243,72 +226,50 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> tuple[dict, int]:
     samples_dir = out / "samples"
     samples_dir.mkdir(parents=True, exist_ok=True)
 
-    prepared = []
+    instances_doc = []
     for idx, entry in enumerate(cfg.instances):
-        record: dict = {"spec": entry if isinstance(entry, str) else dict(entry)}
+        record: dict = {"spec": dict(entry) if isinstance(entry, dict) else entry, "solvers": {}}
+        instances_doc.append(record)
         try:
-            inst = resolve_instance(entry)
-            exact = solve_exact(inst, cfg.node_budget)
-            if exact.best_value <= 0:
-                raise ValueError(
-                    f"instance {inst.name!r} has non-positive optimum; AR undefined"
-                )
-            qubo = encode(inst, cfg.penalty_m)
-            record.update(
-                name=inst.name,
-                requests=len(inst.requests),
-                variables=qubo.n,
-                slacks=qubo.s,
-                f_max=exact.best_value,
-                proven_optimal=exact.proven_optimal,
-                error=None,
-            )
-            prepared.append((idx, record, inst, qubo, exact.best_value))
+            inst, qubo, exact = prepare(entry, cfg)
         except Exception as exc:  # noqa: BLE001 - isolate per instance
             record.update(name=record["spec"] if isinstance(entry, str) else None, error=str(exc))
-            prepared.append((idx, record, None, None, None))
-
-    any_error = False
-    instances_doc = []
-    for idx, record, inst, qubo, f_max in prepared:
-        if inst is None:
-            any_error = True
-            record["solvers"] = {}
-            instances_doc.append(record)
             continue
-        solver_docs: dict = {}
+        f_max = exact.best_value
+        record.update(
+            name=inst.name,
+            requests=len(inst.requests),
+            variables=qubo.n,
+            slacks=qubo.s,
+            f_max=f_max,
+            proven_optimal=exact.proven_optimal,
+            error=None,
+        )
         for solver in cfg.solvers:
-            skipped = _skip_reason(solver, qubo)
-            if skipped:
-                solver_docs[solver] = {"runs": [], "aggregate": None, "error": None, "skipped": skipped}
-                continue
+            skipped = skip_reason(solver, qubo)
             run_docs = []
             metrics_list = []
             error = None
-            for run in range(cfg.runs):
+            for run in range(0 if skipped else cfg.runs):
                 seed = cell_seed(cfg.master_seed, idx, solver, run)
                 try:
                     metrics, samples_doc, extra = run_cell(inst, qubo, f_max, solver, seed, cfg)
                 except Exception as exc:  # noqa: BLE001 - isolate per cell
                     error = str(exc)
-                    any_error = True
                     continue
-                doc = _metrics_dict(metrics, run, seed)
-                if extra:
-                    doc.update(extra)
-                run_docs.append(doc)
+                run_docs.append(
+                    {"run": run, "seed": seed, **dataclasses.asdict(metrics), **(extra or {})}
+                )
                 metrics_list.append(metrics)
-                path = samples_dir / f"{_safe_name(record['name'])}__{solver}__run{run}.json"
+                path = samples_dir / f"{_safe_name(inst.name)}__{solver}__run{run}.json"
                 path.write_text(json.dumps(samples_doc, sort_keys=True, indent=2) + "\n")
             agg = aggregate(metrics_list) if len(metrics_list) >= 2 else None
-            solver_docs[solver] = {
+            record["solvers"][solver] = {
                 "runs": run_docs,
-                "aggregate": _aggregate_dict(agg) if agg else None,
+                "aggregate": dataclasses.asdict(agg) if agg else None,
                 "error": error,
-                "skipped": None,
+                "skipped": skipped,
             }
-        record["solvers"] = solver_docs
-        instances_doc.append(record)
 
     report = {
         "solvers": list(cfg.solvers),
@@ -322,10 +283,12 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> tuple[dict, int]:
     }
     (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     (out / "results.csv").write_text(results_csv(report))
-    expected_csv, best_csv = emit_plot_data(report)
-    (out / "expected_ar.csv").write_text(expected_csv)
-    (out / "best_ar.csv").write_text(best_csv)
-    return report, (1 if any_error else 0)
+    write_plot_data(report, out)
+    failed = any(
+        rec["error"] or any(cell["error"] for cell in rec["solvers"].values())
+        for rec in instances_doc
+    )
+    return report, int(failed)
 
 
 def results_csv(report: dict) -> str:
@@ -381,3 +344,11 @@ def emit_plot_data(report: dict) -> tuple[str, str]:
     expected = table("mean_expected_ar", "ci95_expected", "expected_ar")
     best = table("mean_best_ar", "ci95_best", "best_ar")
     return expected, best
+
+
+def write_plot_data(report: dict, out_dir) -> list[Path]:
+    """Write the two ``emit_plot_data`` tables as expected_ar.csv and best_ar.csv."""
+    paths = [Path(out_dir) / "expected_ar.csv", Path(out_dir) / "best_ar.csv"]
+    for path, text in zip(paths, emit_plot_data(report)):
+        path.write_text(text)
+    return paths

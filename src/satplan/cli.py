@@ -10,6 +10,7 @@ instance/solver cell), ``run`` (full experiment from a config file), and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,12 +19,13 @@ from .bench import (
     ConfigError,
     ExperimentConfig,
     cell_seed,
-    emit_plot_data,
+    prepare,
     run_cell,
     run_pipeline,
+    skip_reason,
+    write_plot_data,
     SOLVERS,
 )
-from .exact import solve_exact
 from .instance import InstanceError, load_instance, save_instance
 from .qubo import encode
 from .reductor import ReductionError, ReductionSpec, reduce as reduce_instance
@@ -49,11 +51,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--solver", choices=SOLVERS, required=True)
     p.add_argument("-o", "--output", help="output file (default: stdout)")
-    p.add_argument("--reads", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--reads", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--penalty", type=float, default=None)
-    p.add_argument("--max-layers", type=int, default=10)
-    p.add_argument("--n-inits", type=int, default=5)
+    p.add_argument("--max-layers", type=int, default=None)
+    p.add_argument("--n-inits", type=int, default=None)
 
     p = sub.add_parser("run", help="run the full pipeline from a config file")
     p.add_argument("config")
@@ -97,41 +99,31 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    inst = load_instance(args.instance)
-    exact = solve_exact(inst)
-    if exact.best_value <= 0:
-        print("error: instance optimum is not positive; AR undefined", file=sys.stderr)
-        return 1
-    cfg = ExperimentConfig(
-        instances=[args.instance],
-        solvers=[args.solver],
+    cfg = ExperimentConfig.from_dict(
+        {"instances": [args.instance], "solvers": [args.solver], "runs": 1},
         reads=args.reads,
-        runs=1,
         max_layers=args.max_layers,
         n_inits=args.n_inits,
         penalty_m=args.penalty,
         master_seed=args.seed,
     )
-    qubo = encode(inst, args.penalty)
-    seed = cell_seed(args.seed, 0, args.solver, 0)
+    inst, qubo, exact = prepare(args.instance, cfg)
+    skipped = skip_reason(args.solver, qubo)
+    if skipped:
+        raise ConfigError(skipped)
+    seed = cell_seed(cfg.master_seed, 0, args.solver, 0)
     metrics, samples_doc, extra = run_cell(inst, qubo, exact.best_value, args.solver, seed, cfg)
     doc = {
         "instance": inst.name,
         "solver": args.solver,
         "seed": seed,
-        "reads": args.reads,
+        "reads": cfg.reads,
         "f_max": exact.best_value,
         "proven_optimal": exact.proven_optimal,
-        "metrics": {
-            "expected_ar": metrics.expected_ar,
-            "best_ar": metrics.best_ar,
-            "feasible_fraction": metrics.feasible_fraction,
-            "reads": metrics.reads,
-        },
+        "metrics": dataclasses.asdict(metrics),
         "samples": samples_doc,
+        **(extra or {}),
     }
-    if extra:
-        doc.update(extra)
     _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.output)
     return 0
 
@@ -155,13 +147,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = json.loads(Path(args.report).read_text())
-    expected, best = emit_plot_data(report)
+    try:
+        report = json.loads(Path(args.report).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read report {args.report}: {exc}") from exc
+    keys = ("solvers", "instances")
+    if not (isinstance(report, dict) and all(isinstance(report.get(k), list) for k in keys)):
+        raise ConfigError(f"cannot read report {args.report}: no 'solvers' and 'instances' lists")
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "expected_ar.csv").write_text(expected)
-    (out / "best_ar.csv").write_text(best)
-    print(f"wrote {out / 'expected_ar.csv'} and {out / 'best_ar.csv'}")
+    expected, best = write_plot_data(report, out)
+    print(f"wrote {expected} and {best}")
     return 0
 
 

@@ -128,6 +128,52 @@ def test_crash_isolation(instance_file, tmp_path):
     assert good["solvers"]["exhaustive"]["runs"][0]["best_ar"] == 1.0
 
 
+def test_bad_instance_entry_is_isolated(instance_file, tmp_path):
+    cfg = ExperimentConfig(instances=[5, instance_file], solvers=["exact"], reads=10, runs=1)
+    report, code = run_pipeline(cfg, tmp_path / "out")
+    assert code == 1
+    broken, good = report["instances"]
+    assert broken["spec"] == 5
+    assert "path or generation spec" in broken["error"]
+    assert good["solvers"]["exact"]["runs"][0]["best_ar"] == 1.0
+
+
+def test_cell_failure_is_isolated(instance_file, tmp_path, monkeypatch):
+    def broken_sampler(*args, **kwargs):
+        raise RuntimeError("annealer down")
+
+    monkeypatch.setattr("satplan.bench.sample_sa", broken_sampler)
+    cfg = ExperimentConfig(instances=[instance_file], solvers=["exact", "sa"], reads=10, runs=2)
+    report, code = run_pipeline(cfg, tmp_path / "out")
+    assert code == 1
+    record = report["instances"][0]
+    assert record["error"] is None
+    assert record["solvers"]["sa"] == {
+        "runs": [],
+        "aggregate": None,
+        "error": "annealer down",
+        "skipped": None,
+    }
+    exact = record["solvers"]["exact"]
+    assert exact["error"] is None
+    assert [doc["best_ar"] for doc in exact["runs"]] == [1.0, 1.0]
+    assert exact["aggregate"]["mean_best_ar"] == 1.0
+    out = tmp_path / "out"
+    assert json.loads((out / "report.json").read_text()) == report
+    assert sorted(p.name for p in out.iterdir()) == [
+        "best_ar.csv",
+        "expected_ar.csv",
+        "report.json",
+        "results.csv",
+        "samples",
+    ]
+    assert sorted(p.name for p in (out / "samples").iterdir()) == [
+        "tiny3__exact__run0.json",
+        "tiny3__exact__run1.json",
+    ]
+    assert (out / "expected_ar.csv").read_text().splitlines()[1].endswith(",,")
+
+
 def test_oversized_cells_are_skipped_with_reason(tmp_path):
     wide = Instance(
         name="wide27",
@@ -243,6 +289,26 @@ def test_config_validation():
         ExperimentConfig(instances=["x"], solvers=["sa"], reads=0)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"instances": ["x"], "solvers": ["sa"], "bogus_field": 1})
+    bad_values = [
+        ("reads", 2.5),
+        ("runs", 2.5),
+        ("runs", True),
+        ("max_layers", 0),
+        ("n_inits", "3"),
+        ("node_budget", 0),
+        ("master_seed", 1.5),
+        ("master_seed", -1),
+        ("master_seed", False),
+        ("penalty_m", 0.0),
+        ("penalty_m", float("nan")),
+        ("penalty_m", float("inf")),
+        ("instances", "x.json"),
+        ("solvers", "sa"),
+    ]
+    for field, value in bad_values:
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig.from_dict({"instances": ["x"], "solvers": ["sa"], field: value})
+    assert ExperimentConfig(instances=["x"], solvers=["sa"], master_seed=0, node_budget=1)
 
 
 def test_cell_seed_is_stable():

@@ -4,8 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import satplan
 from satplan import Instance, Request, VarRef, load_instance, save_instance
+from satplan.bench import cell_seed
 from satplan.cli import main
 
 
@@ -61,6 +64,79 @@ def test_solve_one_cell(tmp_path):
     assert doc["samples"]["reads"] == 50
 
 
+def save_wide(tmp_path, n_requests, weight=1.0):
+    """``n_requests`` unconstrained one-camera requests: one variable each."""
+    inst = Instance(
+        name=f"wide{n_requests}",
+        requests=tuple(
+            Request(id=i, kind="mono", weight=weight, allowed_cameras=(1,))
+            for i in range(n_requests)
+        ),
+    )
+    path = tmp_path / f"wide{n_requests}.json"
+    save_instance(inst, path)
+    return path
+
+
+def run_report(tmp_path, config, *flags):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    code = main(["run", str(cfg_path), "-o", str(out_dir), *flags])
+    return code, json.loads((out_dir / "report.json").read_text())
+
+
+def test_solve_defaults_come_from_the_config(tmp_path):
+    src = write_source(tmp_path)
+    out = tmp_path / "cell.json"
+    assert main(["solve", str(src), "--solver", "exact", "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["reads"] == doc["samples"]["reads"] == 2000
+    assert doc["seed"] == cell_seed(0, 0, "exact", 0)
+
+
+@pytest.mark.parametrize("solver, n_requests", [("exhaustive", 25), ("qaoa", 27)])
+def test_solve_past_size_limit_exits_2(tmp_path, capsys, solver, n_requests):
+    path = save_wide(tmp_path, n_requests)
+    assert main(["solve", str(path), "--solver", solver]) == 2
+    err = capsys.readouterr().err
+    code, report = run_report(tmp_path, {"instances": [str(path)], "solvers": [solver]})
+    assert code == 0
+    skipped = report["instances"][0]["solvers"][solver]["skipped"]
+    assert skipped.startswith(f"{n_requests} ")
+    assert err == f"error: {skipped}\n"
+
+
+def test_solve_non_positive_optimum_exits_2(tmp_path, capsys):
+    path = save_wide(tmp_path, 2, weight=0.0)
+    assert main(["solve", str(path), "--solver", "sa"]) == 2
+    err = capsys.readouterr().err
+    code, report = run_report(tmp_path, {"instances": [str(path)], "solvers": ["sa"]})
+    assert code == 1
+    assert "non-positive optimum" in report["instances"][0]["error"]
+    assert err == f"error: {report['instances'][0]['error']}\n"
+
+
+@pytest.mark.parametrize("solver", ["exact", "sa", "qaoa", "exhaustive"])
+def test_solve_is_one_cell_of_run(tmp_path, solver):
+    src = write_source(tmp_path)
+    flags = ["--reads", "60", "--max-layers", "2", "--n-inits", "1"]
+    out = tmp_path / "cell.json"
+    argv = ["solve", str(src), "--solver", solver, "--seed", "13", "-o", str(out), *flags]
+    assert main(argv) == 0
+    cell = json.loads(out.read_text())
+    config = {"instances": [str(src)], "solvers": [solver], "runs": 1, "master_seed": 13}
+    code, report = run_report(tmp_path, config, *flags)
+    assert code == 0
+    (run,) = report["instances"][0]["solvers"][solver]["runs"]
+    assert run["seed"] == cell["seed"]
+    assert {key: run[key] for key in cell["metrics"]} == cell["metrics"]
+    assert run.get("layers") == cell.get("layers")
+    assert (solver == "qaoa") == ("layers" in cell)
+    samples = tmp_path / "out" / "samples" / f"source__{solver}__run0.json"
+    assert json.loads(samples.read_text()) == cell["samples"]
+
+
 def test_run_and_report(tmp_path, capsys):
     src = write_source(tmp_path)
     config = {
@@ -106,6 +182,29 @@ def test_config_error_exit_code(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"instances": [], "solvers": ["sa"]}))
     assert main(["run", str(cfg_path), "-o", str(tmp_path / "o")]) == 2
     assert main(["run", str(tmp_path / "missing.json"), "-o", str(tmp_path / "o")]) == 2
+    src = write_source(tmp_path)
+    for field, value in [("runs", 2.5), ("master_seed", 1.5), ("master_seed", -1)]:
+        cfg_path.write_text(json.dumps({"instances": [str(src)], "solvers": ["sa"], field: value}))
+        assert main(["run", str(cfg_path), "-o", str(tmp_path / "o")]) == 2
+        assert f"error: {field} must be an integer" in capsys.readouterr().err
+    assert main(["solve", str(src), "--solver", "sa", "--seed", "-1"]) == 2
+    assert "error: master_seed must be an integer >= 0" in capsys.readouterr().err
+
+
+def test_report_rejects_unreadable_input(tmp_path, capsys):
+    inputs = {
+        "missing.json": None,
+        "malformed.json": "{bad",
+        "list.json": "[1, 2]",
+        "partial.json": json.dumps({"solvers": ["sa"]}),
+        "scalar-solvers.json": json.dumps({"solvers": 5, "instances": []}),
+    }
+    for name, text in inputs.items():
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        assert main(["report", str(path), "-o", str(tmp_path / "plots")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read report {path}: ")
 
 
 def test_partial_failure_exit_code(tmp_path):
