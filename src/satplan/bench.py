@@ -347,8 +347,12 @@ def emit_plot_data(report: dict) -> tuple[str, str]:
 
 
 def write_plot_data(report: dict, out_dir) -> list[Path]:
-    """Write the two ``emit_plot_data`` tables as expected_ar.csv and best_ar.csv."""
-    paths = [Path(out_dir) / "expected_ar.csv", Path(out_dir) / "best_ar.csv"]
-    for path, text in zip(paths, emit_plot_data(report)):
+    """Write the two ``emit_plot_data`` tables as expected_ar.csv and best_ar.csv
+    into ``out_dir``, made if missing; both are built before either is written."""
+    tables = emit_plot_data(report)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = [out / "expected_ar.csv", out / "best_ar.csv"]
+    for path, text in zip(paths, tables):
         path.write_text(text)
     return paths

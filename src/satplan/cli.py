@@ -154,9 +154,10 @@ def _cmd_report(args) -> int:
     keys = ("solvers", "instances")
     if not (isinstance(report, dict) and all(isinstance(report.get(k), list) for k in keys)):
         raise ConfigError(f"cannot read report {args.report}: no 'solvers' and 'instances' lists")
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    expected, best = write_plot_data(report, out)
+    try:
+        expected, best = write_plot_data(report, args.output)
+    except (AttributeError, IndexError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot read report {args.report}: malformed record: {exc!r}") from exc
     print(f"wrote {expected} and {best}")
     return 0
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from statistics import mean, stdev
 
-from scipy.special import stdtrit
-
 from .anneal import SampleSet
 from .exact import check_feasible, objective
 from .instance import Assignment, Instance
@@ -79,8 +77,12 @@ def aggregate(runs: list[RunMetrics]) -> AggregateMetrics:
     """Sample means with t-distribution 95% confidence half-widths."""
     if len(runs) < 2:
         raise ValueError("need at least 2 runs for a confidence interval")
+    # imported on first use: scipy.special adds about 0.3 s to every command's
+    # start-up; stdtrit is the Student-t quantile without importing scipy.stats
+    from scipy.special import stdtrit
+
     k = len(runs)
-    crit = float(stdtrit(k - 1, 0.975))  # Student-t quantile; avoids importing scipy.stats
+    crit = float(stdtrit(k - 1, 0.975))
     expected = [r.expected_ar for r in runs]
     best = [r.best_ar for r in runs]
     return AggregateMetrics(

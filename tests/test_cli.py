@@ -198,6 +198,8 @@ def test_report_rejects_unreadable_input(tmp_path, capsys):
         "list.json": "[1, 2]",
         "partial.json": json.dumps({"solvers": ["sa"]}),
         "scalar-solvers.json": json.dumps({"solvers": 5, "instances": []}),
+        "scalar-instance.json": json.dumps({"solvers": ["sa"], "instances": [1]}),
+        "bare-instance.json": json.dumps({"solvers": ["sa"], "instances": [{"solvers": 3}]}),
     }
     for name, text in inputs.items():
         path = tmp_path / name
@@ -205,6 +207,7 @@ def test_report_rejects_unreadable_input(tmp_path, capsys):
             path.write_text(text)
         assert main(["report", str(path), "-o", str(tmp_path / "plots")]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot read report {path}: ")
+    assert not list(tmp_path.glob("plots/*.csv"))
 
 
 def test_partial_failure_exit_code(tmp_path):
@@ -221,7 +224,9 @@ def test_partial_failure_exit_code(tmp_path):
 
 
 def test_cli_import_skips_scipy_stats():
-    # scipy.stats adds over a second of import time and nothing needs it
+    # scipy.stats adds over a second of import time and nothing needs it;
+    # scipy.optimize and scipy.special are imported where they are first used
     env = dict(os.environ, PYTHONPATH=str(Path(satplan.__file__).parents[1]))
-    code = "import sys, satplan.cli; sys.exit('scipy.stats' in sys.modules)"
+    heavy = ("scipy.stats", "scipy.optimize", "scipy.special")
+    code = f"import sys, satplan.cli; sys.exit(any(m in sys.modules for m in {heavy!r}))"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

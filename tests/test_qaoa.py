@@ -152,6 +152,84 @@ def test_ansatz_matches_reference_on_capacity_instance(layers):
         )
 
 
+def _resume_sequence(rng: np.random.Generator, layers: int) -> list[QaoaParams]:
+    """Angle vectors that exercise every way one evaluation can follow the
+    previous one; the flat layout is gammas, then betas."""
+    base = rng.uniform(-np.pi, np.pi, size=2 * layers)
+    op_order = [j for k in range(layers) for j in (k, layers + k)]  # gamma 1, beta 1, ...
+    seq = [base]
+    # one coordinate at a time, at every position: last op first, then op 0 first
+    for j in op_order[::-1] + op_order:
+        x = seq[-1].copy()
+        x[j] += 0.25
+        seq.append(x)
+    seq.append(seq[-1].copy())  # an exact repeat, leaving the checkpoint after the last op
+    x = seq[-1].copy()
+    x[0] -= 0.5  # op 0 changes after that deep checkpoint
+    seq.append(x)
+    for j in op_order[::-1]:
+        for zero in (0.0, -0.0, 0.0):
+            x = seq[-1].copy()
+            x[j] = zero
+            seq.append(x)
+    params = [QaoaParams.from_flat(x) for x in seq]
+    last = params[-1]
+    fewer = QaoaParams(last.gammas[:-1], last.betas[:-1]) if layers > 1 else last
+    params += [fewer, last.extended(0.5, -0.0), last, fewer.extended(0.0, 0.0)]
+    return params
+
+
+def _op_bits(params: QaoaParams) -> np.ndarray:
+    return np.array([a for layer in zip(params.gammas, params.betas) for a in layer]).view(np.uint64)
+
+
+@pytest.mark.parametrize("signed_zero_table", [False, True])
+def test_resumed_evaluations_match_reference_bit_for_bit(monkeypatch, signed_zero_table):
+    rng = np.random.default_rng(53)
+    ising = random_integer_qubo(rng, 5).to_ising()
+    table = ising.energy_table()
+    if signed_zero_table:
+        table = np.where(rng.random(table.size) < 0.5, -0.0, table)
+        table[:4] = (0.0, -0.0, 0.0, -0.0)
+    mixers = []
+    mixer = qaoa._apply_mixer
+    monkeypatch.setattr(qaoa, "_apply_mixer", lambda *args: mixers.append(1) or mixer(*args))
+    evaluator = qaoa._Evaluator(table)
+    prev_bits, kept = np.empty(0, dtype=np.uint64), 0
+    for params in _resume_sequence(rng, 3):
+        mixers.clear()
+        psi = apply_ansatz(table, params, evaluator)
+        _assert_bitwise_equal(psi, reference_apply_ansatz(ising, params, table))
+        # the retained state sits before the previous call's first changed op
+        # (angles compared by bit pattern): a call whose own first change is no
+        # earlier resumes from it, any other call starts again from op 0.  A
+        # 0.0/-0.0 swap leaves these states' bits as they are, so only the
+        # replayed ops show an evaluator that compares angles with ==
+        bits = _op_bits(params)
+        shared = min(len(bits), len(prev_bits))
+        changed = np.flatnonzero(bits[:shared] != prev_bits[:shared])
+        first = int(changed[0]) if len(changed) else shared
+        start = kept if first >= kept else 0
+        assert len(mixers) == sum(op % 2 for op in range(start, len(bits)))
+        prev_bits, kept = bits, first
+
+
+def test_schedule_matches_reference_ansatz(monkeypatch):
+    inst = reduce(acceptance_source(), ReductionSpec(4, True, 1))
+    q = encode(inst)
+    assert inst.disk_capacity > 0
+    ising = q.to_ising()
+    table = q.energy_table()
+    kwargs = dict(max_layers=3, n_inits=2, cfg=OptimizerConfig(max_evals=200), seed=9, reads=200)
+    resumed = run_schedule(table, **kwargs)
+
+    def reference(energy_table, params, _evaluator=None):
+        return reference_apply_ansatz(ising, params, energy_table)
+
+    monkeypatch.setattr(qaoa, "apply_ansatz", reference)
+    assert run_schedule(table, **kwargs) == resumed
+
+
 @pytest.mark.parametrize("max_evals", [1, 5, 40])
 def test_optimizer_stays_within_evaluation_budget(monkeypatch, max_evals):
     calls = []
