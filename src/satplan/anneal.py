@@ -40,7 +40,7 @@ import numpy as np
 
 from .qubo import Qubo
 
-MAX_EXHAUSTIVE_VARIABLES = 24  # 2**24 energies, 128 MiB as float64
+MAX_EXHAUSTIVE_VARIABLES = 24  # 2**24 energies: 128 MiB as float64, also the peak of building them
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,9 @@ def sample_sa(
     diag = q.linear_terms()
     w = q.interaction_matrix()
     betas = np.geomspace(sched.beta_start, sched.beta_end, sched.sweeps)
-    neighbours = [np.flatnonzero(row) for row in w]
-    couplings = [w[i, nbrs][:, None] for i, nbrs in enumerate(neighbours)]
+    # column-shaped, so fields[neighbours[i], cols] is the (neighbour, read) block
+    neighbours = [np.flatnonzero(row)[:, None] for row in w]
+    couplings = [w[i, nbrs] for i, nbrs in enumerate(neighbours)]
 
     us = np.empty((nv, reads))
     thresholds = np.empty((nv, reads))
@@ -184,7 +185,7 @@ def sample_sa(
                     continue
                 step = sgn[i, cols]  # x_i changes by sgn_i = 1 - 2 x_i
                 sgn[i, cols] = -step
-                fields[np.ix_(neighbours[i], cols)] += couplings[i] * step
+                fields[neighbours[i], cols] += couplings[i] * step
         states = np.ascontiguousarray((sgn < 0.0).T, dtype=np.uint8)  # x = 1 where sgn = -1
         energies = q.energies(states)
         if best_states is None:

@@ -23,7 +23,9 @@ difference is no earlier, else it restarts from the uniform state and
 moves the copy back.  Powell's line searches move one direction at a time,
 so consecutive evaluations share long prefixes.  The memory this costs is
 one extra state vector, the phase buffer (which replaces the per-layer
-temporaries) and the inverse index, one to four bytes per entry.
+temporaries, and holds the mixer's partner products between phase ops) and
+the inverse index, one to four bytes per entry.  ``run_schedule`` builds one
+evaluator and uses it for every optimization and every sampled state.
 
 Parameter optimisation is local and derivative-free (Powell's
 direction-set method) with the best evaluation tracked explicitly, so the
@@ -129,17 +131,21 @@ def uniform_state(num_qubits: int) -> StateVector:
     return np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
 
 
-def _apply_mixer(psi: StateVector, num_qubits: int, beta: float) -> StateVector:
+def _apply_mixer(
+    psi: StateVector, num_qubits: int, beta: float, s_partner: StateVector | None = None
+) -> StateVector:
     """RX(2*beta) on every qubit q: new[i] = c * psi[i] + s * psi[i ^ (1 << q)].
 
     ``psi`` is overwritten; the result is ``psi`` or a new array.  The two
     state buffers swap roles after every qubit, so no per-qubit array is
-    allocated.
+    allocated.  ``s_partner``, a scratch array of the state's size and
+    dtype, holds the partner products; one is allocated when none is given.
     """
     c = np.cos(beta)
     s = -1j * np.sin(beta)
     out = np.empty_like(psi)
-    s_partner = np.empty_like(psi)
+    if s_partner is None:
+        s_partner = np.empty_like(psi)
     for qubit in range(num_qubits):
         shape = (-1, 2, 1 << qubit)
         # the reversed middle axis maps index i to i ^ (1 << qubit)
@@ -186,7 +192,8 @@ class _Evaluator:
                 np.take(np.exp(-1j * angles[op] * self._levels), self._index, out=self._phase)
                 psi *= self._phase
             else:
-                psi = _apply_mixer(psi, self.num_qubits, angles[op])
+                # the phase buffer is free between phase ops
+                psi = _apply_mixer(psi, self.num_qubits, angles[op], self._phase)
         return psi
 
 
@@ -229,20 +236,24 @@ def sample_state(
 
 
 def optimize_layer(
-    energy_table: np.ndarray, init: QaoaParams, cfg: OptimizerConfig | None = None
+    energy_table: np.ndarray,
+    init: QaoaParams,
+    cfg: OptimizerConfig | None = None,
+    _evaluator: _Evaluator | None = None,
 ) -> tuple[QaoaParams, float]:
     """Local derivative-free minimisation of the ansatz expectation with
     Powell's method, at most ``cfg.max_evals`` evaluations after the one at
     ``init``.
 
     Returns the best parameters seen over all evaluations, so the result is
-    never worse than the initial point.
+    never worse than the initial point.  ``_evaluator`` is as in
+    :func:`apply_ansatz`.
     """
     # imported on first use: scipy.optimize adds about 0.2 s to every command's start-up
     from scipy.optimize import minimize
 
     cfg = cfg or OptimizerConfig()
-    evaluator = _Evaluator(energy_table)
+    evaluator = _evaluator if _evaluator is not None else _Evaluator(energy_table)
     best_x = init.to_flat()
     best_val = expectation(energy_table, apply_ansatz(energy_table, init, evaluator))
 
@@ -291,6 +302,10 @@ def run_schedule(
         raise ValueError("n_inits must be >= 1")
     cfg = cfg or OptimizerConfig()
     rng = np.random.default_rng(seed)
+    # one evaluator for every optimization and sampled state: the table is
+    # sorted into energy levels once, and the resume rule keeps each state
+    # bit-identical to a fresh evaluator's
+    evaluator = _Evaluator(energy_table)
 
     candidates = [
         QaoaParams((rng.uniform(0.0, 2.0 * np.pi),), (rng.uniform(0.0, np.pi),))
@@ -300,8 +315,8 @@ def run_schedule(
 
     best_candidate: tuple[float, QaoaParams, float, SampleSet] | None = None
     for k, cand in enumerate(candidates):
-        params, value = optimize_layer(energy_table, cand, cfg)
-        psi = apply_ansatz(energy_table, params)
+        params, value = optimize_layer(energy_table, cand, cfg, evaluator)
+        psi = apply_ansatz(energy_table, params, evaluator)
         samples = sample_state(psi, reads, sample_seeds[k], energy_table)
         score = ranker(samples) if ranker is not None else -value
         if best_candidate is None or score > best_candidate[0]:
@@ -311,8 +326,8 @@ def run_schedule(
     results = [LayerResult(layer=1, params=params, expectation=value, samples=samples)]
     for layer in range(2, max_layers + 1):
         init = results[-1].params.extended(0.0, 0.0)
-        params, value = optimize_layer(energy_table, init, cfg)
-        psi = apply_ansatz(energy_table, params)
+        params, value = optimize_layer(energy_table, init, cfg, evaluator)
+        psi = apply_ansatz(energy_table, params, evaluator)
         samples = sample_state(psi, reads, sample_seeds[n_inits + layer - 2], energy_table)
         results.append(LayerResult(layer=layer, params=params, expectation=value, samples=samples))
     return results

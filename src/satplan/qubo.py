@@ -8,7 +8,11 @@ which corresponds to the symmetric matrix with Q_ii = c[i, i] and
 Q_ij = Q_ji = c[i, j] / 2.  Basis states are indexed little-endian: variable
 ``i`` is bit ``(k >> i) & 1`` of state ``k``.  All energy evaluators
 (single vector, row batches, full 2^N tables) accumulate terms in one fixed
-row-major order so that identical inputs produce bit-identical floats.
+row-major order so that identical inputs produce bit-identical floats.  The
+2^N tables add each term in place, through a strided view of the entries
+whose bits it needs, so building one takes no memory beyond the table; the
+``Qubo`` table starts from ``offset + 0.0`` when any coefficient is positive,
+which keeps the sign of a zero energy equal to the row evaluator's.
 
 Encoding of an instance with penalty weight M (default: total weight + 1):
 
@@ -96,6 +100,17 @@ def _frozen_terms(coefficients: Mapping[tuple[int, int], float]):
     cols = np.array([t[1] for t in items], dtype=np.int64)
     vals = np.array([t[2] for t in items], dtype=np.float64)
     return rows, cols, vals
+
+
+def _bit_axes(table: np.ndarray, i: int) -> np.ndarray:
+    """View of a little-endian 2^N table whose axis 1 is bit i."""
+    return table.reshape(-1, 2, 1 << i)
+
+
+def _pair_axes(table: np.ndarray, i: int, j: int) -> np.ndarray:
+    """View of a little-endian 2^N table whose axes 1 and 3 are bits j and i,
+    for i < j."""
+    return table.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
 
 
 class Qubo:
@@ -194,18 +209,25 @@ class Qubo:
         return e
 
     def energy_table(self) -> np.ndarray:
-        """Energies of all 2^N basis states, indexed little-endian."""
+        """Energies of all 2^N basis states, indexed little-endian.
+
+        Each term is added in place, through a strided view, to the entries
+        whose bits it needs, so the table is the only 2^N allocation.  The
+        sums are those of :meth:`energies`, term by term, minus its ``v * 0``
+        additions.  Those change only the sign of a zero: ``+0.0`` turns a
+        ``-0.0`` into ``+0.0``, so the table starts from ``offset + 0.0``
+        when any coefficient is positive.
+        """
         nv = self._nv
         if nv > 26:
             raise ValueError(f"energy table over {nv} variables is too large")
-        idx = np.arange(1 << nv, dtype=np.uint32)
-        e = np.full(1 << nv, self.offset)
+        start = self.offset + 0.0 if np.any(self._vals > 0.0) else self.offset
+        e = np.full(1 << nv, start)
         for i, j, v in zip(self._rows, self._cols, self._vals):
-            bi = (idx >> np.uint32(i)) & np.uint32(1)
             if i == j:
-                e += v * bi
+                _bit_axes(e, i)[:, 1, :] += v
             else:
-                e += v * (bi * ((idx >> np.uint32(j)) & np.uint32(1)))
+                _pair_axes(e, i, j)[:, 1, :, 1, :] += v
         return e
 
     # -- conversions ---------------------------------------------------
@@ -307,19 +329,28 @@ class IsingModel:
         return e
 
     def energy_table(self) -> np.ndarray:
-        """Energies of all 2^N basis states (bit-indexed, little-endian)."""
+        """Energies of all 2^N basis states (bit-indexed, little-endian).
+
+        Built in place like :meth:`Qubo.energy_table`: a field adds ``h_i``
+        where bit i is 0 and ``h_i * -1.0`` where it is 1, a coupling adds
+        ``v`` where its two bits agree and ``v * -1.0`` where they differ.
+        Every entry gets exactly the products ``h_i * z_i`` and
+        ``v * z_i * z_j`` of :meth:`energies_of_bits`, in the same order.
+        """
         nv = len(self.h)
         if nv > 26:
             raise ValueError(f"energy table over {nv} variables is too large")
-        idx = np.arange(1 << nv, dtype=np.uint32)
         e = np.full(1 << nv, self.offset)
-        for i in range(nv):
-            zi = 1.0 - 2.0 * ((idx >> np.uint32(i)) & np.uint32(1))
-            e += self.h[i] * zi
+        for i, hi in enumerate(self.h):
+            z = _bit_axes(e, i)
+            z[:, 0, :] += hi
+            z[:, 1, :] += hi * -1.0
         for i, j, v in zip(self._jr, self._jc, self._jv):
-            zi = 1.0 - 2.0 * ((idx >> np.uint32(i)) & np.uint32(1))
-            zj = 1.0 - 2.0 * ((idx >> np.uint32(j)) & np.uint32(1))
-            e += v * (zi * zj)
+            zz = _pair_axes(e, i, j)
+            zz[:, 0, :, 0, :] += v
+            zz[:, 1, :, 1, :] += v
+            zz[:, 0, :, 1, :] += v * -1.0
+            zz[:, 1, :, 0, :] += v * -1.0
         return e
 
 

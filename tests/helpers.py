@@ -208,6 +208,45 @@ def reference_energy(inst: Instance, m: float, bits: np.ndarray) -> float:
     return float(energy)
 
 
+def assert_bitwise_equal(new: np.ndarray, ref: np.ndarray) -> None:
+    # compare the bits, not the floats: -0.0 == 0.0 as floats
+    assert new.dtype == ref.dtype
+    assert np.array_equal(new.view(np.uint64), ref.view(np.uint64))
+
+
+def reference_energy_table(q: Qubo) -> np.ndarray:
+    """The 2^N table as ``Qubo.energy_table`` built it before it worked in
+    place: a ``uint32`` index array and ``e += v * bit`` over every entry
+    for each term.  The in-place table must equal it bit for bit."""
+    nv = q.num_variables
+    idx = np.arange(1 << nv, dtype=np.uint32)
+    e = np.full(1 << nv, q.offset)
+    for i, j, v in q.terms():
+        bi = (idx >> np.uint32(i)) & np.uint32(1)
+        if i == j:
+            e += v * bi
+        else:
+            e += v * (bi * ((idx >> np.uint32(j)) & np.uint32(1)))
+    return e
+
+
+def reference_ising_table(ising: IsingModel) -> np.ndarray:
+    """The 2^N table of ``IsingModel.energy_table`` before it worked in
+    place, as ``e += h_i * z_i`` and ``e += v * (z_i * z_j)`` over every
+    entry.  The in-place table must equal it bit for bit."""
+    nv = ising.num_variables
+    idx = np.arange(1 << nv, dtype=np.uint32)
+    e = np.full(1 << nv, ising.offset)
+    for i in range(nv):
+        zi = 1.0 - 2.0 * ((idx >> np.uint32(i)) & np.uint32(1))
+        e += ising.h[i] * zi
+    for i, j, v in ising.j_terms():
+        zi = 1.0 - 2.0 * ((idx >> np.uint32(i)) & np.uint32(1))
+        zj = 1.0 - 2.0 * ((idx >> np.uint32(j)) & np.uint32(1))
+        e += v * (zi * zj)
+    return e
+
+
 def feasible_decision_mask(inst: Instance) -> np.ndarray:
     """Boolean mask over all 2^n decision vectors, vectorised."""
     index = inst.variable_index

@@ -18,7 +18,12 @@ from satplan import (
 )
 from satplan.qaoa import _apply_mixer
 from test_ising import random_integer_qubo
-from helpers import acceptance_source, random_instance, reference_apply_ansatz
+from helpers import (
+    acceptance_source,
+    assert_bitwise_equal,
+    random_instance,
+    reference_apply_ansatz,
+)
 
 
 def test_zero_angles_leave_uniform_state():
@@ -121,11 +126,6 @@ def _angle_sets(rng: np.random.Generator, layers: int) -> list[QaoaParams]:
     return sets
 
 
-def _assert_bitwise_equal(new: np.ndarray, ref: np.ndarray) -> None:
-    # compare the bits, not the floats: -0.0 == 0.0 as floats
-    assert np.array_equal(new.view(np.uint64), ref.view(np.uint64))
-
-
 @pytest.mark.parametrize("layers", [1, 2, 3, 4])
 @pytest.mark.parametrize("num_qubits", range(1, 11))
 def test_ansatz_matches_reference_bit_for_bit(num_qubits, layers):
@@ -135,7 +135,7 @@ def test_ansatz_matches_reference_bit_for_bit(num_qubits, layers):
     for params in _angle_sets(rng, layers):
         new = apply_ansatz(table, params)
         ref = reference_apply_ansatz(ising, params, table)
-        _assert_bitwise_equal(new, ref)
+        assert_bitwise_equal(new, ref)
 
 
 @pytest.mark.parametrize("layers", [1, 2, 3, 4])
@@ -147,7 +147,7 @@ def test_ansatz_matches_reference_on_capacity_instance(layers):
     ising = q.to_ising()
     table = ising.energy_table()
     for params in _angle_sets(np.random.default_rng(layers), layers):
-        _assert_bitwise_equal(
+        assert_bitwise_equal(
             apply_ansatz(table, params), reference_apply_ansatz(ising, params, table)
         )
 
@@ -199,7 +199,7 @@ def test_resumed_evaluations_match_reference_bit_for_bit(monkeypatch, signed_zer
     for params in _resume_sequence(rng, 3):
         mixers.clear()
         psi = apply_ansatz(table, params, evaluator)
-        _assert_bitwise_equal(psi, reference_apply_ansatz(ising, params, table))
+        assert_bitwise_equal(psi, reference_apply_ansatz(ising, params, table))
         # the retained state sits before the previous call's first changed op
         # (angles compared by bit pattern): a call whose own first change is no
         # earlier resumes from it, any other call starts again from op 0.  A
@@ -228,6 +228,22 @@ def test_schedule_matches_reference_ansatz(monkeypatch):
 
     monkeypatch.setattr(qaoa, "apply_ansatz", reference)
     assert run_schedule(table, **kwargs) == resumed
+
+
+def test_schedule_builds_one_evaluator(monkeypatch):
+    built = []
+
+    class Counted(qaoa._Evaluator):
+        def __init__(self, energy_table):
+            built.append(1)
+            super().__init__(energy_table)
+
+    monkeypatch.setattr(qaoa, "_Evaluator", Counted)
+    table = random_integer_qubo(np.random.default_rng(59), 5).energy_table()
+    cfg = OptimizerConfig(max_evals=30)
+    results = run_schedule(table, max_layers=3, n_inits=2, cfg=cfg, seed=1, reads=50)
+    assert len(results) == 3
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("max_evals", [1, 5, 40])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,16 @@ from satplan import (
     min_slack_penalty,
     solve_exact,
 )
-from satplan.qubo import Qubo
-from helpers import brute_force_best, feasible_decision_mask, random_instance, reference_energy
+from satplan.qubo import IsingModel, Qubo
+from helpers import (
+    assert_bitwise_equal,
+    brute_force_best,
+    feasible_decision_mask,
+    random_instance,
+    reference_energy,
+    reference_energy_table,
+    reference_ising_table,
+)
 
 
 def _mono(rid, weight=1.0, cams=(1,), caps=None):
@@ -165,6 +174,50 @@ def test_energy_matches_independent_reference():
             bits = np.array([(k >> i) & 1 for i in range(nv)], dtype=np.uint8)
             assert table[k] == reference_energy(inst, q.penalty_m, bits)
     assert checked >= 10
+
+
+def _random_coefficients(rng, n, gaussian, negative, density=0.5):
+    coeffs = {}
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < density:
+                v = rng.normal() if gaussian else float(rng.integers(-8, 9))
+                coeffs[(i, j)] = -abs(v) if negative else v
+    return coeffs
+
+
+@pytest.mark.parametrize("offset", [0.0, -0.0, -3.0])
+@pytest.mark.parametrize("negative", [False, True])
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_energy_tables_match_reference_bit_for_bit(gaussian, negative, offset):
+    # the in-place tables skip the v * 0 additions of the reference; with
+    # offset -0.0 the start-value rule decides the sign of the zero entries
+    rng = np.random.default_rng(61)
+    for n in range(13):
+        q = Qubo(_random_coefficients(rng, n, gaussian, negative), offset=offset, num_variables=n)
+        assert_bitwise_equal(q.energy_table(), reference_energy_table(q))
+        ising = q.to_ising()
+        assert_bitwise_equal(ising.energy_table(), reference_ising_table(ising))
+        # fields of both zero signs, which the Ising view never has
+        h = np.where(rng.random(n) < 0.3, -0.0, rng.normal(size=n))
+        h[rng.random(n) < 0.2] = 0.0
+        pairs = _random_coefficients(rng, n, gaussian, negative)
+        ising = IsingModel(h, {(i, j): v for (i, j), v in pairs.items() if i != j}, offset)
+        assert_bitwise_equal(ising.energy_table(), reference_ising_table(ising))
+
+
+@pytest.mark.parametrize("view", ["qubo", "ising"])
+def test_energy_table_memory_is_the_table(view):
+    rng = np.random.default_rng(67)
+    q = Qubo(_random_coefficients(rng, 18, False, False, density=0.3), num_variables=18)
+    model = q if view == "qubo" else q.to_ising()
+    tracemalloc.start()
+    try:
+        table = model.energy_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table.nbytes
 
 
 def test_cubic_reduction_eight_cases():
