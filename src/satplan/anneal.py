@@ -86,19 +86,31 @@ class SampleSet:
     def from_states(
         cls, states: np.ndarray, energies: np.ndarray, sampler_tag: str, seed: int
     ) -> "SampleSet":
-        """Aggregate a (reads, num_variables) batch into unique entries."""
-        tally: dict[str, tuple[float, int]] = {}
-        for row, energy in zip(states, energies):
-            key = "".join("1" if b else "0" for b in row)
-            prev = tally.get(key)
-            tally[key] = (float(energy), 1 if prev is None else prev[1] + 1)
+        """Aggregate a (reads, num_variables) batch into unique entries.
+
+        A bit vector read more than once keeps the energy of its last read.
+        Entries are ordered by energy, then by bits.
+        """
+        reads, nv = states.shape
+        if nv:
+            chars = np.where(states != 0, np.uint8(ord("1")), np.uint8(ord("0")))
+            keys = chars.view(f"S{nv}").ravel()
+        else:
+            keys = np.zeros(reads, dtype="S1")  # every key is b""
+        # over the reversed rows, the first occurrence is the last read
+        unique, first, counts = np.unique(keys[::-1], return_index=True, return_counts=True)
+        unique_energies = np.asarray(energies, dtype=np.float64)[::-1][first]
+        # unique keys come sorted, so a stable sort on energy breaks ties by bits
+        order = np.argsort(unique_energies, kind="stable")
+        # one entry at a time: no column-wide list or str copy on top of the
+        # sampler's arrays, which are still alive here
         entries = tuple(
-            SampleEntry(bits=key, energy=e, count=c)
-            for key, (e, c) in sorted(tally.items(), key=lambda kv: (kv[1][0], kv[0]))
+            SampleEntry(bits=key.decode("ascii"), energy=float(e), count=int(c))
+            for key, e, c in zip(unique[order], unique_energies[order], counts[order])
         )
         return cls(
             entries=entries,
-            total_reads=int(states.shape[0]),
+            total_reads=reads,
             sampler_tag=sampler_tag,
             seed=seed,
         )

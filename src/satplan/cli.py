@@ -93,7 +93,10 @@ def _cmd_generate(args) -> int:
 
 def _cmd_encode(args) -> int:
     inst = load_instance(args.instance)
-    qubo = encode(inst, args.penalty)
+    try:
+        qubo = encode(inst, args.penalty)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     _write(qubo.to_json(), args.output)
     return 0
 

@@ -21,11 +21,19 @@ the first op whose angle (compared by bit pattern) differed from the
 previous call's, and the next call resumes from it when its own first
 difference is no earlier, else it restarts from the uniform state and
 moves the copy back.  Powell's line searches move one direction at a time,
-so consecutive evaluations share long prefixes.  The memory this costs is
-one extra state vector, the phase buffer (which replaces the per-layer
-temporaries, and holds the mixer's partner products between phase ops) and
-the inverse index, one to four bytes per entry.  ``run_schedule`` builds one
-evaluator and uses it for every optimization and every sampled state.
+so consecutive evaluations share long prefixes.
+
+Every op runs in place on buffers the evaluator owns: the retained state,
+a work state that each call refills from it and returns (valid until the
+evaluator's next call), the phase buffer (which also holds the mixer's
+partner products between phase ops) and the inverse index, one to four
+bytes per entry: about 3.1 state vectors in all, and no state-sized
+allocation per evaluation.  The mixer's per-qubit views of both states
+are built once.  Per qubit the mixer forms s * psi[i ^ (1 << q)], then
+c * psi[i], then their sum, one rounding each whatever buffers hold them,
+so running in place keeps every bit of the state.  ``run_schedule``
+builds one evaluator and uses it for every optimization and every sampled
+state.
 
 Parameter optimisation is local and derivative-free (Powell's
 direction-set method) with the best evaluation tracked explicitly, so the
@@ -49,8 +57,11 @@ import numpy as np
 from .anneal import SampleSet
 
 MAX_QUBITS = 26
+_GATHER_CHUNK = 1 << 13  # entries per cost-phase gather: 64 KiB of intp index
 
 StateVector = np.ndarray
+# per qubit, (the state read at i ^ (1 << q), the partner buffer in the same shape)
+_MixerViews = list[tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -125,34 +136,53 @@ def _num_qubits(energy_table: np.ndarray) -> int:
     return nq
 
 
+def _uniform_amplitude(num_qubits: int) -> float:
+    return 1.0 / np.sqrt(1 << num_qubits)
+
+
 def uniform_state(num_qubits: int) -> StateVector:
     _check_size(num_qubits)
-    dim = 1 << num_qubits
-    return np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
+    return np.full(1 << num_qubits, _uniform_amplitude(num_qubits), dtype=np.complex128)
+
+
+def _mixer_views(psi: StateVector, s_partner: StateVector) -> _MixerViews:
+    """Per qubit q, the view of ``psi`` whose entry i is psi[i ^ (1 << q)],
+    and ``s_partner`` shaped like it.  Both arrays must be C-contiguous, so
+    that the reshapes are views that see every later write."""
+    if not (psi.flags.c_contiguous and s_partner.flags.c_contiguous):
+        raise ValueError("the mixer needs C-contiguous buffers")
+    views = []
+    for qubit in range(len(psi).bit_length() - 1):
+        shape = (-1, 2, 1 << qubit)
+        # the reversed middle axis maps index i to i ^ (1 << qubit)
+        views.append((psi.reshape(shape)[:, ::-1, :], s_partner.reshape(shape)))
+    return views
 
 
 def _apply_mixer(
-    psi: StateVector, num_qubits: int, beta: float, s_partner: StateVector | None = None
+    psi: StateVector,
+    num_qubits: int,
+    beta: float,
+    s_partner: StateVector | None = None,
+    views: _MixerViews | None = None,
 ) -> StateVector:
     """RX(2*beta) on every qubit q: new[i] = c * psi[i] + s * psi[i ^ (1 << q)].
 
-    ``psi`` is overwritten; the result is ``psi`` or a new array.  The two
-    state buffers swap roles after every qubit, so no per-qubit array is
-    allocated.  ``s_partner``, a scratch array of the state's size and
-    dtype, holds the partner products; one is allocated when none is given.
+    ``psi`` is updated in place and returned.  ``s_partner``, a scratch
+    array of the state's size and dtype, holds the partner products; one is
+    allocated when none is given.  ``views``, ``_mixer_views(psi,
+    s_partner)`` built once by the caller, saves building them per call.
     """
     c = np.cos(beta)
     s = -1j * np.sin(beta)
-    out = np.empty_like(psi)
     if s_partner is None:
         s_partner = np.empty_like(psi)
-    for qubit in range(num_qubits):
-        shape = (-1, 2, 1 << qubit)
-        # the reversed middle axis maps index i to i ^ (1 << qubit)
-        np.multiply(s, psi.reshape(shape)[:, ::-1, :], out=s_partner.reshape(shape))
-        np.multiply(c, psi, out=out)
-        np.add(out, s_partner, out=out)
-        psi, out = out, psi
+    if views is None:
+        views = _mixer_views(psi, s_partner)
+    for partner_of_psi, partner in views[:num_qubits]:
+        np.multiply(s, partner_of_psi, out=partner)
+        np.multiply(c, psi, out=psi)
+        np.add(psi, s_partner, out=psi)
     return psi
 
 
@@ -170,30 +200,54 @@ class _Evaluator:
         self._bits = np.empty(0, dtype=np.uint64)  # angles of the previous call
         self._saved = uniform_state(self.num_qubits)
         self._saved_at = 0  # ops already applied to _saved
+        self._work = np.empty_like(self._saved)
+        # np.take casts the index it is given to intp, so the gather goes
+        # through slices that bound that copy
+        self._gather = [
+            (self._index[lo : lo + _GATHER_CHUNK], self._phase[lo : lo + _GATHER_CHUNK])
+            for lo in range(0, len(table), _GATHER_CHUNK)
+        ]
+        # the phase buffer is free between phase ops: it holds the partner products
+        self._saved_views = _mixer_views(self._saved, self._phase)
+        self._work_views = _mixer_views(self._work, self._phase)
 
     def state(self, params: QaoaParams) -> StateVector:
+        """The ansatz state of ``params``: the evaluator's work state, valid
+        until its next call."""
         angles = [a for layer in zip(params.gammas, params.betas) for a in layer]
         bits = np.array(angles).view(np.uint64)
         shared = min(len(bits), len(self._bits))
         differ = np.flatnonzero(bits[:shared] != self._bits[:shared])
         first = int(differ[0]) if len(differ) else shared
         if first < self._saved_at:
-            self._saved = uniform_state(self.num_qubits)
+            self._saved.fill(_uniform_amplitude(self.num_qubits))
             self._saved_at = 0
-        self._saved = self._run(self._saved, angles, self._saved_at, first)
+        self._run(self._saved, self._saved_views, angles, self._saved_at, first)
         self._saved_at = first
         self._bits = bits
-        return self._run(self._saved.copy(), angles, first, len(angles))
+        np.copyto(self._work, self._saved)
+        return self._run(self._work, self._work_views, angles, first, len(angles))
 
-    def _run(self, psi: StateVector, angles: list[float], start: int, stop: int) -> StateVector:
-        """Apply ops ``start`` to ``stop`` - 1 to ``psi``, which is overwritten."""
+    def _run(
+        self,
+        psi: StateVector,
+        views: _MixerViews,
+        angles: list[float],
+        start: int,
+        stop: int,
+    ) -> StateVector:
+        """Apply ops ``start`` to ``stop`` - 1 to ``psi`` in place; ``views``
+        are its mixer views."""
         for op in range(start, stop):
             if op % 2 == 0:
-                np.take(np.exp(-1j * angles[op] * self._levels), self._index, out=self._phase)
+                phase = np.exp(-1j * angles[op] * self._levels)
+                # the inverse index is always in range; "clip" skips the
+                # checked path, which buffers the whole output
+                for index, out in self._gather:
+                    np.take(phase, index, out=out, mode="clip")
                 psi *= self._phase
             else:
-                # the phase buffer is free between phase ops
-                psi = _apply_mixer(psi, self.num_qubits, angles[op], self._phase)
+                _apply_mixer(psi, self.num_qubits, angles[op], self._phase, views)
         return psi
 
 
@@ -203,7 +257,9 @@ def apply_ansatz(
     """Prepare the layered ansatz state for the given cost diagonal and angles.
 
     ``_evaluator``, an ``_Evaluator`` of the same table, lets repeated calls
-    share their set-up and resume from the previous call's state.
+    share their set-up and resume from the previous call's state; the state
+    returned is then its work state, overwritten by its next call.  Without
+    one, the returned array belongs to the caller alone.
     """
     if _evaluator is None:
         _evaluator = _Evaluator(energy_table)

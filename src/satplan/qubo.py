@@ -33,6 +33,7 @@ digits.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
@@ -364,8 +365,8 @@ def encode(inst: Instance, m: float | None = None) -> Qubo:
     order = inst.variables
     n = len(order)
     big_m = inst.total_weight + 1.0 if m is None else float(m)
-    if big_m <= 0:
-        raise ValueError("penalty magnitude must be positive")
+    if not 0 < big_m < math.inf:
+        raise ValueError(f"penalty magnitude must be positive and finite, got {big_m!r}")
 
     coeffs: dict[tuple[int, int], float] = {}
 

@@ -20,6 +20,7 @@ from satplan import (
     IsingModel,
     QaoaParams,
     Request,
+    SampleEntry,
     SampleSet,
     VarRef,
     check_feasible,
@@ -274,6 +275,26 @@ def feasible_decision_mask(inst: Instance) -> np.ndarray:
                 load += c * bit(i).astype(np.int64)
         ok &= load <= inst.disk_capacity
     return ok
+
+
+def reference_from_states(
+    states: np.ndarray, energies: np.ndarray, sampler_tag: str, seed: int
+) -> SampleSet:
+    """The dictionary loop that ``SampleSet.from_states`` replaced: one key
+    string per row, each key keeping the energy of its last row, entries
+    sorted by (energy, bits).  ``from_states`` must return the same set."""
+    tally: dict[str, tuple[float, int]] = {}
+    for row, energy in zip(states, energies):
+        key = "".join("1" if b else "0" for b in row)
+        prev = tally.get(key)
+        tally[key] = (float(energy), 1 if prev is None else prev[1] + 1)
+    entries = tuple(
+        SampleEntry(bits=key, energy=e, count=c)
+        for key, (e, c) in sorted(tally.items(), key=lambda kv: (kv[1][0], kv[0]))
+    )
+    return SampleSet(
+        entries=entries, total_reads=int(states.shape[0]), sampler_tag=sampler_tag, seed=seed
+    )
 
 
 def reference_sample_sa(

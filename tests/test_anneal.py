@@ -4,7 +4,7 @@ import pytest
 from satplan import AnnealSchedule, SampleSet, encode, sample_sa, solve_exhaustive
 from satplan.anneal import _screen_thresholds
 from satplan.qubo import Qubo
-from helpers import random_instance, reference_sample_sa
+from helpers import random_instance, reference_from_states, reference_sample_sa
 
 
 def test_single_downhill_variable():
@@ -120,6 +120,33 @@ def test_sample_set_requires_consistent_counts():
             sampler_tag="sa",
             seed=0,
         )
+
+
+def _tally_cases():
+    rng = np.random.default_rng(61)
+    mixed = rng.integers(0, 2, size=(300, 4), dtype=np.uint8)
+    # few levels, so ties between keys are common; 0.0 and -0.0 show which read's energy is kept
+    mixed_energies = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.5], size=300)
+    return {
+        "no variables": (np.zeros((5, 0), dtype=np.uint8), np.array([1.0, -0.0, 0.0, 2.0, 0.0])),
+        "no reads": (np.zeros((0, 3), dtype=np.uint8), np.zeros(0)),
+        "one read": (np.array([[1, 0, 1]], dtype=np.uint8), np.array([-3.0])),
+        "all duplicates": (np.ones((6, 3), dtype=np.uint8), np.array([4.0, 3.0, 2.0, 1.0, 0.0, -0.0])),
+        "mixed energies": (mixed, mixed_energies),
+        "bool states": (mixed.astype(bool), mixed_energies),
+        "wide rows": (rng.integers(0, 2, size=(50, 70), dtype=np.uint8), rng.normal(size=50)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_tally_cases()))
+def test_from_states_matches_reference_tally(case):
+    states, energies = _tally_cases()[case]
+    new = SampleSet.from_states(states, energies, "sa", 3)
+    ref = reference_from_states(states, energies, "sa", 3)
+    assert new == ref
+    # == takes -0.0 for 0.0; the JSON keeps the sign, and the types must match too
+    assert new.to_json() == ref.to_json()
+    assert all(type(e.energy) is float and type(e.count) is int for e in new.entries)
 
 
 def test_finds_optimum_on_small_encoded_instance():

@@ -51,6 +51,16 @@ def test_generate_and_encode(tmp_path, capsys):
     assert {"n", "s", "offset", "m", "terms"} <= set(doc)
 
 
+@pytest.mark.parametrize("penalty", ["-1", "0", "nan", "inf"])
+def test_encode_rejects_bad_penalty(tmp_path, capsys, penalty):
+    src = write_source(tmp_path)
+    out = tmp_path / "qubo.json"
+    assert main(["encode", str(src), "-o", str(out), "--penalty", penalty]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: penalty magnitude must be positive and finite, got ")
+    assert not out.exists()
+
+
 def test_solve_one_cell(tmp_path):
     src = write_source(tmp_path)
     out = tmp_path / "cell.json"

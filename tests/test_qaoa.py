@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,45 @@ def test_resumed_evaluations_match_reference_bit_for_bit(monkeypatch, signed_zer
         start = kept if first >= kept else 0
         assert len(mixers) == sum(op % 2 for op in range(start, len(bits)))
         prev_bits, kept = bits, first
+
+
+def test_evaluator_runs_in_its_own_buffers():
+    nq = 16
+    table = random_integer_qubo(np.random.default_rng(67), nq).energy_table()
+    state_bytes = 16 << nq
+    rng = np.random.default_rng(71)
+    first = QaoaParams(tuple(rng.uniform(0, 2 * np.pi, 4)), tuple(rng.uniform(0, np.pi, 4)))
+    # a fresh start, a resume after the last op, a restart from op 0, fewer layers
+    sequence = [
+        first,
+        QaoaParams(first.gammas, first.betas[:-1] + (0.5,)),
+        QaoaParams((0.25,) + first.gammas[1:], first.betas),
+        QaoaParams(first.gammas[:2], first.betas[:2]),
+    ]
+    calls = []
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        evaluator = qaoa._Evaluator(table)
+        held = tracemalloc.get_traced_memory()[0] - before
+        for params in sequence:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            psi = apply_ansatz(table, params, evaluator)
+            current, peak = tracemalloc.get_traced_memory()
+            calls.append((peak - start, current - start))
+            assert_bitwise_equal(psi, apply_ansatz(table, params))
+    finally:
+        tracemalloc.stop()
+    # the retained state, the work state, the phase buffer and a one-byte index
+    assert evaluator._index.itemsize == 1
+    assert held <= 3.1 * state_bytes
+    # a ufunc over the mixer's strided views stages through numpy's iterator
+    # buffer, getbufsize() elements whatever the state's size
+    iterator_buffer = 16 * np.getbufsize()
+    for peak, kept in calls:
+        assert peak < 0.1 * state_bytes + iterator_buffer
+        assert kept < 0.01 * state_bytes
 
 
 def test_schedule_matches_reference_ansatz(monkeypatch):

@@ -55,6 +55,14 @@ def test_uniqueness_penalty_three_cameras():
     assert q.s == 0
 
 
+@pytest.mark.parametrize("m", [-1.0, 0.0, -0.0, float("nan"), float("inf"), float("-inf")])
+def test_encode_rejects_penalty_outside_positive_finite(m):
+    inst = Instance(name="m", requests=(_mono(0, 2.0),))
+    with pytest.raises(ValueError, match="positive and finite"):
+        encode(inst, m)
+    assert encode(inst, 1e300).penalty_m == 1e300
+
+
 def test_pair_penalty_single_interaction_no_slack():
     pair = (VarRef(0, 1), VarRef(1, 1))
     inst = Instance(
