@@ -46,7 +46,9 @@ print(f"{instance.name}: {qubo.num_variables} variables, F_max={f_max},"
 # ---------------------------------------------------------------------------
 # Five seeded runs of 2000 reads, the protocol used by the benchmark.
 # ---------------------------------------------------------------------------
-schedule = AnnealSchedule()  # 1000 sweeps, beta 0.1 -> 10, one restart
+# 100 sweeps, one restart; beta from ln 2 / (largest flip cost) to
+# ln 1e4 / (smallest nonzero coefficient) of this QUBO
+schedule = AnnealSchedule()
 per_run = []
 for seed in range(5):
     samples = sample_sa(qubo, reads=2000, sched=schedule, seed=seed)

@@ -6,6 +6,16 @@ as numpy arrays; flip energies come from cached local fields, and final
 energies are recomputed from scratch so that stored values are exactly
 reproducible with :meth:`satplan.qubo.Qubo.energy`.
 
+Temperature range.  Unless the schedule fixes it, the ramp is set from the
+QUBO's own energy scale, like dwave-neal's default range.  The flip cost of
+variable ``i`` is at most ``|h_i| + sum_j |W_ij|`` in magnitude; at
+``beta_start = ln 2 / max_i(|h_i| + sum_j |W_ij|)`` the largest possible
+uphill flip is accepted with probability 1/2, so penalty-sized flips are
+still open in the first sweep.  At ``beta_end = ln 1e4 / min |c|``, over
+the nonzero coefficients ``c``, a flip costing the smallest coefficient is
+accepted with probability 1e-4.  A QUBO with no nonzero coefficient takes
+its scale as 1.
+
 Kernel layout.  ``sgn = 1 - 2x`` (+1 or -1) and the local fields are kept
 as contiguous ``(variables, reads)`` arrays, so one variable's values over
 all reads form one row.  The flip cost of variable ``i`` is
@@ -29,11 +39,18 @@ of nonzero couplings: a zero coupling would add ``+-0.0``, which can only
 change the sign of a zero field, and a zero field gives ``delta = +-0``,
 accepted either way.  The accept/reject decisions, and with them the
 samples, are therefore exactly those of the plain per-read test.
+
+Field update.  Early in a ramp that starts hot, many flips are accepted,
+and the update of the fields they touch is the dearest step.  It indexes
+the flattened fields with one integer array, ``neighbour * reads + read``,
+rather than with a (neighbour, read) pair of arrays; it adds the same
+values in the same order.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,20 +60,62 @@ from .qubo import Qubo
 MAX_EXHAUSTIVE_VARIABLES = 24  # 2**24 energies: 128 MiB as float64, also the peak of building them
 
 
+HOT_ACCEPT = 0.5  # acceptance of the largest possible flip cost at beta_start
+COLD_ACCEPT = 1e-4  # acceptance of the smallest nonzero coefficient at beta_end
+
+
+def _check_betas(beta_start: float, beta_end: float) -> None:
+    if not (math.isfinite(beta_end) and beta_end > beta_start > 0):
+        raise ValueError(
+            f"need finite beta_end > beta_start > 0, got {beta_start!r} -> {beta_end!r}"
+        )
+
+
 @dataclass(frozen=True)
 class AnnealSchedule:
-    sweeps: int = 1000
-    beta_start: float = 0.1
-    beta_end: float = 10.0
+    """A geometric ramp of ``sweeps`` inverse temperatures per restart.
+
+    With ``beta_start`` and ``beta_end`` left at None, :func:`beta_range`
+    derives both from the QUBO being annealed (see the module docstring);
+    give both to fix the ramp for every QUBO.
+    """
+
+    sweeps: int = 100
+    beta_start: float | None = None
+    beta_end: float | None = None
     restarts_per_read: int = 1
 
     def __post_init__(self) -> None:
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
-        if not (self.beta_end > self.beta_start > 0):
-            raise ValueError("need beta_end > beta_start > 0")
+        if (self.beta_start is None) != (self.beta_end is None):
+            raise ValueError("give both beta_start and beta_end, or neither")
+        if self.beta_start is not None:
+            _check_betas(self.beta_start, self.beta_end)
         if self.restarts_per_read < 1:
             raise ValueError("restarts_per_read must be >= 1")
+
+
+def beta_range(sched: AnnealSchedule, diag: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """(beta_start, beta_end) of ``sched`` on the QUBO with linear terms
+    ``diag`` and interaction matrix ``w``: the schedule's own betas when it
+    fixes them, else the range derived from the QUBO's energy scale."""
+    if sched.beta_start is not None:
+        return sched.beta_start, sched.beta_end
+    magnitudes = np.abs(w)
+    with np.errstate(over="ignore"):  # an infinite bound is rejected below
+        flip_bounds = np.abs(diag) + magnitudes.sum(axis=1)
+    coefficients = np.concatenate([np.abs(diag), magnitudes.ravel()])
+    coefficients = coefficients[coefficients != 0]
+    if coefficients.size:
+        max_flip, min_coefficient = float(flip_bounds.max()), float(coefficients.min())
+    else:  # no energy scale at all: take it as 1
+        max_flip = min_coefficient = 1.0
+    # a subnormal or infinite scale gives an infinite or zero beta
+    beta_start = math.log(1 / HOT_ACCEPT) / max_flip
+    beta_end = math.log(1 / COLD_ACCEPT) / min_coefficient
+    _check_betas(beta_start, beta_end)
+    return beta_start, beta_end
 
 
 @dataclass(frozen=True)
@@ -164,9 +223,11 @@ def sample_sa(
 
     diag = q.linear_terms()
     w = q.interaction_matrix()
-    betas = np.geomspace(sched.beta_start, sched.beta_end, sched.sweeps)
-    # column-shaped, so fields[neighbours[i], cols] is the (neighbour, read) block
+    betas = np.geomspace(*beta_range(sched, diag, w), sched.sweeps)
+    # column-shaped, so offsets[i] + cols indexes the (neighbour, read) block
+    # of the flattened (variables, reads) fields
     neighbours = [np.flatnonzero(row)[:, None] for row in w]
+    offsets = [nbrs * reads for nbrs in neighbours]
     couplings = [w[i, nbrs] for i, nbrs in enumerate(neighbours)]
 
     us = np.empty((nv, reads))
@@ -180,6 +241,7 @@ def sample_sa(
         fields = states.astype(np.float64) @ w
         fields += diag
         fields = np.ascontiguousarray(fields.T)
+        flat = fields.reshape(-1)  # a view: fields is contiguous
         sgn = np.ascontiguousarray(states.T, dtype=np.float64)
         sgn *= -2.0
         sgn += 1.0
@@ -197,7 +259,7 @@ def sample_sa(
                     continue
                 step = sgn[i, cols]  # x_i changes by sgn_i = 1 - 2 x_i
                 sgn[i, cols] = -step
-                fields[neighbours[i], cols] += couplings[i] * step
+                flat[offsets[i] + cols] += couplings[i] * step
         states = np.ascontiguousarray((sgn < 0.0).T, dtype=np.uint8)  # x = 1 where sgn = -1
         energies = q.energies(states)
         if best_states is None:

@@ -25,6 +25,7 @@ from .anneal import (
     AnnealSchedule,
     SampleEntry,
     SampleSet,
+    beta_range,
     sample_sa,
     solve_exhaustive,
 )
@@ -171,8 +172,13 @@ def run_cell(
             )
         doc = {"layers": [res.to_json_dict() for res in layers]}
         return metrics, doc, {"layers": per_layer}  # metrics of the final layer
+    extra = None
     if solver == "sa":
-        samples = sample_sa(qubo, reads, AnnealSchedule(), seed)
+        sched = AnnealSchedule()
+        samples = sample_sa(qubo, reads, sched, seed)
+        # the range is derived from the QUBO, so the run records it
+        beta_start, beta_end = beta_range(sched, qubo.linear_terms(), qubo.interaction_matrix())
+        extra = {"sweeps": sched.sweeps, "beta_start": beta_start, "beta_end": beta_end}
     else:
         if solver == "exhaustive":
             bits, energy = solve_exhaustive(qubo)
@@ -189,7 +195,7 @@ def run_cell(
             sampler_tag=solver,
             seed=seed,
         )
-    return run_metrics(inst, f_max, samples, n), samples.to_json_dict(), None
+    return run_metrics(inst, f_max, samples, n), samples.to_json_dict(), extra
 
 
 def skip_reason(solver: str, qubo: Qubo) -> str | None:

@@ -34,31 +34,37 @@ class AggregateMetrics:
     runs: int
 
 
-def approximation_ratio(inst: Instance, f_max: float, bits, n: int) -> float:
-    """Score of one sampled bit vector against the proven optimum."""
+def _check_optimum(f_max: float) -> None:
     if f_max <= 0:
         raise ValueError("approximation ratio is undefined for f_max <= 0")
+
+
+def _score(inst: Instance, f_max: float, decision_bits) -> tuple[bool, float]:
+    """(feasible, AR) of one vector of decision bits; infeasible ones score 0."""
+    assignment = Assignment.from_bits(inst, decision_bits)
+    if not check_feasible(inst, assignment).feasible:
+        return False, 0.0
+    return True, objective(inst, assignment) / f_max
+
+
+def approximation_ratio(inst: Instance, f_max: float, bits, n: int) -> float:
+    """Score of one sampled bit vector against the proven optimum."""
+    _check_optimum(f_max)
     if len(bits) < n:
         raise ValueError(f"need at least {n} bits, got {len(bits)}")
-    assignment = Assignment.from_bits(inst, list(bits[:n]))
-    if not check_feasible(inst, assignment).feasible:
-        return 0.0
-    return objective(inst, assignment) / f_max
+    return _score(inst, f_max, bits[:n])[1]
 
 
 def run_metrics(inst: Instance, f_max: float, samples: SampleSet, n: int) -> RunMetrics:
     """Count-weighted expected AR, best sampled AR, and feasible fraction."""
     if not samples.entries:
         raise ValueError("empty sample set")
-    if f_max <= 0:
-        raise ValueError("approximation ratio is undefined for f_max <= 0")
+    _check_optimum(f_max)
     weighted_ar = 0.0
     feasible_reads = 0
     best = 0.0
     for entry in samples.entries:
-        assignment = Assignment.from_bits(inst, entry.bit_array()[:n])
-        feasible = check_feasible(inst, assignment).feasible
-        ar = objective(inst, assignment) / f_max if feasible else 0.0
+        feasible, ar = _score(inst, f_max, entry.bit_array()[:n])
         weighted_ar += entry.count * ar
         if feasible:
             feasible_reads += entry.count

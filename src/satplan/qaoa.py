@@ -26,14 +26,14 @@ so consecutive evaluations share long prefixes.
 Every op runs in place on buffers the evaluator owns: the retained state,
 a work state that each call refills from it and returns (valid until the
 evaluator's next call), the phase buffer (which also holds the mixer's
-partner products between phase ops) and the inverse index, one to four
-bytes per entry: about 3.1 state vectors in all, and no state-sized
-allocation per evaluation.  The mixer's per-qubit views of both states
-are built once.  Per qubit the mixer forms s * psi[i ^ (1 << q)], then
-c * psi[i], then their sum, one rounding each whatever buffers hold them,
-so running in place keeps every bit of the state.  ``run_schedule``
-builds one evaluator and uses it for every optimization and every sampled
-state.
+partner products between phase ops, and an expectation's |psi|^2 between
+calls) and the inverse index, one to four bytes per entry: about 3.1 state
+vectors in all, and no state-sized allocation per evaluation and
+expectation.  The mixer's per-qubit views of both states are built once.
+Per qubit the mixer forms s * psi[i ^ (1 << q)], then c * psi[i], then
+their sum, one rounding each whatever buffers hold them, so running in
+place keeps every bit of the state.  ``run_schedule`` builds one
+evaluator and uses it for every optimization and every sampled state.
 
 Parameter optimisation is local and derivative-free (Powell's
 direction-set method) with the best evaluation tracked explicitly, so the
@@ -207,9 +207,12 @@ class _Evaluator:
             (self._index[lo : lo + _GATHER_CHUNK], self._phase[lo : lo + _GATHER_CHUNK])
             for lo in range(0, len(table), _GATHER_CHUNK)
         ]
-        # the phase buffer is free between phase ops: it holds the partner products
+        # the phase buffer is free between phase ops: it holds the partner
+        # products, and between calls the first half of its bytes holds the
+        # expectation's |psi|^2
         self._saved_views = _mixer_views(self._saved, self._phase)
         self._work_views = _mixer_views(self._work, self._phase)
+        self.probs = self._phase.view(np.float64)[: len(table)]
 
     def state(self, params: QaoaParams) -> StateVector:
         """The ansatz state of ``params``: the evaluator's work state, valid
@@ -266,11 +269,19 @@ def apply_ansatz(
     return _evaluator.state(params)
 
 
-def expectation(energy_table: np.ndarray, psi: StateVector) -> float:
-    """<psi| H |psi> including the constant offset, comparable to QUBO energies."""
+def expectation(
+    energy_table: np.ndarray, psi: StateVector, _out: np.ndarray | None = None
+) -> float:
+    """<psi| H |psi> including the constant offset, comparable to QUBO energies.
+
+    ``_out``, a float64 array of the state's size that does not overlap
+    ``psi``, such as an ``_Evaluator``'s ``probs``, receives |psi|^2 in
+    place of a new array.
+    """
     if psi.shape != energy_table.shape:
         raise ValueError("state vector and energy table sizes differ")
-    probs = np.abs(psi) ** 2
+    probs = np.abs(psi, out=_out)
+    np.square(probs, out=probs)
     return float(probs @ energy_table)
 
 
@@ -311,12 +322,16 @@ def optimize_layer(
     cfg = cfg or OptimizerConfig()
     evaluator = _evaluator if _evaluator is not None else _Evaluator(energy_table)
     best_x = init.to_flat()
-    best_val = expectation(energy_table, apply_ansatz(energy_table, init, evaluator))
+    best_val = expectation(
+        energy_table, apply_ansatz(energy_table, init, evaluator), evaluator.probs
+    )
 
     def objective(x: np.ndarray) -> float:
         nonlocal best_x, best_val
         params = QaoaParams.from_flat(x)
-        val = expectation(energy_table, apply_ansatz(energy_table, params, evaluator))
+        val = expectation(
+            energy_table, apply_ansatz(energy_table, params, evaluator), evaluator.probs
+        )
         if val < best_val:
             best_val = val
             best_x = np.array(x)

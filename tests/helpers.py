@@ -27,6 +27,7 @@ from satplan import (
     objective,
     uniform_state,
 )
+from satplan.anneal import beta_range
 from satplan.exact import DEFAULT_NODE_BUDGET
 from satplan.qaoa import _check_size
 
@@ -319,7 +320,7 @@ def reference_sample_sa(
 
     diag = q.linear_terms()
     w = q.interaction_matrix()
-    betas = np.geomspace(sched.beta_start, sched.beta_end, sched.sweeps)
+    betas = np.geomspace(*beta_range(sched, diag, w), sched.sweeps)
 
     best_states: np.ndarray | None = None
     best_energies: np.ndarray | None = None

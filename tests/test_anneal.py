@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from satplan import AnnealSchedule, SampleSet, encode, sample_sa, solve_exhaustive
-from satplan.anneal import _screen_thresholds
+from satplan.anneal import _screen_thresholds, beta_range
 from satplan.qubo import Qubo
 from helpers import random_instance, reference_from_states, reference_sample_sa
 
@@ -99,6 +101,81 @@ def test_schedule_validation():
         AnnealSchedule(beta_start=2.0, beta_end=1.0)
     with pytest.raises(ValueError):
         AnnealSchedule(restarts_per_read=0)
+    with pytest.raises(ValueError):
+        AnnealSchedule(beta_end=1.0, beta_start=math.inf)
+    with pytest.raises(ValueError):
+        AnnealSchedule(beta_start=1.0, beta_end=math.inf)
+
+
+@pytest.mark.parametrize("given", [{"beta_start": 0.5}, {"beta_end": 5.0}])
+def test_schedule_needs_both_betas_or_neither(given):
+    with pytest.raises(ValueError):
+        AnnealSchedule(**given)
+
+
+def _scale(q: Qubo) -> tuple[float, float]:
+    """(largest possible flip cost, smallest nonzero |coefficient|), from the
+    stored terms: flipping x_i changes the energy by at most the sum of
+    |c| over the terms that contain i."""
+    bound = np.zeros(q.num_variables)
+    sizes = []
+    for i, j, v in q.terms():
+        bound[i] += abs(v)
+        if j != i:
+            bound[j] += abs(v)
+        if v != 0:
+            sizes.append(abs(v))
+    return float(bound.max()), min(sizes)
+
+
+def _range(q: Qubo, sched: AnnealSchedule | None = None) -> tuple[float, float]:
+    return beta_range(sched or AnnealSchedule(), q.linear_terms(), q.interaction_matrix())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _encoded(6, True, 7),
+        lambda: _encoded(3, False, 8),
+        lambda: _FREE,
+        lambda: Qubo({(0, 0): 0.5}),
+        lambda: Qubo({(0, 0): -3.25, (0, 2): 1e-3, (1, 2): -700.0, (1, 1): 2.0}),
+    ],
+)
+def test_derived_range_accepts_half_at_hot_end_and_1e4_at_cold_end(build):
+    q = build()
+    beta_start, beta_end = _range(q)
+    max_flip, min_coefficient = _scale(q)
+    assert math.exp(-beta_start * max_flip) == pytest.approx(0.5, abs=1e-12)
+    assert math.exp(-beta_end * min_coefficient) == pytest.approx(1e-4, abs=1e-12)
+    assert beta_end > beta_start > 0
+
+
+def test_qubo_without_coefficients_takes_unit_scale():
+    for q in (Qubo({}, offset=2.5, num_variables=4), Qubo({(0, 0): 0.0, (0, 1): 0.0})):
+        beta_start, beta_end = _range(q)
+        assert (beta_start, beta_end) == (math.log(2.0), math.log(1e4))
+        result = sample_sa(q, reads=10, seed=0)
+        assert all(e.energy == q.offset for e in result.entries)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        Qubo({(0, 0): 1e-320}),  # subnormal: both betas overflow
+        Qubo({(0, 0): 1e308, (1, 1): 1e308, (0, 1): 1e308}),  # flip bound overflows: beta_start 0
+    ],
+)
+def test_non_finite_derived_beta_raises(q):
+    with pytest.raises(ValueError):
+        _range(q)
+    with pytest.raises(ValueError):
+        sample_sa(q, reads=4, seed=0)
+
+
+def test_explicit_betas_are_kept():
+    sched = AnnealSchedule(beta_start=0.1, beta_end=10.0)
+    assert _range(_encoded(6, True, 7), sched) == (0.1, 10.0)
 
 
 def test_restarts_keep_best_per_read():
@@ -187,6 +264,11 @@ REFERENCE_CASES = {
     "extreme-betas": (
         lambda: _encoded(13, True, 5), 300,
         AnnealSchedule(sweeps=30, beta_start=1e-6, beta_end=1e3),
+    ),
+    "default-schedule": (lambda: _encoded(6, True, 7), 100, AnnealSchedule()),
+    "fixed-unit-ramp": (
+        lambda: _encoded(6, True, 7), 100,
+        AnnealSchedule(sweeps=100, beta_start=0.1, beta_end=10.0),
     ),
 }
 

@@ -3,7 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from satplan import Instance, Request, SampleEntry, VarRef, encode, save_instance, solve_exact
+from satplan import (
+    AnnealSchedule,
+    Instance,
+    Request,
+    SampleEntry,
+    VarRef,
+    encode,
+    save_instance,
+    solve_exact,
+)
+from satplan.anneal import beta_range
 from satplan.bench import (
     ConfigError,
     ExperimentConfig,
@@ -62,6 +72,19 @@ def test_pipeline_is_deterministic(instance_file, tmp_path):
     assert code_a == code_b == 0
     for name in ("results.csv", "report.json", "expected_ar.csv", "best_ar.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_sa_runs_record_their_schedule(instance_file, tmp_path):
+    cfg = ExperimentConfig(instances=[instance_file], solvers=["sa"], reads=20, runs=2)
+    report, code = run_pipeline(cfg, tmp_path / "out")
+    assert code == 0
+    q = encode(tiny_instance())
+    sched = AnnealSchedule()
+    beta_start, beta_end = beta_range(sched, q.linear_terms(), q.interaction_matrix())
+    for doc in report["instances"][0]["solvers"]["sa"]["runs"]:
+        assert (doc["sweeps"], doc["beta_start"], doc["beta_end"]) == (
+            sched.sweeps, beta_start, beta_end,
+        )
 
 
 def test_aggregate_rows_with_ci(instance_file, tmp_path):

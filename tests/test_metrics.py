@@ -112,6 +112,34 @@ def test_best_ar_dominates_expected_ar():
         assert 0.0 <= m.expected_ar <= m.best_ar <= 1.0
 
 
+def test_run_metrics_is_the_count_weighted_approximation_ratio():
+    rng = np.random.default_rng(47)
+    scored = 0.0
+    for trial in range(6):
+        inst = random_instance(
+            rng, n_requests=5, n_pairs=2, n_triples=2,
+            with_capacity=bool(trial % 2), name=f"score{trial}",
+        )
+        q = encode(inst)
+        f_max = solve_exact(inst).best_value
+        if f_max <= 0:
+            continue
+        rows = (rng.random((40, q.num_variables)) < 0.25).astype(np.uint8)
+        counts = rng.integers(1, 20, size=len(rows))
+        keys = sorted({"".join(map(str, row)) for row in rows})
+        samples = _sample_set([(key, 0.0, int(c)) for key, c in zip(keys, counts)])
+        m = run_metrics(inst, f_max, samples, q.n)
+        ratios = [approximation_ratio(inst, f_max, e.bit_array(), q.n) for e in samples.entries]
+        weighted = 0.0
+        for entry, ar in zip(samples.entries, ratios):
+            weighted += entry.count * ar
+        assert m.expected_ar == weighted / samples.total_reads
+        assert m.best_ar == max(ratios)
+        assert m.reads == samples.total_reads
+        scored += m.expected_ar
+    assert scored > 0.0  # some feasible non-empty selections were drawn
+
+
 def test_aggregate_identical_runs_has_zero_width():
     agg = aggregate([_metrics(0.8)] * 5)
     assert agg.mean_expected_ar == 0.8

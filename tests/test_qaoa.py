@@ -239,8 +239,12 @@ def test_evaluator_runs_in_its_own_buffers():
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             psi = apply_ansatz(table, params, evaluator)
+            value = qaoa.expectation(table, psi, evaluator.probs)
             current, peak = tracemalloc.get_traced_memory()
             calls.append((peak - start, current - start))
+            # |psi|^2 in the evaluator's buffer is the same as in a new array
+            assert value == qaoa.expectation(table, psi)
+            assert_bitwise_equal(evaluator.probs, np.abs(psi) ** 2)
             assert_bitwise_equal(psi, apply_ansatz(table, params))
     finally:
         tracemalloc.stop()
@@ -250,8 +254,10 @@ def test_evaluator_runs_in_its_own_buffers():
     # a ufunc over the mixer's strided views stages through numpy's iterator
     # buffer, getbufsize() elements whatever the state's size
     iterator_buffer = 16 * np.getbufsize()
+    # an evaluation with its expectation peaks at the evaluator's own buffers
     for peak, kept in calls:
         assert peak < 0.1 * state_bytes + iterator_buffer
+        assert held + peak < 3.1 * state_bytes + iterator_buffer
         assert kept < 0.01 * state_bytes
 
 
