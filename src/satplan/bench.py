@@ -298,25 +298,29 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> tuple[dict, int]:
 
 
 def results_csv(report: dict) -> str:
-    """Flat per-run rows plus aggregate rows with CI columns."""
+    """Flat per-run rows plus aggregate rows with CI columns; the last column
+    says whether the optimum the ARs divide by was proven."""
     buf = io.StringIO()
-    buf.write("instance,solver,run,expected_ar,best_ar,ci95_expected,ci95_best\n")
+    buf.write("instance,solver,run,expected_ar,best_ar,ci95_expected,ci95_best,proven_optimal\n")
     for inst in report["instances"]:
         if inst.get("error"):
             continue
+        proven = str(inst["proven_optimal"]).lower()
         for solver in report["solvers"]:
             cell = inst["solvers"].get(solver)
             if cell is None or cell.get("skipped"):
                 continue
             for doc in cell["runs"]:
                 buf.write(
-                    f"{inst['name']},{solver},{doc['run']},{doc['expected_ar']!r},{doc['best_ar']!r},,\n"
+                    f"{inst['name']},{solver},{doc['run']},{doc['expected_ar']!r},"
+                    f"{doc['best_ar']!r},,,{proven}\n"
                 )
             agg = cell.get("aggregate")
             if agg:
                 buf.write(
                     f"{inst['name']},{solver},aggregate,{agg['mean_expected_ar']!r},"
-                    f"{agg['mean_best_ar']!r},{agg['ci95_expected']!r},{agg['ci95_best']!r}\n"
+                    f"{agg['mean_best_ar']!r},{agg['ci95_expected']!r},{agg['ci95_best']!r},"
+                    f"{proven}\n"
                 )
     return buf.getvalue()
 

@@ -17,6 +17,25 @@ child first and its take children highest camera first, so children pop
 lowest camera first and skip last: the tree, the node count, the budget
 cut-off and the first-found tie-break are those of the plain recursion
 that visits cameras in ascending order and then the skip.
+
+Repeated subtrees are replayed rather than walked again.  Below a node at
+request k, the plain tree depends only on its signature ``(k, value, load,
+taken & future[k])`` and the incumbent, where ``future[k]`` holds the bits
+of requests 0..k-1 that some pair or triple mask of requests k..n-1 reads.
+While no leaf beats the incumbent, the subtree's node count and pruning
+are fixed by that signature.  An expanded node pushes an exit marker under
+its children; when the marker pops with the incumbent unchanged, the
+subtree's node count is stored under its signature.  A later node with the
+same signature adds that count instead of expanding, provided the count
+still fits in the budget; otherwise it is expanded as usual.  The memo
+holds counts for the current incumbent only: it is emptied whenever the
+incumbent improves, because entries made under an older incumbent can never
+match again, and whenever it reaches ``MEMO_ENTRIES`` entries, which keeps
+it near 64 MB.  What the memo holds never changes the result:
+``nodes_explored``, the budget cut-off and the tie-break are those of the
+plain tree.  With only local conflicts, as in SPOT5, most subtrees repeat;
+where conflicts join requests far apart, hits are rare and the search runs
+at about half the plain loop's speed.
 """
 
 from __future__ import annotations
@@ -31,6 +50,9 @@ TERNARY = "ternary"
 CAPACITY = "capacity"
 
 DEFAULT_NODE_BUDGET = 50_000_000
+# subtree signatures kept before the memo is emptied: about 210 B each
+# with the dict's own table, so the memo stays under 64 MB
+MEMO_ENTRIES = 300_000
 
 
 @dataclass(frozen=True)
@@ -58,8 +80,12 @@ class ExactResult:
 
 
 def objective(inst: Instance, a: Assignment) -> float:
-    """Total value of the selection, one weight term per taken (request, camera) pair."""
-    return float(sum(inst.weight_of(ref.request_id) for ref in a.taken))
+    """Total value of the selection, one weight term per taken (request, camera)
+    pair, added one by one in ``a.taken`` order on every Python version."""
+    value = 0.0
+    for ref in a.taken:
+        value += inst.weight_of(ref.request_id)
+    return value
 
 
 def check_feasible(inst: Instance, a: Assignment) -> FeasibilityReport:
@@ -106,6 +132,13 @@ def solve_exact(inst: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> Exact
     depth-first order.  Nodes are counted, checked against the budget and
     bounded when popped from the explicit stack, exactly where a recursive
     search would on entry; there is no depth limit.
+
+    A subtree whose signature (request, value, load, the taken bits later
+    requests read) was already walked under the same incumbent is replayed:
+    its stored node count is added instead of walking it again, unless that
+    would cross the budget.  ``nodes_explored`` and the budget still count
+    the nodes of the plain tree, so the result equals the plain search's.
+    The memo is emptied at ``MEMO_ENTRIES`` entries to bound its memory.
     """
     index = inst.variable_index
     n_req = len(inst.requests)
@@ -134,20 +167,42 @@ def solve_exact(inst: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> Exact
     # per request, (bit, pair mask, triple masks, capacity) of each camera,
     # highest camera first: pushed in this order, the lowest camera pops first
     choices = []
+    first_var = []
     pos = 0
     for req in inst.requests:
+        first_var.append(pos)
         ids = range(pos + len(req.allowed_cameras) - 1, pos - 1, -1)
         choices.append(tuple((1 << v, pair_mask[v], tuple(triple_masks[v]), caps[v]) for v in ids))
         pos += len(req.allowed_cameras)
+
+    # future[k]: the bits of requests 0..k-1 that a mask of requests k..n-1 reads
+    future = [0] * n_req
+    reads = 0
+    for k in range(n_req - 1, -1, -1):
+        for _, pairs, triples, _ in choices[k]:
+            reads |= pairs
+            for m in triples:
+                reads |= m
+        future[k] = reads & ((1 << first_var[k]) - 1)
 
     nodes = 0
     best_value = 0.0
     best_taken = 0
     exhausted = False
-    stack = [(0, 0.0, 0, 0)]  # (request, value, load, taken bits) of unvisited nodes
+    memo: dict[tuple, int] = {}  # signature -> node count of its subtree
+    memo_entries = MEMO_ENTRIES
+    # unvisited nodes (request, value, load, taken bits) and exit markers
+    # (-1, signature, nodes before the subtree, incumbent value when entered)
+    stack: list[tuple] = [(0, 0.0, 0, 0)]
     pop, push = stack.pop, stack.append
     while stack:
         k, value, load, taken = pop()
+        if k < 0:  # the marked subtree is done
+            if taken == best_value:  # and kept the incumbent: its count is reusable
+                if len(memo) >= memo_entries:
+                    memo.clear()
+                memo[value] = nodes - load
+            continue
         nodes += 1
         if nodes > node_budget:
             exhausted = True
@@ -155,9 +210,16 @@ def solve_exact(inst: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> Exact
         if k == n_req:
             if value > best_value:
                 best_value, best_taken = value, taken
+                memo.clear()  # every stored count assumed the old incumbent
             continue
         if value + suffix[k] <= best_value:
             continue  # no completion can beat the incumbent
+        key = (k, value, load, taken & future[k])
+        size = memo.get(key)
+        if size is not None and nodes - 1 + size <= node_budget:
+            nodes += size - 1  # replay: the same subtree, already walked
+            continue
+        push((-1, key, nodes - 1, best_value))
         push((k + 1, value, load, taken))  # skip request k, visited after every take
         taken_value = value + weights[k]
         for bit, pairs, triples, cap in choices[k]:

@@ -2,7 +2,9 @@
 
 A sampled bit vector is scored by truncating it to the first n components
 (slack bits never repair feasibility), decoding, and checking feasibility:
-feasible states score value / optimum, infeasible ones score 0.
+feasible states score value / optimum, infeasible ones score 0.  One
+scorer does this for a whole sample set at once, with array tests over a
+(vectors, variables) bit matrix; a single vector is a batch of one.
 Aggregates over repeated runs use Student-t 95% confidence half-widths,
 which is the honest choice at five runs.
 """
@@ -12,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from statistics import mean, stdev
 
+import numpy as np
+
 from .anneal import SampleSet
-from .exact import check_feasible, objective
-from .instance import Assignment, Instance
+from .instance import Instance
 
 
 @dataclass(frozen=True)
@@ -39,12 +42,38 @@ def _check_optimum(f_max: float) -> None:
         raise ValueError("approximation ratio is undefined for f_max <= 0")
 
 
-def _score(inst: Instance, f_max: float, decision_bits) -> tuple[bool, float]:
-    """(feasible, AR) of one vector of decision bits; infeasible ones score 0."""
-    assignment = Assignment.from_bits(inst, decision_bits)
-    if not check_feasible(inst, assignment).feasible:
-        return False, 0.0
-    return True, objective(inst, assignment) / f_max
+def _score(inst: Instance, f_max: float, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(feasible, AR) of each row of a boolean (vectors, variables) matrix of
+    decision bits; infeasible rows score 0.
+
+    The checks are those of ``check_feasible``, one array test per family.
+    A row's value adds its weights one by one in ``Assignment.taken`` order
+    (sorted variable references), as ``objective`` does, so both give the
+    same float.
+    """
+    variables = inst.variables
+    if bits.shape[1] != len(variables):
+        raise ValueError(f"expected {len(variables)} decision bits, got {bits.shape[1]}")
+    index = inst.variable_index
+    feasible = np.ones(len(bits), dtype=bool)
+    if variables:  # at most one camera per request: requests own runs of columns
+        starts = np.cumsum([0] + [len(req.allowed_cameras) for req in inst.requests[:-1]])
+        feasible &= (np.add.reduceat(bits, starts, axis=1, dtype=np.int64) <= 1).all(axis=1)
+    for group in (inst.binary_forbidden, inst.ternary_forbidden):
+        if group:
+            cols = np.array([[index[ref] for ref in refs] for refs in group]).T
+            feasible &= ~np.logical_and.reduce(bits[:, cols], axis=1).any(axis=1)
+    if inst.disk_capacity is not None:
+        caps = np.array([inst.capacity_of(ref) for ref in variables], dtype=np.int64)
+        feasible &= bits @ caps <= inst.disk_capacity
+
+    order = sorted(range(len(variables)), key=variables.__getitem__)
+    weights = np.array([inst.weight_of(variables[i].request_id) for i in order])
+    if order:
+        value = np.cumsum(bits[:, order] * weights, axis=1)[:, -1]
+    else:
+        value = np.zeros(len(bits))
+    return feasible, np.where(feasible, value / f_max, 0.0)
 
 
 def approximation_ratio(inst: Instance, f_max: float, bits, n: int) -> float:
@@ -52,7 +81,8 @@ def approximation_ratio(inst: Instance, f_max: float, bits, n: int) -> float:
     _check_optimum(f_max)
     if len(bits) < n:
         raise ValueError(f"need at least {n} bits, got {len(bits)}")
-    return _score(inst, f_max, bits[:n])[1]
+    row = np.asarray(bits[:n]).astype(bool).reshape(1, -1)
+    return float(_score(inst, f_max, row)[1][0])
 
 
 def run_metrics(inst: Instance, f_max: float, samples: SampleSet, n: int) -> RunMetrics:
@@ -60,21 +90,21 @@ def run_metrics(inst: Instance, f_max: float, samples: SampleSet, n: int) -> Run
     if not samples.entries:
         raise ValueError("empty sample set")
     _check_optimum(f_max)
+    rows = [entry.bits[:n] for entry in samples.entries]
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise ValueError(f"expected {len(inst.variables)} decision bits in every sample")
+    text = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+    feasible, ars = _score(inst, f_max, (text != ord("0")).reshape(len(rows), width))
+    counts = np.array([entry.count for entry in samples.entries])
     weighted_ar = 0.0
-    feasible_reads = 0
-    best = 0.0
-    for entry in samples.entries:
-        feasible, ar = _score(inst, f_max, entry.bit_array()[:n])
-        weighted_ar += entry.count * ar
-        if feasible:
-            feasible_reads += entry.count
-        if ar > best:
-            best = ar
+    for count, ar in zip(counts.tolist(), ars.tolist()):  # in entry order, one by one
+        weighted_ar += count * ar
     total = samples.total_reads
     return RunMetrics(
         expected_ar=weighted_ar / total,
-        best_ar=best,
-        feasible_fraction=feasible_reads / total,
+        best_ar=max(0.0, float(ars.max())),
+        feasible_fraction=int(counts[feasible].sum()) / total,
         reads=total,
     )
 

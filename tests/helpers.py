@@ -20,6 +20,7 @@ from satplan import (
     IsingModel,
     QaoaParams,
     Request,
+    RunMetrics,
     SampleEntry,
     SampleSet,
     VarRef,
@@ -43,8 +44,13 @@ def random_instance(
     with_capacity: bool = False,
     max_weight: int = 10,
     name: str = "random",
+    reach: int | None = None,
 ) -> Instance:
-    """Random valid instance with integer weights and capacities."""
+    """Random valid instance with integer weights and capacities.
+
+    With ``reach`` set, every pair and triple joins only requests whose ids
+    differ by at most ``reach``, as SPOT5's conflicts are local; otherwise
+    constraints are drawn over all variables."""
     requests = []
     for rid in range(n_requests):
         weight = float(rng.integers(1, max_weight + 1))
@@ -66,7 +72,16 @@ def random_instance(
         attempts = 0
         while len(out) < count and attempts < 50 * count:
             attempts += 1
-            picks = rng.choice(len(variables), size=arity, replace=False)
+            if reach is None:
+                picks = rng.choice(len(variables), size=arity, replace=False)
+            else:
+                first = int(rng.integers(0, len(variables)))
+                rid = variables[first].request_id
+                near = [i for i, v in enumerate(variables)
+                        if i != first and abs(v.request_id - rid) <= reach]
+                if len(near) < arity - 1:
+                    continue
+                picks = [first] + [near[i] for i in rng.choice(len(near), arity - 1, replace=False)]
             refs = tuple(sorted(variables[i] for i in picks))
             out.add(refs)
         return out
@@ -158,6 +173,37 @@ def brute_force_best(inst: Instance) -> tuple[float, Assignment]:
             best_value = value
             best = a
     return best_value, best
+
+
+def reference_ar(inst: Instance, f_max: float, decision_bits) -> tuple[bool, float]:
+    """(feasible, AR) of one decision vector, decoded into an ``Assignment``
+    and scored by ``check_feasible`` and ``objective``."""
+    assignment = Assignment.from_bits(inst, decision_bits)
+    if not check_feasible(inst, assignment).feasible:
+        return False, 0.0
+    return True, objective(inst, assignment) / f_max
+
+
+def reference_run_metrics(inst: Instance, f_max: float, samples: SampleSet, n: int) -> RunMetrics:
+    """The per-entry scoring loop that the batched ``run_metrics`` replaced.
+    ``run_metrics`` must return exactly the same metrics."""
+    weighted_ar = 0.0
+    feasible_reads = 0
+    best = 0.0
+    for entry in samples.entries:
+        feasible, ar = reference_ar(inst, f_max, entry.bit_array()[:n])
+        weighted_ar += entry.count * ar
+        if feasible:
+            feasible_reads += entry.count
+        if ar > best:
+            best = ar
+    total = samples.total_reads
+    return RunMetrics(
+        expected_ar=weighted_ar / total,
+        best_ar=best,
+        feasible_fraction=feasible_reads / total,
+        reads=total,
+    )
 
 
 def reference_energy(inst: Instance, m: float, bits: np.ndarray) -> float:

@@ -102,6 +102,22 @@ def test_aggregate_rows_with_ci(instance_file, tmp_path):
     assert agg_rows[0].split(",")[5] != ""  # CI column populated
 
 
+def test_results_csv_flags_unproven_optimum(instance_file, tmp_path):
+    # four nodes reach the search's first leaf: an incumbent but no proof
+    for budget, flag in ((4, "false"), (1000, "true")):
+        cfg = ExperimentConfig(
+            instances=[instance_file], solvers=["exact"], reads=10, runs=2, node_budget=budget
+        )
+        report, code = run_pipeline(cfg, tmp_path / str(budget))
+        assert code == 0
+        assert report["instances"][0]["proven_optimal"] is (flag == "true")
+        header, *rows = (tmp_path / str(budget) / "results.csv").read_text().splitlines()
+        assert header.split(",")[5:] == ["ci95_expected", "ci95_best", "proven_optimal"]
+        assert len(rows) == 3  # two runs and the aggregate
+        assert all(row.split(",")[-1] == flag for row in rows)
+        assert all(len(row.split(",")) == len(header.split(",")) for row in rows)
+
+
 def test_emit_plot_data_layout(instance_file, tmp_path):
     other = tiny_instance("zz-bigger")
     bigger = Instance(

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import satplan.exact
 from satplan import (
     Assignment,
     Instance,
@@ -150,17 +151,24 @@ def _weighted(rng, inst, weight):
     return dataclasses.replace(inst, requests=requests)
 
 
-# Instance families for the reference comparison; each draws weights its own way.
+def _tenths(rng):
+    return 0.1 * int(rng.integers(1, 30))
+
+
+# Instance families for the reference comparison; each draws weights its own
+# way.  "local" joins only requests at most 3 ids apart, as in SPOT5, so its
+# subtrees repeat and the search replays them.
 _FAMILIES = {
     "pairs": dict(n_pairs=(0, 10), n_triples=(0, 1), with_capacity=False, weight=None),
     "triples": dict(n_pairs=(0, 3), n_triples=(1, 6), with_capacity=False, weight=None),
     "capacity": dict(n_pairs=(0, 5), n_triples=(0, 4), with_capacity=True, weight=None),
     "ties": dict(n_pairs=(0, 6), n_triples=(0, 3), with_capacity=True,
                  weight=lambda rng: float(rng.integers(1, 3))),
-    "tenths": dict(n_pairs=(0, 6), n_triples=(0, 3), with_capacity=True,
-                   weight=lambda rng: 0.1 * int(rng.integers(1, 30))),
+    "tenths": dict(n_pairs=(0, 6), n_triples=(0, 3), with_capacity=True, weight=_tenths),
     "zeros": dict(n_pairs=(0, 6), n_triples=(0, 3), with_capacity=True,
                   weight=lambda rng: float(rng.integers(0, 3))),
+    "local": dict(n_pairs=(4, 16), n_triples=(0, 6), with_capacity=True, weight=_tenths,
+                  n_requests=(8, 15), reach=3),
 }
 _BUDGETS = {"1": lambda n: 1, "2": lambda n: 2, "5": lambda n: 5,
             "nodes-1": lambda n: n - 1, "nodes": lambda n: n, "nodes+1": lambda n: n + 1}
@@ -172,19 +180,54 @@ def test_solver_matches_recursive_reference(family, budget):
     spec = _FAMILIES[family]
     rng = np.random.default_rng([sorted(_FAMILIES).index(family), 7])
     for trial in range(25):
-        inst = random_instance(
-            rng,
-            n_requests=int(rng.integers(1, 13)),
-            n_pairs=int(rng.integers(*spec["n_pairs"])),
-            n_triples=int(rng.integers(*spec["n_triples"])),
-            with_capacity=spec["with_capacity"],
-            name=f"{family}{trial}",
-        )
-        if spec["weight"] is not None:
-            inst = _weighted(rng, inst, spec["weight"])
+        inst = _draw(rng, spec, f"{family}{trial}")
         nodes = reference_solve_exact(inst).nodes_explored
         node_budget = max(1, _BUDGETS[budget](nodes))
         assert solve_exact(inst, node_budget) == reference_solve_exact(inst, node_budget)
+
+
+def _draw(rng, spec, name):
+    inst = random_instance(
+        rng,
+        n_requests=int(rng.integers(*spec.get("n_requests", (1, 13)))),
+        n_pairs=int(rng.integers(*spec["n_pairs"])),
+        n_triples=int(rng.integers(*spec["n_triples"])),
+        with_capacity=spec["with_capacity"],
+        name=name,
+        reach=spec.get("reach"),
+    )
+    return inst if spec["weight"] is None else _weighted(rng, inst, spec["weight"])
+
+
+def _local_instances(seed, count):
+    rng = np.random.default_rng([seed, 3])
+    spec = dict(_FAMILIES["local"])
+    for trial in range(count):
+        spec["with_capacity"] = bool(trial % 2)
+        yield _draw(rng, spec, f"local{trial}")
+
+
+def test_replays_match_reference_at_every_budget():
+    # every budget up to 400 and 60 spread up to the full count: many of
+    # them fall inside a subtree the memo holds, so the replay is refused
+    # and the subtree walked until the budget runs out
+    for inst in _local_instances(11, 20):
+        full = reference_solve_exact(inst)
+        n = full.nodes_explored
+        budgets = set(range(1, 401)) | {int(b) for b in np.linspace(1, n + 1, 60)}
+        for node_budget in sorted(budgets):
+            # a budget of at least n never runs out in the reference
+            expected = full if node_budget >= n else reference_solve_exact(inst, node_budget)
+            assert solve_exact(inst, node_budget) == expected
+
+
+def test_memo_limit_changes_no_result(monkeypatch):
+    monkeypatch.setattr(satplan.exact, "MEMO_ENTRIES", 4)
+    for inst in _local_instances(12, 20):
+        n = reference_solve_exact(inst).nodes_explored
+        for node_budget in (1, n // 3, n // 2, n - 1, n):
+            node_budget = max(1, node_budget)
+            assert solve_exact(inst, node_budget) == reference_solve_exact(inst, node_budget)
 
 
 def test_deep_instance_needs_no_recursion():

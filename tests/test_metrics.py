@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from satplan import (
     solve_exact,
 )
 from satplan.anneal import SampleEntry
-from helpers import random_instance
+from helpers import random_instance, reference_ar, reference_run_metrics
 
 
 def _metrics(expected, best=None):
@@ -138,6 +139,55 @@ def test_run_metrics_is_the_count_weighted_approximation_ratio():
         assert m.reads == samples.total_reads
         scored += m.expected_ar
     assert scored > 0.0  # some feasible non-empty selections were drawn
+
+
+_WEIGHTS = {
+    "integers": None,
+    "tenths": lambda rng: 0.1 * int(rng.integers(1, 30)),
+    "zeros": lambda rng: float(rng.integers(0, 3)),
+}
+
+
+@pytest.mark.parametrize("weights", sorted(_WEIGHTS))
+def test_batched_scorer_matches_per_entry_oracle(weights):
+    rng = np.random.default_rng([sorted(_WEIGHTS).index(weights), 53])
+    scored = 0
+    for trial in range(12):
+        inst = random_instance(
+            rng, n_requests=int(rng.integers(1, 9)), n_pairs=int(rng.integers(0, 5)),
+            n_triples=int(rng.integers(0, 4)), with_capacity=bool(trial % 2), name=f"b{trial}",
+        )
+        if _WEIGHTS[weights] is not None:
+            draw = _WEIGHTS[weights]
+            inst = dataclasses.replace(
+                inst, requests=tuple(dataclasses.replace(r, weight=draw(rng)) for r in inst.requests)
+            )
+        f_max = solve_exact(inst).best_value
+        if f_max <= 0:
+            continue
+        q = encode(inst)
+        rows = (rng.random((60, q.num_variables)) < 0.35).astype(np.uint8)
+        keys = sorted({"".join(map(str, row)) for row in rows})
+        counts = rng.integers(1, 20, size=len(keys))
+        samples = _sample_set([(key, 0.0, int(c)) for key, c in zip(keys, counts)])
+        assert run_metrics(inst, f_max, samples, q.n) == reference_run_metrics(
+            inst, f_max, samples, q.n
+        )
+        for entry in samples.entries:
+            bits = entry.bit_array()
+            expected = reference_ar(inst, f_max, bits[: q.n])[1]
+            assert approximation_ratio(inst, f_max, bits, q.n) == expected
+        scored += 1
+    assert scored >= 6
+
+
+def test_scorer_rejects_wrong_bit_counts(pair_instance):
+    with pytest.raises(ValueError):
+        approximation_ratio(pair_instance, 3.0, [0, 1, 1], 3)
+    with pytest.raises(ValueError):
+        run_metrics(pair_instance, 3.0, _sample_set([("0", 0.0, 1)]), 2)
+    with pytest.raises(ValueError):
+        run_metrics(pair_instance, 3.0, _sample_set([("01", 0.0, 1), ("1", 0.0, 1)]), 2)
 
 
 def test_aggregate_identical_runs_has_zero_width():
