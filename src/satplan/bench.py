@@ -10,6 +10,7 @@ cell; whatever succeeded is still reported.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import io
 import json
@@ -226,13 +227,15 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> tuple[dict, int]:
     expected_ar.csv, best_ar.csv, and per-cell sample files.
 
     Returns (report, exit_code) with exit code 0 when everything succeeded
-    and 1 when any instance or cell failed.
+    and 1 when any instance or cell failed.  An instance whose sample files
+    would overwrite an earlier instance's fails.
     """
     out = Path(out_dir)
     samples_dir = out / "samples"
     samples_dir.mkdir(parents=True, exist_ok=True)
 
     instances_doc = []
+    file_stems: dict[str, str] = {}  # sample-file stem -> the instance name that took it
     for idx, entry in enumerate(cfg.instances):
         record: dict = {"spec": dict(entry) if isinstance(entry, dict) else entry, "solvers": {}}
         instances_doc.append(record)
@@ -241,6 +244,12 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> tuple[dict, int]:
         except Exception as exc:  # noqa: BLE001 - isolate per instance
             record.update(name=record["spec"] if isinstance(entry, str) else None, error=str(exc))
             continue
+        stem = _safe_name(inst.name)
+        if stem in file_stems:
+            error = f"its sample files {stem}__* would overwrite those of {file_stems[stem]!r}"
+            record.update(name=inst.name, error=error)
+            continue
+        file_stems[stem] = inst.name
         f_max = exact.best_value
         record.update(
             name=inst.name,
@@ -267,7 +276,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> tuple[dict, int]:
                     {"run": run, "seed": seed, **dataclasses.asdict(metrics), **(extra or {})}
                 )
                 metrics_list.append(metrics)
-                path = samples_dir / f"{_safe_name(inst.name)}__{solver}__run{run}.json"
+                path = samples_dir / f"{stem}__{solver}__run{run}.json"
                 path.write_text(json.dumps(samples_doc, sort_keys=True, indent=2) + "\n")
             agg = aggregate(metrics_list) if len(metrics_list) >= 2 else None
             record["solvers"][solver] = {
@@ -301,6 +310,7 @@ def results_csv(report: dict) -> str:
     """Flat per-run rows plus aggregate rows with CI columns; the last column
     says whether the optimum the ARs divide by was proven."""
     buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     buf.write("instance,solver,run,expected_ar,best_ar,ci95_expected,ci95_best,proven_optimal\n")
     for inst in report["instances"]:
         if inst.get("error"):
@@ -311,17 +321,13 @@ def results_csv(report: dict) -> str:
             if cell is None or cell.get("skipped"):
                 continue
             for doc in cell["runs"]:
-                buf.write(
-                    f"{inst['name']},{solver},{doc['run']},{doc['expected_ar']!r},"
-                    f"{doc['best_ar']!r},,,{proven}\n"
-                )
+                values = [repr(doc["expected_ar"]), repr(doc["best_ar"])]
+                writer.writerow([inst["name"], solver, doc["run"], *values, "", "", proven])
             agg = cell.get("aggregate")
             if agg:
-                buf.write(
-                    f"{inst['name']},{solver},aggregate,{agg['mean_expected_ar']!r},"
-                    f"{agg['mean_best_ar']!r},{agg['ci95_expected']!r},{agg['ci95_best']!r},"
-                    f"{proven}\n"
-                )
+                keys = ("mean_expected_ar", "mean_best_ar", "ci95_expected", "ci95_best")
+                values = [repr(agg[key]) for key in keys]
+                writer.writerow([inst["name"], solver, "aggregate", *values, proven])
     return buf.getvalue()
 
 
@@ -334,10 +340,11 @@ def emit_plot_data(report: dict) -> tuple[str, str]:
 
     def table(value_key: str, ci_key: str, run_key: str) -> str:
         buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
         header = ["instance"]
         for solver in solvers:
             header += [solver, f"{solver}_ci95"]
-        buf.write(",".join(header) + "\n")
+        writer.writerow(header)
         for inst in rows:
             cells = [inst["name"]]
             for solver in solvers:
@@ -348,7 +355,7 @@ def emit_plot_data(report: dict) -> tuple[str, str]:
                     cells += [repr(cell["aggregate"][value_key]), repr(cell["aggregate"][ci_key])]
                 else:
                     cells += [repr(cell["runs"][0][run_key]), ""]
-            buf.write(",".join(cells) + "\n")
+            writer.writerow(cells)
         return buf.getvalue()
 
     expected = table("mean_expected_ar", "ci95_expected", "expected_ar")

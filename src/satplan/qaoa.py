@@ -55,8 +55,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .anneal import SampleSet
+from .qubo import MAX_TABLE_VARIABLES
 
-MAX_QUBITS = 26
+MAX_QUBITS = MAX_TABLE_VARIABLES  # one energy-table entry per basis state
 _GATHER_CHUNK = 1 << 13  # entries per cost-phase gather: 64 KiB of intp index
 
 StateVector = np.ndarray

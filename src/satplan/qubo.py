@@ -42,6 +42,8 @@ import numpy as np
 
 from .instance import Assignment, Instance, VarRef
 
+MAX_TABLE_VARIABLES = 26  # a 2^N energy table: 512 MiB of float64 at 26
+
 
 @dataclass(frozen=True)
 class TernaryPairSlack:
@@ -220,7 +222,7 @@ class Qubo:
         when any coefficient is positive.
         """
         nv = self._nv
-        if nv > 26:
+        if nv > MAX_TABLE_VARIABLES:
             raise ValueError(f"energy table over {nv} variables is too large")
         start = self.offset + 0.0 if np.any(self._vals > 0.0) else self.offset
         e = np.full(1 << nv, start)
@@ -339,7 +341,7 @@ class IsingModel:
         ``v * z_i * z_j`` of :meth:`energies_of_bits`, in the same order.
         """
         nv = len(self.h)
-        if nv > 26:
+        if nv > MAX_TABLE_VARIABLES:
             raise ValueError(f"energy table over {nv} variables is too large")
         e = np.full(1 << nv, self.offset)
         for i, hi in enumerate(self.h):

@@ -374,18 +374,20 @@ def reference_sample_sa(
         states = rng.integers(0, 2, size=(reads, nv), dtype=np.uint8)
         x = states.astype(np.float64)
         fields = diag[None, :] + x @ w  # flip cost of var i is (1 - 2 x_i) * field_i
-        for beta in betas:
-            for i in range(nv):
-                delta = (1.0 - 2.0 * x[:, i]) * fields[:, i]
-                u = rng.random(reads)
-                accept = delta <= 0.0
-                hot = ~accept
-                if hot.any():
-                    accept[hot] = u[hot] < np.exp(-beta * delta[hot])
-                if accept.any():
-                    step = np.where(accept, 1.0 - 2.0 * x[:, i], 0.0)
-                    x[:, i] += step
-                    fields += step[:, None] * w[i][None, :]
+        # -beta * delta may overflow to -inf, whose exp is 0: a reject
+        with np.errstate(over="ignore"):
+            for beta in betas:
+                for i in range(nv):
+                    delta = (1.0 - 2.0 * x[:, i]) * fields[:, i]
+                    u = rng.random(reads)
+                    accept = delta <= 0.0
+                    hot = ~accept
+                    if hot.any():
+                        accept[hot] = u[hot] < np.exp(-beta * delta[hot])
+                    if accept.any():
+                        step = np.where(accept, 1.0 - 2.0 * x[:, i], 0.0)
+                        x[:, i] += step
+                        fields += step[:, None] * w[i][None, :]
         states = x.astype(np.uint8)
         energies = q.energies(states)
         if best_states is None:

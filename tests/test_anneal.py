@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from satplan import AnnealSchedule, SampleSet, encode, sample_sa, solve_exhaustive
-from satplan.anneal import _screen_thresholds, beta_range
+from satplan.anneal import beta_range
 from satplan.qubo import Qubo
 from helpers import random_instance, reference_from_states, reference_sample_sa
 
@@ -250,6 +250,15 @@ def _encoded(seed: int, with_capacity: bool, n_requests: int) -> Qubo:
 # whenever x0 = 0, so both see flip costs of +-0.
 _FREE = Qubo({(0, 0): -1.0, (0, 1): 1.0}, num_variables=3)
 
+# |coefficients| from 1e-300 to 3e10: late in the derived ramp (beta_end
+# about 9e300) -beta * delta overflows for every uphill flip of a large term.
+# Three degenerate states at -3e10 on variables 0 and 1 keep several entries.
+_EXTREME = Qubo({
+    (0, 0): -3e10, (1, 1): -3e10, (0, 1): 3e10, (1, 2): 1e-3, (2, 2): 5.0,
+    (0, 2): -7e3, (2, 3): 1e5, (3, 3): -2.5e-7, (3, 4): -1e-300, (4, 4): 1e-300,
+    (4, 5): 2e-300, (5, 5): -1e-300,
+})
+
 REFERENCE_CASES = {
     "capacity-clique": (lambda: _encoded(6, True, 7), 300, AnnealSchedule(sweeps=80)),
     "sparse": (lambda: _encoded(3, False, 8), 300, AnnealSchedule(sweeps=80)),
@@ -270,9 +279,12 @@ REFERENCE_CASES = {
         lambda: _encoded(6, True, 7), 100,
         AnnealSchedule(sweeps=100, beta_start=0.1, beta_end=10.0),
     ),
+    "extreme-scale": (lambda: _EXTREME, 200, AnnealSchedule(sweeps=60)),
 }
 
 
+# an overflow in either loop must be handled there, not surface as a warning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("seed", [0, 1, 29])
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_sample_sa_matches_reference_loop(case, seed):
@@ -288,34 +300,3 @@ def test_capacity_case_is_densely_coupled():
     assert nv >= 15
     assert np.count_nonzero(w) >= 0.6 * nv * (nv - 1)
 
-
-def test_screen_keeps_every_exact_accept():
-    rng = np.random.default_rng(2024)
-    fixed = np.array([0.0, 5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53])
-    us = np.concatenate([fixed, rng.random(300), rng.random(50) ** 40, 1.0 - rng.random(50) * 1e-12])
-    accepted_near_boundary = rejected_near_boundary = 0
-    for beta in np.geomspace(1e-6, 1e3, 37):
-        thr = _screen_thresholds(us, beta, out=np.empty_like(us))
-        assert np.all(thr > 0.0)
-        assert thr[0] == np.inf
-        with np.errstate(divide="ignore"):
-            centre = -np.log(us) / beta
-        finite = np.isfinite(centre)
-        lo = hi = centre[finite]
-        deltas = [centre[finite]]
-        for _ in range(40):
-            lo = np.nextafter(lo, -np.inf)
-            hi = np.nextafter(hi, np.inf)
-            deltas += [lo, hi]
-        delta = np.stack(deltas)
-        u, t = us[finite], thr[finite]
-        accept = u < np.exp(np.minimum(-beta * delta, 0.0))
-        assert np.all(delta[accept] < np.broadcast_to(t, delta.shape)[accept])
-        accepted_near_boundary += np.count_nonzero(accept)
-        rejected_near_boundary += np.count_nonzero(~accept)
-        # u = 0 passes every finite cost to the exact test
-        assert np.all(np.array([1e-300, 1.0, 1e300]) < thr[0])
-        # downhill and zero-cost flips always pass
-        assert np.all(np.array([-0.0, 0.0, -1.0, -1e300])[:, None] < thr[None, :])
-    # the window straddles the boundary, so both outcomes occur in it
-    assert accepted_near_boundary > 0 and rejected_near_boundary > 0

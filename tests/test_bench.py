@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -150,6 +151,47 @@ def test_emit_plot_data_empty_report():
     expected_csv, best_csv = emit_plot_data({"solvers": ["sa"], "instances": []})
     assert expected_csv == "instance,sa,sa_ci95\n"
     assert best_csv == "instance,sa,sa_ci95\n"
+
+
+def test_csv_files_quote_names_with_commas_and_quotes(tmp_path):
+    name = 'pass,"42"'
+    path = tmp_path / "quoted.json"
+    save_instance(tiny_instance(name), path)
+    cfg = ExperimentConfig(
+        instances=[str(path)], solvers=["exact", "exhaustive"], reads=10, runs=2
+    )
+    _, code = run_pipeline(cfg, tmp_path / "out")
+    assert code == 0
+    # two runs and the aggregate per solver; one instance row per plot table
+    for csv_name, rows_wanted in (("results.csv", 6), ("expected_ar.csv", 1), ("best_ar.csv", 1)):
+        with open(tmp_path / "out" / csv_name, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(rows) == rows_wanted
+        assert all(len(row) == len(header) and row[0] == name for row in rows)
+
+
+@pytest.mark.parametrize(
+    "names", [("p/1", "p_1"), ("tiny3", "tiny3")], ids=["same-file-name", "listed-twice"]
+)
+def test_colliding_sample_files_fail_the_later_instance(names, tmp_path):
+    # "p/1" and "p_1" give the same sample file names; so does one file listed twice
+    paths = []
+    for k, name in enumerate(names):
+        paths.append(tmp_path / f"inst{k}.json")
+        save_instance(tiny_instance(name), paths[k])
+    if names[0] == names[1]:
+        paths[1] = paths[0]
+    cfg = ExperimentConfig(instances=[str(p) for p in paths], solvers=["exact"], reads=10, runs=1)
+    report, code = run_pipeline(cfg, tmp_path / "out")
+    assert code == 1
+    first, second = report["instances"]
+    assert first["error"] is None and first["solvers"]["exact"]["runs"]
+    assert second["name"] == names[1] and second["solvers"] == {}
+    assert repr(names[0]) in second["error"]
+    out = tmp_path / "out"
+    # names[1] is already a safe file name
+    assert [p.name for p in (out / "samples").iterdir()] == [f"{names[1]}__exact__run0.json"]
+    assert len((out / "results.csv").read_text().splitlines()) == 2
 
 
 def test_crash_isolation(instance_file, tmp_path):

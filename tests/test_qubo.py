@@ -17,7 +17,8 @@ from satplan import (
     min_slack_penalty,
     solve_exact,
 )
-from satplan.qubo import IsingModel, Qubo
+from satplan.qaoa import MAX_QUBITS
+from satplan.qubo import MAX_TABLE_VARIABLES, IsingModel, Qubo
 from helpers import (
     assert_bitwise_equal,
     brute_force_best,
@@ -226,6 +227,15 @@ def test_energy_table_memory_is_the_table(view):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * table.nbytes
+
+
+def test_one_limit_for_every_energy_table():
+    # QAOA's statevector limit is the energy tables' own
+    assert MAX_QUBITS == MAX_TABLE_VARIABLES
+    q = Qubo({}, num_variables=MAX_TABLE_VARIABLES + 1)
+    for model in (q, q.to_ising()):
+        with pytest.raises(ValueError, match="too large"):
+            model.energy_table()
 
 
 def test_cubic_reduction_eight_cases():
