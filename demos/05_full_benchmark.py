@@ -43,45 +43,46 @@ source = Instance(
     ),
 )
 
-workdir = Path(tempfile.mkdtemp(prefix="satplan-demo-"))
-src_path = workdir / "orbit-354.json"
-save_instance(source, src_path)
-print(f"source instance written to {src_path}")
+# Everything is written to a temporary directory, removed when the demo ends.
+with tempfile.TemporaryDirectory(prefix="satplan-demo-") as tmp:
+    workdir = Path(tmp)
+    src_path = workdir / "orbit-354.json"
+    save_instance(source, src_path)
+    print(f"source instance written to {src_path}")
 
-# ---------------------------------------------------------------------------
-# The experiment: two generated variants of the source (with and without
-# capacities), three solvers, three runs each, seeded end to end.
-# ---------------------------------------------------------------------------
-config = ExperimentConfig(
-    instances=[
-        {"source": str(src_path), "target_requests": 4, "with_capacity": False, "seed": 1},
-        {"source": str(src_path), "target_requests": 4, "with_capacity": True, "seed": 1},
-    ],
-    solvers=["exact", "sa", "qaoa"],
-    reads=2000,
-    runs=3,
-    max_layers=5,
-    n_inits=5,
-    master_seed=2024,
-)
-out_dir = workdir / "out"
-report, exit_code = run_pipeline(config, out_dir)
-print(f"pipeline finished with exit code {exit_code}; outputs in {out_dir}")
+    # -----------------------------------------------------------------------
+    # The experiment: two generated variants of the source (with and without
+    # capacities), three solvers, three runs each, seeded end to end.
+    # -----------------------------------------------------------------------
+    config = ExperimentConfig(
+        instances=[
+            {"source": str(src_path), "target_requests": 4, "with_capacity": False, "seed": 1},
+            {"source": str(src_path), "target_requests": 4, "with_capacity": True, "seed": 1},
+        ],
+        solvers=["exact", "sa", "qaoa"],
+        reads=2000,
+        runs=3,
+        max_layers=5,
+        n_inits=5,
+        master_seed=2024,
+    )
+    out_dir = workdir / "out"
+    report, exit_code = run_pipeline(config, out_dir)
+    print(f"pipeline finished with exit code {exit_code}; outputs in {out_dir}")
 
-for inst in report["instances"]:
-    print(f"\n{inst['name']}: {inst['requests']} requests,"
-          f" {inst['variables']}+{inst['slacks']} variables, F_max={inst['f_max']}")
-    for solver in report["solvers"]:
-        cell = inst["solvers"][solver]
-        if cell["skipped"]:
-            print(f"  {solver:<6} skipped: {cell['skipped']}")
-            continue
-        agg = cell["aggregate"]
-        print(f"  {solver:<6} expected AR {agg['mean_expected_ar']:.4f}"
-              f" +/- {agg['ci95_expected']:.4f},"
-              f" best AR {agg['mean_best_ar']:.4f} +/- {agg['ci95_best']:.4f}")
+    for inst in report["instances"]:
+        print(f"\n{inst['name']}: {inst['requests']} requests,"
+              f" {inst['variables']}+{inst['slacks']} variables, F_max={inst['f_max']}")
+        for solver in report["solvers"]:
+            cell = inst["solvers"][solver]
+            if cell["skipped"]:
+                print(f"  {solver:<6} skipped: {cell['skipped']}")
+                continue
+            agg = cell["aggregate"]
+            print(f"  {solver:<6} expected AR {agg['mean_expected_ar']:.4f}"
+                  f" +/- {agg['ci95_expected']:.4f},"
+                  f" best AR {agg['mean_best_ar']:.4f} +/- {agg['ci95_best']:.4f}")
 
-print("\nplot table (expected AR):")
-print((out_dir / "expected_ar.csv").read_text())
-print("sample files:", len(list((out_dir / "samples").iterdir())))
-print("rerunning with the same master seed reproduces these files byte for byte.")
+    print("\nplot table (expected AR):")
+    print((out_dir / "expected_ar.csv").read_text())
+    print("sample files:", len(list((out_dir / "samples").iterdir())))

@@ -237,13 +237,20 @@ def test_finds_optimum_on_small_encoded_instance():
     assert result.best().energy == floor
 
 
-def _encoded(seed: int, with_capacity: bool, n_requests: int) -> Qubo:
+def _encoded(
+    seed: int, with_capacity: bool, n_requests: int, n_pairs: int = 3, n_triples: int = 2
+) -> Qubo:
     rng = np.random.default_rng(seed)
     inst = random_instance(
-        rng, n_requests=n_requests, n_pairs=3, n_triples=2,
+        rng, n_requests=n_requests, n_pairs=n_pairs, n_triples=n_triples,
         with_capacity=with_capacity, name=f"ref{seed}",
     )
     return encode(inst)
+
+
+# 44 variables without capacity: most rows of couplings are scattered over
+# the variables, and a few variables have none.
+_wide_sparse = lambda: _encoded(21, False, 24, n_pairs=10, n_triples=4)
 
 
 # Variable 2 has no terms at all, and variable 1's field is exactly zero
@@ -280,6 +287,14 @@ REFERENCE_CASES = {
         AnnealSchedule(sweeps=100, beta_start=0.1, beta_end=10.0),
     ),
     "extreme-scale": (lambda: _EXTREME, 200, AnnealSchedule(sweeps=60)),
+    "wide-sparse": (_wide_sparse, 600, AnnealSchedule(sweeps=50)),
+    # at betas this small every read flips in every step, so variable 0,
+    # which has no couplings, updates an empty block of field rows each
+    # time; an odd sweep count leaves it opposite its start in every read
+    "uncoupled-hot": (
+        lambda: Qubo({(0, 0): 2.0, (1, 1): -1.0, (1, 2): 3.0, (2, 2): 0.5}), 100,
+        AnnealSchedule(sweeps=21, beta_start=1e-12, beta_end=1e-11),
+    ),
 }
 
 
@@ -300,3 +315,12 @@ def test_capacity_case_is_densely_coupled():
     assert nv >= 15
     assert np.count_nonzero(w) >= 0.6 * nv * (nv - 1)
 
+
+def test_wide_sparse_case_has_scattered_and_empty_rows():
+    # the "wide-sparse" case above must update field rows that are not one
+    # contiguous range, and rows of variables without couplings
+    w = _wide_sparse().interaction_matrix()
+    assert w.shape[0] >= 40
+    rows = [np.flatnonzero(row) for row in w]
+    assert any(r.size and r[-1] - r[0] + 1 != r.size for r in rows)
+    assert any(r.size == 0 for r in rows)

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def _run_demo(name: str, tmp_path: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    env["TMPDIR"] = str(tmp_path)  # demo 05 leaves its outputs in a temporary directory
+    env["TMPDIR"] = str(tmp_path)  # demo 05 writes its outputs to a temporary directory
     return subprocess.run(
         [sys.executable, str(ROOT / "demos" / name)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
@@ -36,3 +36,4 @@ def test_demo_runs(name, expected, tmp_path):
     result = _run_demo(name, tmp_path)
     assert result.returncode == 0, result.stderr
     assert expected in result.stdout
+    assert not any(tmp_path.iterdir())  # no demo leaves files in the temporary directory
