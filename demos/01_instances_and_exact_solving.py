@@ -14,7 +14,6 @@ from satplan import (
     parse_instance,
     serialize_instance,
     solve_exact,
-    variable_count,
 )
 
 # ---------------------------------------------------------------------------
@@ -38,7 +37,7 @@ instance = Instance(
 )
 
 print(f"instance {instance.name!r}: {len(instance.requests)} requests,"
-      f" {variable_count(instance)} decision variables")
+      f" {len(instance.variables)} decision variables")
 print("variable order:", ", ".join(f"x{i}=({r.request_id},cam{r.camera})"
                                    for i, r in enumerate(instance.variables)))
 

@@ -52,7 +52,7 @@ schedule = AnnealSchedule()
 per_run = []
 for seed in range(5):
     samples = sample_sa(qubo, reads=2000, sched=schedule, seed=seed)
-    metrics = run_metrics(instance, f_max, samples, qubo.n)
+    metrics = run_metrics(instance, f_max, samples)
     per_run.append(metrics)
     hit = "hit" if samples.best().energy == floor else "missed"
     print(f"  seed {seed}: expected AR={metrics.expected_ar:.4f},"

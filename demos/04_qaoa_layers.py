@@ -38,7 +38,7 @@ f_max = solve_exact(instance).best_value
 _, floor = solve_exhaustive(qubo)
 print(f"{instance.name}: {qubo.num_variables} qubits, F_max={f_max}, ground energy={floor}")
 
-ranker = lambda samples: run_metrics(instance, f_max, samples, qubo.n).expected_ar
+ranker = lambda samples: run_metrics(instance, f_max, samples).expected_ar
 layers = run_schedule(
     qubo.energy_table(),
     max_layers=8,
@@ -51,11 +51,11 @@ layers = run_schedule(
 
 print("\nlayers  expectation   expected-AR  best-AR")
 for res in layers:
-    m = run_metrics(instance, f_max, res.samples, qubo.n)
+    m = run_metrics(instance, f_max, res.samples)
     print(f"  {res.layer:>2}    {res.expectation:>10.4f}   {m.expected_ar:>9.4f}  {m.best_ar:>7.4f}")
 
-first = run_metrics(instance, f_max, layers[0].samples, qubo.n)
-last = run_metrics(instance, f_max, layers[-1].samples, qubo.n)
+first = run_metrics(instance, f_max, layers[0].samples)
+last = run_metrics(instance, f_max, layers[-1].samples)
 print(f"\ndepth {layers[-1].layer} vs depth 1:"
       f" expected AR {first.expected_ar:.4f} -> {last.expected_ar:.4f},"
       f" best AR {first.best_ar:.4f} -> {last.best_ar:.4f}")

@@ -30,7 +30,6 @@ from .instance import (
     parse_instance,
     save_instance,
     serialize_instance,
-    variable_count,
 )
 from .metrics import (
     AggregateMetrics,

@@ -203,11 +203,6 @@ def sample_sa(
     sched = sched or AnnealSchedule()
     rng = np.random.default_rng(seed)
     nv = q.num_variables
-
-    if nv == 0:
-        states = np.zeros((reads, 0), dtype=np.uint8)
-        return SampleSet.from_states(states, q.energies(states), "sa", seed)
-
     diag = q.linear_terms()
     w = q.interaction_matrix()
     betas = np.geomspace(*beta_range(sched, diag, w), sched.sweeps)

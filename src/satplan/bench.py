@@ -147,10 +147,9 @@ def run_cell(
 
     Returns (metrics, sample-set JSON document, extra per-run details).
     """
-    n = qubo.n
     reads = cfg.reads
     if solver == "qaoa":
-        ranker = lambda ss: run_metrics(inst, f_max, ss, n).expected_ar
+        ranker = lambda ss: run_metrics(inst, f_max, ss).expected_ar
         layers = run_schedule(
             qubo.energy_table(),
             max_layers=cfg.max_layers,
@@ -162,7 +161,7 @@ def run_cell(
         )
         per_layer = []
         for res in layers:
-            metrics = run_metrics(inst, f_max, res.samples, n)
+            metrics = run_metrics(inst, f_max, res.samples)
             per_layer.append(
                 {
                     "layer": res.layer,
@@ -185,7 +184,7 @@ def run_cell(
             bits, energy = solve_exhaustive(qubo)
         elif solver == "exact":
             bits = np.zeros(qubo.num_variables, dtype=np.uint8)
-            bits[:n] = solve_exact(inst, cfg.node_budget).best_assignment.to_bits(inst)
+            bits[: qubo.n] = solve_exact(inst, cfg.node_budget).best_assignment.to_bits(inst)
             energy = qubo.energy(bits)
         else:
             raise ConfigError(f"unknown solver {solver!r}")
@@ -196,7 +195,7 @@ def run_cell(
             sampler_tag=solver,
             seed=seed,
         )
-    return run_metrics(inst, f_max, samples, n), samples.to_json_dict(), extra
+    return run_metrics(inst, f_max, samples), samples.to_json_dict(), extra
 
 
 def skip_reason(solver: str, qubo: Qubo) -> str | None:

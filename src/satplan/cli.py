@@ -178,10 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, InstanceError, ReductionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, InstanceError, ReductionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -207,11 +207,6 @@ class Instance:
         return self.request_by_id[ref.request_id].capacity_for(ref.camera)
 
 
-def variable_count(inst: Instance) -> int:
-    """Number of decision variables before any slack variables."""
-    return len(inst.variables)
-
-
 @dataclass(frozen=True)
 class Assignment:
     """A selection of (request, camera) pairs.
@@ -226,10 +221,6 @@ class Assignment:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "taken", tuple(sorted(VarRef(*t) for t in self.taken)))
-
-    @classmethod
-    def empty(cls) -> "Assignment":
-        return cls(())
 
     @classmethod
     def from_map(cls, chosen: Mapping[int, int]) -> "Assignment":
@@ -260,10 +251,6 @@ class Assignment:
                 raise ValueError(f"request {ref.request_id} taken with more than one camera")
             chosen[ref.request_id] = ref.camera
         return chosen
-
-    @property
-    def request_ids(self) -> tuple[int, ...]:
-        return tuple(ref.request_id for ref in self.taken)
 
     def __len__(self) -> int:
         return len(self.taken)

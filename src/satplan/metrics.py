@@ -1,7 +1,8 @@
 """Approximation-ratio metric and the per-run / cross-run statistics.
 
-A sampled bit vector is scored by truncating it to the first n components
-(slack bits never repair feasibility), decoding, and checking feasibility:
+A sampled bit vector is scored by truncating it to its decision bits, the
+first ``len(inst.variables)`` components (slack bits never repair
+feasibility), decoding, and checking feasibility:
 feasible states score value / optimum, infeasible ones score 0.  One
 scorer does this for a whole sample set at once, with array tests over a
 (vectors, variables) bit matrix; a single vector is a batch of one.
@@ -76,24 +77,23 @@ def _score(inst: Instance, f_max: float, bits: np.ndarray) -> tuple[np.ndarray, 
     return feasible, np.where(feasible, value / f_max, 0.0)
 
 
-def approximation_ratio(inst: Instance, f_max: float, bits, n: int) -> float:
+def approximation_ratio(inst: Instance, f_max: float, bits) -> float:
     """Score of one sampled bit vector against the proven optimum."""
     _check_optimum(f_max)
-    if len(bits) < n:
-        raise ValueError(f"need at least {n} bits, got {len(bits)}")
-    row = np.asarray(bits[:n]).astype(bool).reshape(1, -1)
+    row = np.asarray(bits[: len(inst.variables)]).astype(bool).reshape(1, -1)
     return float(_score(inst, f_max, row)[1][0])
 
 
-def run_metrics(inst: Instance, f_max: float, samples: SampleSet, n: int) -> RunMetrics:
+def run_metrics(inst: Instance, f_max: float, samples: SampleSet) -> RunMetrics:
     """Count-weighted expected AR, best sampled AR, and feasible fraction."""
     if not samples.entries:
         raise ValueError("empty sample set")
     _check_optimum(f_max)
+    n = len(inst.variables)
     rows = [entry.bits[:n] for entry in samples.entries]
     width = len(rows[0])
     if any(len(row) != width for row in rows):
-        raise ValueError(f"expected {len(inst.variables)} decision bits in every sample")
+        raise ValueError(f"expected {n} decision bits in every sample")
     text = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
     feasible, ars = _score(inst, f_max, (text != ord("0")).reshape(len(rows), width))
     counts = np.array([entry.count for entry in samples.entries])

@@ -161,26 +161,17 @@ def _mixer_views(psi: StateVector, s_partner: StateVector) -> _MixerViews:
 
 
 def _apply_mixer(
-    psi: StateVector,
-    num_qubits: int,
-    beta: float,
-    s_partner: StateVector | None = None,
-    views: _MixerViews | None = None,
+    psi: StateVector, beta: float, s_partner: StateVector, views: _MixerViews
 ) -> StateVector:
     """RX(2*beta) on every qubit q: new[i] = c * psi[i] + s * psi[i ^ (1 << q)].
 
     ``psi`` is updated in place and returned.  ``s_partner``, a scratch
-    array of the state's size and dtype, holds the partner products; one is
-    allocated when none is given.  ``views``, ``_mixer_views(psi,
-    s_partner)`` built once by the caller, saves building them per call.
+    array of the state's size and dtype, holds the partner products;
+    ``views`` is ``_mixer_views(psi, s_partner)``, built once by the caller.
     """
     c = np.cos(beta)
     s = -1j * np.sin(beta)
-    if s_partner is None:
-        s_partner = np.empty_like(psi)
-    if views is None:
-        views = _mixer_views(psi, s_partner)
-    for partner_of_psi, partner in views[:num_qubits]:
+    for partner_of_psi, partner in views:
         np.multiply(s, partner_of_psi, out=partner)
         np.multiply(c, psi, out=psi)
         np.add(psi, s_partner, out=psi)
@@ -251,7 +242,7 @@ class _Evaluator:
                     np.take(phase, index, out=out, mode="clip")
                 psi *= self._phase
             else:
-                _apply_mixer(psi, self.num_qubits, angles[op], self._phase, views)
+                _apply_mixer(psi, angles[op], self._phase, views)
         return psi
 
 
@@ -287,7 +278,7 @@ def expectation(
 
 
 def sample_state(
-    psi: StateVector, reads: int, seed: int, energy_table: np.ndarray, tag: str = "qaoa"
+    psi: StateVector, reads: int, seed: int, energy_table: np.ndarray
 ) -> SampleSet:
     """Draw bitstrings from |psi|^2 by inverse-CDF sampling."""
     if reads < 1:
@@ -300,7 +291,7 @@ def sample_state(
     states = np.empty((reads, nq), dtype=np.uint8)
     for i in range(nq):
         states[:, i] = (picks >> i) & 1
-    return SampleSet.from_states(states, energy_table[picks], tag, seed)
+    return SampleSet.from_states(states, energy_table[picks], "qaoa", seed)
 
 
 def optimize_layer(

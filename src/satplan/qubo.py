@@ -6,13 +6,15 @@ The energy convention throughout is upper-triangular combined coefficients:
 
 which corresponds to the symmetric matrix with Q_ii = c[i, i] and
 Q_ij = Q_ji = c[i, j] / 2.  Basis states are indexed little-endian: variable
-``i`` is bit ``(k >> i) & 1`` of state ``k``.  All energy evaluators
-(single vector, row batches, full 2^N tables) accumulate terms in one fixed
-row-major order so that identical inputs produce bit-identical floats.  The
-2^N tables add each term in place, through a strided view of the entries
-whose bits it needs, so building one takes no memory beyond the table; the
-``Qubo`` table starts from ``offset + 0.0`` when any coefficient is positive,
-which keeps the sign of a zero energy equal to the row evaluator's.
+``i`` is bit ``(k >> i) & 1`` of state ``k``.  ``Qubo`` evaluates rows of
+bit vectors (``energies``; ``energy`` is a row of one) and the full 2^N
+table (``energy_table``); ``IsingModel`` evaluates the table alone.  Every
+evaluator adds terms in one fixed row-major order, so identical inputs give
+bit-identical floats.  A table adds each term in place, through a strided
+view of the entries whose bits it needs, so building one takes no memory
+beyond the table; the ``Qubo`` table starts from ``offset + 0.0`` when any
+coefficient is positive, which keeps the sign of a zero energy equal to
+that of ``energies``.
 
 Encoding of an instance with penalty weight M (default: total weight + 1):
 
@@ -92,13 +94,14 @@ def capacity_slack_count(capacity: int) -> int:
 
 
 def _frozen_terms(coefficients: Mapping[tuple[int, int], float]):
-    items = []
+    """Row-major (rows, cols, values) with i <= j: a pair given as both
+    (i, j) and (j, i) is one term, summed in insertion order; a zero sum is
+    dropped."""
+    merged: dict[tuple[int, int], float] = {}
     for (i, j), v in coefficients.items():
-        if i > j:
-            i, j = j, i
-        if v != 0.0:
-            items.append((i, j, float(v)))
-    items.sort(key=lambda t: (t[0], t[1]))
+        key = (i, j) if i <= j else (j, i)
+        merged[key] = merged.get(key, 0.0) + float(v)
+    items = [(i, j, v) for (i, j), v in sorted(merged.items()) if v != 0.0]
     rows = np.array([t[0] for t in items], dtype=np.int64)
     cols = np.array([t[1] for t in items], dtype=np.int64)
     vals = np.array([t[2] for t in items], dtype=np.float64)
@@ -184,12 +187,6 @@ class Qubo:
         w[r, c] = v
         w[c, r] = v
         return w
-
-    def to_dense(self) -> np.ndarray:
-        """Symmetric matrix Q with x^T Q x + offset = energy."""
-        q = self.interaction_matrix() / 2.0
-        np.fill_diagonal(q, self.linear_terms())
-        return q
 
     # -- energies ------------------------------------------------------
 
@@ -283,9 +280,8 @@ class IsingModel:
     """Spin model with on-site fields h, pair couplings J (counted once per
     pair, i < j), and a constant offset.
 
-    ``energy_of_bits`` evaluates the same states as :meth:`Qubo.energy`
-    through the substitution z_i = 1 - 2 x_i, so the two agree state by
-    state.
+    Bit x_i is spin z_i = 1 - 2 x_i, so :meth:`energy_table` and
+    :meth:`Qubo.energy_table` of the same model agree state by state.
     """
 
     def __init__(self, h, couplings: Mapping[tuple[int, int], float], offset: float = 0.0):
@@ -307,38 +303,14 @@ class IsingModel:
         for i, j, v in zip(self._jr, self._jc, self._jv):
             yield int(i), int(j), float(v)
 
-    def energy_spins(self, spins) -> float:
-        z = np.asarray(spins, dtype=np.float64)
-        e = self.offset
-        for i in range(len(self.h)):
-            e += self.h[i] * z[i]
-        for i, j, v in zip(self._jr, self._jc, self._jv):
-            e += v * z[i] * z[j]
-        return float(e)
-
-    def energy_of_bits(self, bits) -> float:
-        return float(self.energies_of_bits(np.asarray(bits, dtype=np.uint8)[None, :])[0])
-
-    def energies_of_bits(self, bits) -> np.ndarray:
-        b = np.asarray(bits)
-        if b.ndim != 2 or b.shape[1] != len(self.h):
-            raise ValueError(f"expected bit rows of length {len(self.h)}, got shape {b.shape}")
-        z = 1.0 - 2.0 * b.astype(np.float64, copy=False)
-        e = np.full(b.shape[0], self.offset)
-        for i in range(len(self.h)):
-            e += self.h[i] * z[:, i]
-        for i, j, v in zip(self._jr, self._jc, self._jv):
-            e += v * z[:, i] * z[:, j]
-        return e
-
     def energy_table(self) -> np.ndarray:
         """Energies of all 2^N basis states (bit-indexed, little-endian).
 
         Built in place like :meth:`Qubo.energy_table`: a field adds ``h_i``
         where bit i is 0 and ``h_i * -1.0`` where it is 1, a coupling adds
         ``v`` where its two bits agree and ``v * -1.0`` where they differ.
-        Every entry gets exactly the products ``h_i * z_i`` and
-        ``v * z_i * z_j`` of :meth:`energies_of_bits`, in the same order.
+        Every entry adds exactly the products ``h_i * z_i``, fields first
+        in index order, then ``v * z_i * z_j``, couplings row-major.
         """
         nv = len(self.h)
         if nv > MAX_TABLE_VARIABLES:

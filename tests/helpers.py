@@ -162,7 +162,7 @@ def brute_force_best(inst: Instance) -> tuple[float, Assignment]:
     """Reference optimum by enumerating every decision bit vector."""
     n = len(inst.variables)
     best_value = 0.0
-    best = Assignment.empty()
+    best = Assignment(())
     for k in range(1 << n):
         bits = [(k >> i) & 1 for i in range(n)]
         a = Assignment.from_bits(inst, bits)
@@ -184,14 +184,14 @@ def reference_ar(inst: Instance, f_max: float, decision_bits) -> tuple[bool, flo
     return True, objective(inst, assignment) / f_max
 
 
-def reference_run_metrics(inst: Instance, f_max: float, samples: SampleSet, n: int) -> RunMetrics:
+def reference_run_metrics(inst: Instance, f_max: float, samples: SampleSet) -> RunMetrics:
     """The per-entry scoring loop that the batched ``run_metrics`` replaced.
     ``run_metrics`` must return exactly the same metrics."""
     weighted_ar = 0.0
     feasible_reads = 0
     best = 0.0
     for entry in samples.entries:
-        feasible, ar = reference_ar(inst, f_max, entry.bit_array()[:n])
+        feasible, ar = reference_ar(inst, f_max, entry.bit_array()[: len(inst.variables)])
         weighted_ar += entry.count * ar
         if feasible:
             feasible_reads += entry.count

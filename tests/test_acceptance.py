@@ -97,7 +97,7 @@ def test_criterion_2_encoding_correctness():
             bits, _ = solve_exhaustive(qubo)
             assignment = qubo.decode(bits)
             assert check_feasible(inst, assignment).feasible
-            value = sum(inst.weight_of(r) for r in assignment.request_ids)
+            value = sum(inst.weight_of(ref.request_id) for ref in assignment.taken)
             assert value == solve_exact(inst).best_value
 
 
@@ -182,7 +182,7 @@ def test_criterion_7_qaoa_desk_scale():
             qubo = encode(inst)
             assert qubo.num_variables <= 10
             f_max = solve_exact(inst).best_value
-            ranker = lambda ss: run_metrics(inst, f_max, ss, qubo.n).expected_ar
+            ranker = lambda ss: run_metrics(inst, f_max, ss).expected_ar
             layers = run_schedule(
                 qubo.energy_table(),
                 max_layers=10,
@@ -192,8 +192,8 @@ def test_criterion_7_qaoa_desk_scale():
                 reads=2000,
                 ranker=ranker,
             )
-            first = run_metrics(inst, f_max, layers[0].samples, qubo.n)
-            last = run_metrics(inst, f_max, layers[-1].samples, qubo.n)
+            first = run_metrics(inst, f_max, layers[0].samples)
+            last = run_metrics(inst, f_max, layers[-1].samples)
             assert last.best_ar == 1.0
             expected_l1.append(first.expected_ar)
             expected_l10.append(last.expected_ar)

@@ -277,6 +277,11 @@ REFERENCE_CASES = {
     "one-variable": (
         lambda: Qubo({(0, 0): 0.5}), 100, AnnealSchedule(sweeps=60),
     ),
+    # no variables: every read is the empty state at the offset, whose
+    # sign the sample set keeps
+    "zero-variables": (
+        lambda: Qubo({}, offset=-0.0), 7, AnnealSchedule(sweeps=5, restarts_per_read=2),
+    ),
     "extreme-betas": (
         lambda: _encoded(13, True, 5), 300,
         AnnealSchedule(sweeps=30, beta_start=1e-6, beta_end=1e3),
@@ -305,7 +310,9 @@ REFERENCE_CASES = {
 def test_sample_sa_matches_reference_loop(case, seed):
     build, reads, sched = REFERENCE_CASES[case]
     q = build()
-    assert sample_sa(q, reads, sched, seed) == reference_sample_sa(q, reads, sched, seed)
+    got, ref = sample_sa(q, reads, sched, seed), reference_sample_sa(q, reads, sched, seed)
+    assert got == ref
+    assert got.to_json() == ref.to_json()  # == takes -0.0 for 0.0
 
 
 def test_capacity_case_is_densely_coupled():

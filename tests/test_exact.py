@@ -24,7 +24,7 @@ def _mono(rid, weight=1.0, cams=(1,), caps=None):
 
 def test_objective_examples():
     inst = Instance(name="o", requests=(_mono(0, 2.0), _mono(1, 3.0)))
-    assert objective(inst, Assignment.empty()) == 0.0
+    assert objective(inst, Assignment(())) == 0.0
     assert objective(inst, Assignment.from_map({0: 1, 1: 1})) == 5.0
 
 
@@ -42,7 +42,7 @@ def test_objective_is_camera_independent():
 def test_empty_assignment_is_feasible():
     rng = np.random.default_rng(9)
     inst = random_instance(rng, n_requests=4, n_pairs=2, n_triples=1, with_capacity=True, name="e")
-    report = check_feasible(inst, Assignment.empty())
+    report = check_feasible(inst, Assignment(()))
     assert report.feasible and not report.violations
 
 

@@ -13,7 +13,6 @@ from satplan import (
     VarRef,
     parse_instance,
     serialize_instance,
-    variable_count,
 )
 from helpers import random_instance
 
@@ -32,7 +31,7 @@ MINIMAL = """
 def test_parse_minimal_instance():
     inst = parse_instance(MINIMAL)
     assert len(inst.requests) == 1
-    assert variable_count(inst) == 1
+    assert len(inst.variables) == 1
     assert inst.variables == (VarRef(0, 1),)
     assert inst.disk_capacity is None
 
@@ -153,7 +152,7 @@ def test_variable_count_examples():
     stereo = Instance(
         name="s", requests=(Request(id=0, kind="stereo", weight=1.0, allowed_cameras=(4,)),)
     )
-    assert variable_count(stereo) == 1
+    assert len(stereo.variables) == 1
     two_mono = Instance(
         name="m",
         requests=(
@@ -161,7 +160,7 @@ def test_variable_count_examples():
             Request(id=1, kind="mono", weight=1.0, allowed_cameras=(1, 2, 3)),
         ),
     )
-    assert variable_count(two_mono) == 6
+    assert len(two_mono.variables) == 6
 
 
 def test_variable_count_matches_flattened_length():
@@ -169,14 +168,14 @@ def test_variable_count_matches_flattened_length():
     for trial in range(10):
         inst = random_instance(rng, n_requests=int(rng.integers(1, 8)), name=f"vc{trial}")
         a = Assignment.from_map({inst.requests[0].id: inst.requests[0].allowed_cameras[0]})
-        assert len(a.to_bits(inst)) == variable_count(inst)
+        assert len(a.to_bits(inst)) == len(inst.variables)
 
 
 def test_assignment_from_bits_round_trip():
     rng = np.random.default_rng(19)
     for trial in range(20):
         inst = random_instance(rng, n_requests=int(rng.integers(1, 7)), name=f"ab{trial}")
-        n = variable_count(inst)
+        n = len(inst.variables)
         bits = rng.integers(0, 2, size=n)
         a = Assignment.from_bits(inst, bits)
         assert np.array_equal(a.to_bits(inst), bits.astype(np.uint8))

@@ -21,8 +21,7 @@ def test_single_diagonal_entry():
     ising = q.to_ising()
     assert ising.h.tolist() == [0.5]
     assert ising.offset == -0.5
-    assert ising.energy_of_bits([0]) == 0.0
-    assert ising.energy_of_bits([1]) == -1.0
+    assert ising.energy_table().tolist() == [0.0, -1.0]
 
 
 def test_zero_matrix():
@@ -70,22 +69,19 @@ def test_row_energies_match_tables():
     bits = rng.integers(0, 2, size=(50, 8), dtype=np.uint8)
     keys = (bits * (1 << np.arange(8))).sum(axis=1)
     assert np.array_equal(q.energies(bits), table_q[keys])
-    assert np.array_equal(ising.energies_of_bits(bits), table_i[keys])
+    assert np.array_equal(q.energies(bits), table_i[keys])
 
 
 def test_spin_convention():
     # z = 1 - 2x: bit 0 maps to spin +1, bit 1 to spin -1
     ising = IsingModel(h=[1.0], couplings={}, offset=0.0)
-    assert ising.energy_spins([1]) == 1.0
-    assert ising.energy_of_bits([0]) == 1.0
-    assert ising.energy_of_bits([1]) == -1.0
+    assert ising.energy_table().tolist() == [1.0, -1.0]
 
 
-def test_dense_view_consistency():
-    rng = np.random.default_rng(89)
-    q = random_integer_qubo(rng, 6)
-    dense = q.to_dense()
-    assert np.array_equal(dense, dense.T)
-    for k in range(1 << 6):
-        x = np.array([(k >> i) & 1 for i in range(6)], dtype=float)
-        assert abs(x @ dense @ x + q.offset - q.energy(x.astype(np.uint8))) < 1e-9
+def test_couplings_given_both_ways_are_one_term():
+    ising = IsingModel(h=[0.0, 0.0, 0.0], couplings={(0, 1): 1.0, (1, 0): 2.0, (2, 1): 0.5})
+    assert list(ising.j_terms()) == [(0, 1, 3.0), (1, 2, 0.5)]
+    # spins (+1, -1, +1): 3 * (+1)(-1) + 0.5 * (-1)(+1)
+    assert ising.energy_table()[0b010] == -3.5
+    cancelled = IsingModel(h=[0.0, 0.0], couplings={(0, 1): 1.5, (1, 0): -1.5})
+    assert list(cancelled.j_terms()) == []

@@ -46,21 +46,21 @@ def pair_instance():
 def test_ar_examples(pair_instance):
     f_max = solve_exact(pair_instance).best_value
     assert f_max == 3.0
-    assert approximation_ratio(pair_instance, f_max, [0, 1], 2) == 1.0
-    assert approximation_ratio(pair_instance, f_max, [1, 1], 2) == 0.0  # forbidden pair
-    assert approximation_ratio(pair_instance, f_max, [0, 0], 2) == 0.0  # empty but feasible
-    assert approximation_ratio(pair_instance, f_max, [1, 0], 2) == 2.0 / 3.0
+    assert approximation_ratio(pair_instance, f_max, [0, 1]) == 1.0
+    assert approximation_ratio(pair_instance, f_max, [1, 1]) == 0.0  # forbidden pair
+    assert approximation_ratio(pair_instance, f_max, [0, 0]) == 0.0  # empty but feasible
+    assert approximation_ratio(pair_instance, f_max, [1, 0]) == 2.0 / 3.0
 
 
 def test_ar_ignores_slack_bits(pair_instance):
     f_max = 3.0
     for slack in ([0], [1]):
-        assert approximation_ratio(pair_instance, f_max, [0, 1] + slack, 2) == 1.0
+        assert approximation_ratio(pair_instance, f_max, [0, 1] + slack) == 1.0
 
 
 def test_ar_undefined_for_degenerate_optimum(pair_instance):
     with pytest.raises(ValueError):
-        approximation_ratio(pair_instance, 0.0, [0, 1], 2)
+        approximation_ratio(pair_instance, 0.0, [0, 1])
 
 
 def _sample_set(entries):
@@ -75,7 +75,7 @@ def _sample_set(entries):
 
 def test_run_metrics_all_optimal(pair_instance):
     samples = _sample_set([("01", -3.0, 2000)])
-    m = run_metrics(pair_instance, 3.0, samples, 2)
+    m = run_metrics(pair_instance, 3.0, samples)
     assert m.expected_ar == m.best_ar == 1.0
     assert m.feasible_fraction == 1.0
     assert m.reads == 2000
@@ -83,7 +83,7 @@ def test_run_metrics_all_optimal(pair_instance):
 
 def test_run_metrics_half_optimal_half_infeasible(pair_instance):
     samples = _sample_set([("01", -3.0, 1000), ("11", 1.0, 1000)])
-    m = run_metrics(pair_instance, 3.0, samples, 2)
+    m = run_metrics(pair_instance, 3.0, samples)
     assert m.expected_ar == 0.5
     assert m.best_ar == 1.0
     assert m.feasible_fraction == 0.5
@@ -91,13 +91,13 @@ def test_run_metrics_half_optimal_half_infeasible(pair_instance):
 
 def test_run_metrics_single_infeasible_read(pair_instance):
     samples = _sample_set([("11", 1.0, 1)])
-    m = run_metrics(pair_instance, 3.0, samples, 1 + 1)
+    m = run_metrics(pair_instance, 3.0, samples)
     assert m.expected_ar == m.best_ar == m.feasible_fraction == 0.0
 
 
 def test_run_metrics_rejects_empty(pair_instance):
     with pytest.raises(ValueError):
-        run_metrics(pair_instance, 3.0, _sample_set([]), 2)
+        run_metrics(pair_instance, 3.0, _sample_set([]))
 
 
 def test_best_ar_dominates_expected_ar():
@@ -109,7 +109,7 @@ def test_best_ar_dominates_expected_ar():
         q = encode(inst)
         f_max = solve_exact(inst).best_value
         samples = sample_sa(q, reads=300, seed=trial)
-        m = run_metrics(inst, f_max, samples, q.n)
+        m = run_metrics(inst, f_max, samples)
         assert 0.0 <= m.expected_ar <= m.best_ar <= 1.0
 
 
@@ -129,8 +129,8 @@ def test_run_metrics_is_the_count_weighted_approximation_ratio():
         counts = rng.integers(1, 20, size=len(rows))
         keys = sorted({"".join(map(str, row)) for row in rows})
         samples = _sample_set([(key, 0.0, int(c)) for key, c in zip(keys, counts)])
-        m = run_metrics(inst, f_max, samples, q.n)
-        ratios = [approximation_ratio(inst, f_max, e.bit_array(), q.n) for e in samples.entries]
+        m = run_metrics(inst, f_max, samples)
+        ratios = [approximation_ratio(inst, f_max, e.bit_array()) for e in samples.entries]
         weighted = 0.0
         for entry, ar in zip(samples.entries, ratios):
             weighted += entry.count * ar
@@ -170,24 +170,22 @@ def test_batched_scorer_matches_per_entry_oracle(weights):
         keys = sorted({"".join(map(str, row)) for row in rows})
         counts = rng.integers(1, 20, size=len(keys))
         samples = _sample_set([(key, 0.0, int(c)) for key, c in zip(keys, counts)])
-        assert run_metrics(inst, f_max, samples, q.n) == reference_run_metrics(
-            inst, f_max, samples, q.n
-        )
+        assert run_metrics(inst, f_max, samples) == reference_run_metrics(inst, f_max, samples)
         for entry in samples.entries:
             bits = entry.bit_array()
             expected = reference_ar(inst, f_max, bits[: q.n])[1]
-            assert approximation_ratio(inst, f_max, bits, q.n) == expected
+            assert approximation_ratio(inst, f_max, bits) == expected
         scored += 1
     assert scored >= 6
 
 
 def test_scorer_rejects_wrong_bit_counts(pair_instance):
     with pytest.raises(ValueError):
-        approximation_ratio(pair_instance, 3.0, [0, 1, 1], 3)
+        approximation_ratio(pair_instance, 3.0, [0])
     with pytest.raises(ValueError):
-        run_metrics(pair_instance, 3.0, _sample_set([("0", 0.0, 1)]), 2)
+        run_metrics(pair_instance, 3.0, _sample_set([("0", 0.0, 1)]))
     with pytest.raises(ValueError):
-        run_metrics(pair_instance, 3.0, _sample_set([("01", 0.0, 1), ("1", 0.0, 1)]), 2)
+        run_metrics(pair_instance, 3.0, _sample_set([("01", 0.0, 1), ("1", 0.0, 1)]))
 
 
 def test_aggregate_identical_runs_has_zero_width():

@@ -18,7 +18,7 @@ from satplan import (
     solve_exhaustive,
     uniform_state,
 )
-from satplan.qaoa import _apply_mixer
+from satplan.qaoa import _apply_mixer, _mixer_views
 from test_ising import random_integer_qubo
 from helpers import (
     acceptance_source,
@@ -102,7 +102,8 @@ def test_mixer_half_turn_flips_basis_states():
     k = int(rng.integers(0, 1 << n))
     psi = np.zeros(1 << n, dtype=np.complex128)
     psi[k] = 1.0
-    flipped = _apply_mixer(psi, n, np.pi / 2)
+    scratch = np.empty_like(psi)
+    flipped = _apply_mixer(psi, np.pi / 2, scratch, _mixer_views(psi, scratch))
     probs = np.abs(flipped) ** 2
     complement = k ^ ((1 << n) - 1)
     assert probs[complement] == pytest.approx(1.0, abs=1e-12)

@@ -161,6 +161,20 @@ def test_energy_basics():
         q2.energy([0, 1])
 
 
+def test_pair_given_both_ways_is_one_term():
+    # the annealer reads interaction_matrix, the scorer energies: both must
+    # see the summed pair, and the export must list it once
+    q = Qubo({(0, 1): 1.0, (1, 1): -1.0, (1, 0): 2.0})
+    assert list(q.terms()) == [(0, 1, 3.0), (1, 1, -1.0)]
+    assert q.interaction_matrix()[0, 1] == q.interaction_matrix()[1, 0] == 3.0
+    assert q.energy([1, 1]) == 2.0
+    assert q.energy_table().tolist() == [0.0, 0.0, -1.0, 2.0]
+    assert json.loads(q.to_json())["terms"] == [[0, 1, 3.0], [1, 1, -1.0]]
+    cancelled = Qubo({(0, 1): 1.0, (1, 0): -1.0}, num_variables=2)
+    assert cancelled.num_terms() == 0
+    assert cancelled.energy_table().tolist() == [0.0] * 4
+
+
 def test_energy_matches_independent_reference():
     rng = np.random.default_rng(47)
     checked = 0
@@ -320,7 +334,7 @@ def test_global_optimum_correspondence():
         assignment = q.decode(bits)
         assert check_feasible(inst, assignment).feasible
         f_max = solve_exact(inst).best_value
-        assert sum(inst.weight_of(r) for r in assignment.request_ids) == f_max
+        assert sum(inst.weight_of(ref.request_id) for ref in assignment.taken) == f_max
     assert checked >= 15
 
 
