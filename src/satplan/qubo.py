@@ -26,6 +26,13 @@ Encoding of an instance with penalty weight M (default: total weight + 1):
     - 2 x_r s + 3 s); triples sharing the substituted pair share the slack;
   * capacity:  M (sum c_p x_p + sum 2^{d-1} s_d - C)^2 with the fewest
     binary slack digits whose range reaches C, i.e. min D with 2^D - 1 >= C.
+    Its couplings 2M a_i a_j, over the load vector a of decisions and
+    digits, join every loaded pair.  ``encode`` also records a as the
+    QUBO's ``capacity_load``, so that the annealer can keep the load per
+    read instead of the dense couplings; the stored terms stay dense.  The
+    record is kept only where the factored sums are exact: all
+    coefficients, loads and M integers, and every partial field sum below
+    2^53 (see ``Qubo``).  Otherwise ``capacity_load`` is None.
 
 Decision variables occupy indices 0..n-1 in instance order; slacks follow,
 ternary-pair slacks first (in order of first appearance), then capacity
@@ -99,6 +106,8 @@ def _frozen_terms(coefficients: Mapping[tuple[int, int], float]):
     dropped."""
     merged: dict[tuple[int, int], float] = {}
     for (i, j), v in coefficients.items():
+        if i < 0 or j < 0:
+            raise ValueError(f"variable indices must be >= 0, got ({i}, {j})")
         key = (i, j) if i <= j else (j, i)
         merged[key] = merged.get(key, 0.0) + float(v)
     items = [(i, j, v) for (i, j), v in sorted(merged.items()) if v != 0.0]
@@ -106,6 +115,31 @@ def _frozen_terms(coefficients: Mapping[tuple[int, int], float]):
     cols = np.array([t[1] for t in items], dtype=np.int64)
     vals = np.array([t[2] for t in items], dtype=np.float64)
     return rows, cols, vals
+
+
+def _exact_load(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, load: np.ndarray, m: float
+) -> bool:
+    """Whether fields summed as ``diag_i + sum_j S_ij x_j + 2 m a_i L``, with
+    the remainder ``S = W - 2 m a a^T`` and the load ``L = a . x``, are exact
+    in every order, as are the dense ``diag_i + sum_j W_ij x_j``.
+
+    It holds when every number is an integer and variable i's bound
+    ``|diag_i| + sum_j |W_ij| + 4 |m a_i| sum_j |a_j|`` stays below 2^53: the
+    bound covers every partial sum of either form, so each is an integer
+    float.  The bound is checked against 2^52, which leaves room for the
+    rounding of its own sum.
+    """
+    numbers = np.concatenate([vals, load, [m]])
+    if not (np.all(np.isfinite(numbers)) and np.all(numbers == np.round(numbers))):
+        return False
+    nv = len(load)
+    off = rows != cols
+    size = np.abs(vals)
+    with np.errstate(over="ignore"):  # an infinite bound fails the test below
+        bound = np.bincount(rows, size, nv) + np.bincount(cols[off], size[off], nv)
+        bound += 4.0 * m * np.abs(load) * np.abs(load).sum()
+    return bool(np.all(bound < 2.0**52))
 
 
 def _bit_axes(table: np.ndarray, i: int) -> np.ndarray:
@@ -120,7 +154,15 @@ def _pair_axes(table: np.ndarray, i: int, j: int) -> np.ndarray:
 
 
 class Qubo:
-    """Immutable quadratic form over decision + slack bits."""
+    """Immutable quadratic form over decision + slack bits.
+
+    ``capacity_load`` is the load vector a of a rank-one penalty
+    ``penalty_m * (a . x - C)^2`` whose couplings ``2 penalty_m a_i a_j``
+    the coefficients already hold.  It changes no energy; it lets the
+    annealer factor those couplings out.  It is kept only when the factored
+    field sums are exact (every number an integer, every partial sum below
+    2^53); otherwise ``capacity_load`` is None.
+    """
 
     def __init__(
         self,
@@ -131,6 +173,7 @@ class Qubo:
         registry: VarRegistry | None = None,
         objective_diag: np.ndarray | None = None,
         num_variables: int | None = None,
+        capacity_load: np.ndarray | None = None,
     ):
         if penalty_m <= 0:
             raise ValueError("penalty_m must be positive")
@@ -150,6 +193,13 @@ class Qubo:
         if objective_diag is None:
             objective_diag = np.zeros(nv)
         self._objective_diag = np.asarray(objective_diag, dtype=np.float64)
+        self.capacity_load: np.ndarray | None = None
+        if capacity_load is not None:
+            load = np.asarray(capacity_load, dtype=np.float64)
+            if load.shape != (nv,):
+                raise ValueError(f"expected a capacity load of length {nv}, got shape {load.shape}")
+            if _exact_load(self._rows, self._cols, self._vals, load, self.penalty_m):
+                self.capacity_load = load
 
     # -- shape ---------------------------------------------------------
 
@@ -385,6 +435,7 @@ def encode(inst: Instance, m: float | None = None) -> Qubo:
         add(s, s, 3.0 * big_m)
 
     # disk capacity: squared equality with binary slack digits
+    capacity_load = None
     if inst.disk_capacity is not None:
         loaded = [
             (v, float(inst.capacity_of(ref)))
@@ -410,6 +461,10 @@ def encode(inst: Instance, m: float | None = None) -> Qubo:
                     ub, cb = loaded[b]
                     add(ua, ub, big_m * 2.0 * ca * cb)
             offset += big_m * float(cap) * float(cap)
+            # the digits are the last slacks, so the load covers every variable
+            capacity_load = np.zeros(n + len(slack_refs))
+            for u, au in loaded:
+                capacity_load[u] = au
 
     registry = VarRegistry(decision_vars=order, slack_vars=tuple(slack_refs))
     objective_diag = np.zeros(registry.num_variables)
@@ -421,6 +476,7 @@ def encode(inst: Instance, m: float | None = None) -> Qubo:
         penalty_m=big_m,
         registry=registry,
         objective_diag=objective_diag,
+        capacity_load=capacity_load,
     )
 
 

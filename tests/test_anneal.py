@@ -3,10 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from satplan import AnnealSchedule, SampleSet, encode, sample_sa, solve_exhaustive
+from satplan import (
+    AnnealSchedule,
+    Instance,
+    Request,
+    SampleSet,
+    VarRef,
+    encode,
+    sample_sa,
+    solve_exhaustive,
+)
 from satplan.anneal import beta_range
 from satplan.qubo import Qubo
-from helpers import random_instance, reference_from_states, reference_sample_sa
+from helpers import (
+    assert_bitwise_equal,
+    random_instance,
+    reference_from_states,
+    reference_sample_sa,
+)
 
 
 def test_single_downhill_variable():
@@ -238,14 +252,36 @@ def test_finds_optimum_on_small_encoded_instance():
 
 
 def _encoded(
-    seed: int, with_capacity: bool, n_requests: int, n_pairs: int = 3, n_triples: int = 2
+    seed: int, with_capacity: bool, n_requests: int, n_pairs: int = 3, n_triples: int = 2,
+    m: float | None = None,
 ) -> Qubo:
     rng = np.random.default_rng(seed)
     inst = random_instance(
         rng, n_requests=n_requests, n_pairs=n_pairs, n_triples=n_triples,
         with_capacity=with_capacity, name=f"ref{seed}",
     )
-    return encode(inst)
+    return encode(inst, m)
+
+
+def _mono(rid: int, weight: float, cams: tuple[int, ...], caps: dict[int, int]) -> Request:
+    return Request(
+        id=rid, kind="mono", weight=weight, allowed_cameras=cams, capacity_by_camera=caps
+    )
+
+
+# Variable 0 is loaded but in no uniqueness, pair or triple term, so its
+# row of the capacity remainder holds only its own diagonal, as do the
+# three capacity digits; variables 1-3 carry both kinds of coupling.
+_isolated_load = lambda: encode(Instance(
+    name="isolated-load",
+    requests=(
+        _mono(0, 3.0, (1,), {1: 2}),
+        _mono(1, 2.0, (1, 2), {1: 1, 2: 3}),
+        _mono(2, 4.0, (2,), {2: 2}),
+    ),
+    binary_forbidden=frozenset({(VarRef(1, 1), VarRef(2, 2))}),
+    disk_capacity=4,
+))
 
 
 # 44 variables without capacity: most rows of couplings are scattered over
@@ -300,6 +336,11 @@ REFERENCE_CASES = {
         lambda: Qubo({(0, 0): 2.0, (1, 1): -1.0, (1, 2): 3.0, (2, 2): 0.5}), 100,
         AnnealSchedule(sweeps=21, beta_start=1e-12, beta_end=1e-11),
     ),
+    # a non-integer M, and an M whose sums pass 2^53: neither records a
+    # capacity load, so both anneal the dense couplings
+    "capacity-fractional-m": (lambda: _encoded(6, True, 7, m=7.3), 300, AnnealSchedule(sweeps=80)),
+    "capacity-huge-m": (lambda: _encoded(6, True, 7, m=1e300), 300, AnnealSchedule(sweeps=80)),
+    "isolated-load": (_isolated_load, 300, AnnealSchedule(sweeps=60)),
 }
 
 
@@ -321,6 +362,55 @@ def test_capacity_case_is_densely_coupled():
     nv = w.shape[0]
     assert nv >= 15
     assert np.count_nonzero(w) >= 0.6 * nv * (nv - 1)
+
+
+def _remainder(q: Qubo) -> np.ndarray:
+    """Off-diagonal couplings left once the capacity clique is taken out."""
+    a = q.capacity_load
+    remainder = q.interaction_matrix() - 2.0 * q.penalty_m * np.outer(a, a)
+    np.fill_diagonal(remainder, 0.0)
+    return remainder
+
+
+def test_capacity_case_factors_into_a_sparse_remainder():
+    # the "capacity-clique" case above must anneal through the load term:
+    # it records a load, and its remainder is sparse
+    q = _encoded(6, True, 7)
+    assert q.capacity_load is not None
+    assert np.count_nonzero(q.capacity_load) >= 10
+    remainder = _remainder(q)
+    assert np.count_nonzero(remainder) <= 0.2 * np.count_nonzero(q.interaction_matrix())
+    # "isolated-load": a loaded decision whose remainder row is empty
+    iso = _isolated_load()
+    assert iso.capacity_load[0] != 0 and not _remainder(iso)[0].any()
+    # inexact sums, or a capacity that no request uses, record no load
+    assert _encoded(6, True, 7, m=7.3).capacity_load is None
+    assert _encoded(6, True, 7, m=1e300).capacity_load is None
+    unused = Instance(name="unused", requests=(_mono(0, 1.0, (1,), {}),), disk_capacity=3)
+    with pytest.warns(UserWarning, match="no request uses disk"):
+        assert encode(unused).capacity_load is None
+
+
+def test_capacity_load_changes_no_sample_and_no_dense_view():
+    rng = np.random.default_rng(37)
+    for trial in range(20):
+        inst = random_instance(
+            rng, n_requests=int(rng.integers(3, 7)), n_pairs=2, n_triples=1,
+            with_capacity=True, name=f"load{trial}",
+        )
+        q = encode(inst)
+        assert q.capacity_load is not None
+        dense = Qubo(
+            {(i, j): v for i, j, v in q.terms()},
+            offset=q.offset, penalty_m=q.penalty_m, registry=q.registry,
+        )
+        assert dense.capacity_load is None
+        assert q.to_json() == dense.to_json()
+        assert np.array_equal(q.interaction_matrix(), dense.interaction_matrix())
+        assert_bitwise_equal(q.energy_table(), dense.energy_table())
+        sched = AnnealSchedule(sweeps=30)
+        got = sample_sa(q, 200, sched, trial)
+        assert got.to_json() == sample_sa(dense, 200, sched, trial).to_json()
 
 
 def test_wide_sparse_case_has_scattered_and_empty_rows():

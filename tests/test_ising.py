@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from satplan.qubo import IsingModel, Qubo
 from helpers import random_instance
@@ -85,3 +86,8 @@ def test_couplings_given_both_ways_are_one_term():
     assert ising.energy_table()[0b010] == -3.5
     cancelled = IsingModel(h=[0.0, 0.0], couplings={(0, 1): 1.5, (1, 0): -1.5})
     assert list(cancelled.j_terms()) == []
+
+
+def test_negative_coupling_index_is_rejected():
+    with pytest.raises(ValueError, match=">= 0"):
+        IsingModel([0.0, 0.0], {(-1, 0): 1.0})

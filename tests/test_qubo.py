@@ -134,6 +134,8 @@ def test_capacity_slack_digits():
     cap = 5
     for pos, coeff in zip((2, 3, 4), (1.0, 2.0, 4.0)):
         assert terms[(pos, pos)] == m * (coeff**2 - 2 * cap * coeff)
+    # the load vector of the squared penalty: decisions, then digits
+    assert q.capacity_load.tolist() == [3.0, 4.0, 1.0, 2.0, 4.0]
 
 
 def test_capacity_slack_count_rule():
@@ -149,6 +151,18 @@ def test_capacity_with_all_zero_loads_warns_and_skips():
         q = encode(inst)
     assert q.s == 0
     assert q.offset == 0.0
+    assert q.capacity_load is None
+
+
+@pytest.mark.parametrize("key", [(-1, 0), (0, -1), (-2, -2)])
+def test_negative_variable_index_is_rejected(key):
+    with pytest.raises(ValueError, match=">= 0"):
+        Qubo({key: 1.0, (1, 1): 1.0})
+
+
+def test_capacity_load_must_cover_every_variable():
+    with pytest.raises(ValueError, match="capacity load"):
+        Qubo({(0, 1): 2.0}, capacity_load=np.ones(3))
 
 
 def test_energy_basics():
