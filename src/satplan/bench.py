@@ -114,10 +114,22 @@ def cell_seed(master_seed: int, inst_idx: int, solver: str, run: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def resolve_instance(entry) -> Instance:
-    """Load an instance path or realise a generation spec."""
+def _load(path: str, sources: dict[str, Instance]) -> Instance:
+    """The instance at ``path``, parsed only if ``sources`` does not hold it."""
+    if path not in sources:
+        sources[path] = load_instance(path)
+    return sources[path]
+
+
+def resolve_instance(entry, sources: dict[str, Instance] | None = None) -> Instance:
+    """Load an instance path or realise a generation spec.
+
+    ``sources`` maps each path already parsed to its instance, and gains
+    each path parsed here; without it every call parses its file.
+    """
+    sources = {} if sources is None else sources
     if isinstance(entry, str):
-        return load_instance(entry)
+        return _load(entry, sources)
     if isinstance(entry, dict):
         unknown = set(entry) - {"source", "target_requests", "with_capacity", "seed"}
         if unknown:
@@ -125,7 +137,7 @@ def resolve_instance(entry) -> Instance:
         for key in ("source", "target_requests", "with_capacity", "seed"):
             if key not in entry:
                 raise ConfigError(f"generation spec missing field {key!r}")
-        src = load_instance(entry["source"])
+        src = _load(entry["source"], sources)
         spec = ReductionSpec(
             target_requests=entry["target_requests"],
             with_capacity=entry["with_capacity"],
@@ -174,10 +186,12 @@ def run_cell(
         return metrics, doc, {"layers": per_layer}  # metrics of the final layer
     extra = None
     if solver == "sa":
-        sched = AnnealSchedule()
-        samples = sample_sa(qubo, reads, sched, seed)
         # the range is derived from the QUBO, so the run records it
-        beta_start, beta_end = beta_range(sched, qubo.linear_terms(), qubo.interaction_matrix())
+        beta_start, beta_end = beta_range(
+            AnnealSchedule(), qubo.linear_terms(), qubo.interaction_matrix()
+        )
+        sched = AnnealSchedule(beta_start=beta_start, beta_end=beta_end)
+        samples = sample_sa(qubo, reads, sched, seed)
         extra = {"sweeps": sched.sweeps, "beta_start": beta_start, "beta_end": beta_end}
     else:
         if solver == "exhaustive":
@@ -212,9 +226,12 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^-._a-zA-Z0-9]", "_", name)
 
 
-def prepare(entry, cfg: ExperimentConfig) -> tuple[Instance, Qubo, ExactResult]:
-    """Resolve one instance entry, prove its reference optimum and encode it."""
-    inst = resolve_instance(entry)
+def prepare(
+    entry, cfg: ExperimentConfig, sources: dict[str, Instance] | None = None
+) -> tuple[Instance, Qubo, ExactResult]:
+    """Resolve one instance entry (see :func:`resolve_instance` for
+    ``sources``), prove its reference optimum and encode it."""
+    inst = resolve_instance(entry, sources)
     exact = solve_exact(inst, cfg.node_budget)
     if exact.best_value <= 0:
         raise ConfigError(f"instance {inst.name!r} has non-positive optimum; AR undefined")
@@ -235,11 +252,12 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> tuple[dict, int]:
 
     instances_doc = []
     file_stems: dict[str, str] = {}  # sample-file stem -> the instance name that took it
+    sources: dict[str, Instance] = {}  # each file parsed once per run, not across runs
     for idx, entry in enumerate(cfg.instances):
         record: dict = {"spec": dict(entry) if isinstance(entry, dict) else entry, "solvers": {}}
         instances_doc.append(record)
         try:
-            inst, qubo, exact = prepare(entry, cfg)
+            inst, qubo, exact = prepare(entry, cfg, sources)
         except Exception as exc:  # noqa: BLE001 - isolate per instance
             record.update(name=record["spec"] if isinstance(entry, str) else None, error=str(exc))
             continue

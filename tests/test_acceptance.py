@@ -38,7 +38,7 @@ from satplan import (
 from satplan.bench import ExperimentConfig, run_pipeline
 from satplan.metrics import RunMetrics
 from test_ising import random_integer_qubo
-from helpers import acceptance_source, feasible_decision_mask, random_instance
+from helpers import acceptance_source, encode_checked, feasible_decision_mask, random_instance
 
 
 @contextmanager
@@ -66,7 +66,7 @@ def _mixed_instances(count: int, max_total_vars: int):
             with_capacity=bool(rng.integers(0, 2)),
             name=f"acc{seed}",
         )
-        qubo = encode(inst)
+        qubo = encode_checked(inst)
         if qubo.num_variables <= max_total_vars:
             picked.append((inst, qubo))
     return picked

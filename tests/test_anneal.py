@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -263,6 +264,18 @@ def _encoded(
     return encode(inst, m)
 
 
+def _half_weights(seed: int, with_capacity: bool, n_requests: int) -> Qubo:
+    """``_encoded`` with every request weight halved, so odd weights become
+    half-integers, and so do the default M and the capacity terms."""
+    rng = np.random.default_rng(seed)
+    inst = random_instance(
+        rng, n_requests=n_requests, n_pairs=3, n_triples=2, with_capacity=with_capacity,
+        name=f"half{seed}",
+    )
+    halved = tuple(dataclasses.replace(r, weight=r.weight / 2) for r in inst.requests)
+    return encode(dataclasses.replace(inst, requests=halved))
+
+
 def _mono(rid: int, weight: float, cams: tuple[int, ...], caps: dict[int, int]) -> Request:
     return Request(
         id=rid, kind="mono", weight=weight, allowed_cameras=cams, capacity_by_camera=caps
@@ -301,6 +314,21 @@ _EXTREME = Qubo({
     (0, 2): -7e3, (2, 3): 1e5, (3, 3): -2.5e-7, (3, 4): -1e-300, (4, 4): 1e-300,
     (4, 5): 2e-300, (5, 5): -1e-300,
 })
+
+# 30 variables whose couplings and linear terms take a few non-integer
+# values, so a variable updates several field rows under one value and
+# others under values of their own: a product added to a wrong row, or to
+# a row twice, changes the samples.
+def _grouped_couplings() -> Qubo:
+    rng = np.random.default_rng(43)
+    nv = 30
+    coefficients = {(i, i): float(rng.choice([-0.5, -0.2, 0.25, 1 / 3])) for i in range(nv)}
+    for i in range(nv):
+        for j in range(i + 1, nv):
+            if rng.random() < 0.2:
+                coefficients[(i, j)] = float(rng.choice([0.1, 0.3, 1 / 3, -0.7]))
+    return Qubo(coefficients)
+
 
 REFERENCE_CASES = {
     "capacity-clique": (lambda: _encoded(6, True, 7), 300, AnnealSchedule(sweeps=80)),
@@ -341,6 +369,11 @@ REFERENCE_CASES = {
     "capacity-fractional-m": (lambda: _encoded(6, True, 7, m=7.3), 300, AnnealSchedule(sweeps=80)),
     "capacity-huge-m": (lambda: _encoded(6, True, 7, m=1e300), 300, AnnealSchedule(sweeps=80)),
     "isolated-load": (_isolated_load, 300, AnnealSchedule(sweeps=60)),
+    # a half-integer M, and half-integer weights (so M and the linear terms
+    # too): both record a capacity load, in units of 1/2
+    "capacity-dyadic-m": (lambda: _encoded(6, True, 7, m=7.5), 300, AnnealSchedule(sweeps=80)),
+    "capacity-half-weights": (lambda: _half_weights(6, True, 7), 300, AnnealSchedule(sweeps=80)),
+    "grouped-couplings": (_grouped_couplings, 300, AnnealSchedule(sweeps=60)),
 }
 
 
@@ -383,6 +416,9 @@ def test_capacity_case_factors_into_a_sparse_remainder():
     # "isolated-load": a loaded decision whose remainder row is empty
     iso = _isolated_load()
     assert iso.capacity_load[0] != 0 and not _remainder(iso)[0].any()
+    # sums in halves are exact too: a half-integer M or half-integer weights
+    assert _encoded(6, True, 7, m=7.5).capacity_load is not None
+    assert _half_weights(6, True, 7).capacity_load is not None
     # inexact sums, or a capacity that no request uses, record no load
     assert _encoded(6, True, 7, m=7.3).capacity_load is None
     assert _encoded(6, True, 7, m=1e300).capacity_load is None
@@ -398,19 +434,22 @@ def test_capacity_load_changes_no_sample_and_no_dense_view():
             rng, n_requests=int(rng.integers(3, 7)), n_pairs=2, n_triples=1,
             with_capacity=True, name=f"load{trial}",
         )
-        q = encode(inst)
-        assert q.capacity_load is not None
-        dense = Qubo(
-            {(i, j): v for i, j, v in q.terms()},
-            offset=q.offset, penalty_m=q.penalty_m, registry=q.registry,
-        )
-        assert dense.capacity_load is None
-        assert q.to_json() == dense.to_json()
-        assert np.array_equal(q.interaction_matrix(), dense.interaction_matrix())
-        assert_bitwise_equal(q.energy_table(), dense.energy_table())
-        sched = AnnealSchedule(sweeps=30)
-        got = sample_sa(q, 200, sched, trial)
-        assert got.to_json() == sample_sa(dense, 200, sched, trial).to_json()
+        halved = tuple(dataclasses.replace(r, weight=r.weight / 2) for r in inst.requests)
+        half_weights = dataclasses.replace(inst, requests=halved)
+        # an integer M, a half-integer M, and half-integer weights
+        for q in (encode(inst), encode(inst, 7.5), encode(half_weights)):
+            assert q.capacity_load is not None
+            dense = Qubo(
+                {(i, j): v for i, j, v in q.terms()},
+                offset=q.offset, penalty_m=q.penalty_m, registry=q.registry,
+            )
+            assert dense.capacity_load is None
+            assert q.to_json() == dense.to_json()
+            assert np.array_equal(q.interaction_matrix(), dense.interaction_matrix())
+            assert_bitwise_equal(q.energy_table(), dense.energy_table())
+            sched = AnnealSchedule(sweeps=30)
+            got = sample_sa(q, 200, sched, trial)
+            assert got.to_json() == sample_sa(dense, 200, sched, trial).to_json()
 
 
 def test_wide_sparse_case_has_scattered_and_empty_rows():
@@ -421,3 +460,12 @@ def test_wide_sparse_case_has_scattered_and_empty_rows():
     rows = [np.flatnonzero(row) for row in w]
     assert any(r.size and r[-1] - r[0] + 1 != r.size for r in rows)
     assert any(r.size == 0 for r in rows)
+
+
+def test_grouped_couplings_case_shares_some_values_and_not_others():
+    # the "grouped-couplings" case above must update several rows under one
+    # value and, for the same variable, other rows under values of their own
+    w = _grouped_couplings().interaction_matrix()
+    counts = [np.unique(row[row != 0], return_counts=True)[1] for row in w]
+    assert sum(1 for c in counts if c.max(initial=0) >= 2 and c.min() == 1) >= 10
+    assert not np.array_equal(w, np.round(w))

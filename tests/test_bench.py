@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from satplan import (
     SampleEntry,
     VarRef,
     encode,
+    load_instance,
     save_instance,
     solve_exact,
 )
@@ -338,9 +340,9 @@ def test_sample_energies_are_qubo_energies(solver):
             assert entry.energy == qubo.energy(entry.bit_array())
 
 
-def test_generation_spec_entries(tmp_path):
+def spec_source() -> Instance:
     rng = np.random.default_rng(5)
-    src = Instance(
+    return Instance(
         name="src",
         requests=tuple(
             Request(id=i, kind="mono", weight=float(rng.integers(1, 5)), allowed_cameras=(1,))
@@ -350,13 +352,48 @@ def test_generation_spec_entries(tmp_path):
             {(VarRef(0, 1), VarRef(2, 1), VarRef(4, 1)), (VarRef(1, 1), VarRef(3, 1), VarRef(5, 1))}
         ),
     )
+
+
+def test_generation_spec_entries(tmp_path):
     src_path = tmp_path / "src.json"
-    save_instance(src, src_path)
+    save_instance(spec_source(), src_path)
     spec = {"source": str(src_path), "target_requests": 3, "with_capacity": False, "seed": 2}
     inst = resolve_instance(spec)
     assert len(inst.requests) >= 3
     with pytest.raises(ConfigError):
         resolve_instance({"source": str(src_path)})
+
+
+def test_run_parses_each_source_once(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in ("one.json", "two.json"):
+        save_instance(spec_source(), name)
+    parsed = []
+
+    def counting_load(path):
+        parsed.append(path)
+        return load_instance(path)
+
+    monkeypatch.setattr("satplan.bench.load_instance", counting_load)
+    specs = [
+        {"source": "one.json", "target_requests": 3, "with_capacity": False, "seed": seed}
+        for seed in (2, 4)
+    ]
+    apart = [specs[0], {**specs[1], "source": "two.json"}]
+    for instances, out in ((specs, "shared"), (apart, "apart")):
+        cfg = ExperimentConfig(instances=instances, solvers=["exact", "sa"], reads=50, runs=2)
+        assert run_pipeline(cfg, out)[1] == 0
+    assert parsed == ["one.json", "one.json", "two.json"]
+    # the runs differ only in the second spec's source path
+    shared, other = (Path(out, "report.json").read_text() for out in ("shared", "apart"))
+    assert len({r["name"] for r in json.loads(shared)["instances"]}) == 2
+    assert other.count('"two.json"') == 1
+    assert other.replace('"two.json"', '"one.json"') == shared
+    files = sorted(p.relative_to("shared") for p in Path("shared").rglob("*") if p.is_file())
+    assert len(files) == 4 + 2 * 2 * 2  # report, 3 CSVs, 2 instances x 2 solvers x 2 runs
+    for path in files:
+        if path.name != "report.json":
+            assert (Path("shared") / path).read_bytes() == (Path("apart") / path).read_bytes()
 
 
 def test_config_validation():

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from satplan.qubo import IsingModel, Qubo
-from helpers import random_instance
-from satplan import encode
+from helpers import encode_checked, random_instance
 
 
 def random_integer_qubo(rng: np.random.Generator, n: int, density: float = 0.5) -> Qubo:
@@ -53,7 +52,7 @@ def test_exact_identity_on_encoded_instances():
             with_capacity=bool(rng.integers(0, 2)),
             name=f"isg{trial}",
         )
-        q = encode(inst)
+        q = encode_checked(inst)
         if q.num_variables > 12:
             continue
         checked += 1
