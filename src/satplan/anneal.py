@@ -60,8 +60,7 @@ of any other variable is ``fields[i]``.  An accepted flip updates the
 rows of S's nonzero entries, which include row i itself when i is
 loaded, and L as one more row whose coupling is ``a_i``.  A QUBO without
 a load anneals W, as S = W.  The QUBO keeps the load only when every
-coefficient, load and M is an integer multiple of one power of two
-``2^-e`` and every partial field sum, counted in units of ``2^-e``, stays
+coefficient, load and M is an integer and every partial field sum stays
 below 2^53; then every sum in either layout is exact, so both compute
 equal fields, take the same decisions and give the same samples.  On the
 six seed-0 ``sa-capacity`` benchmark QUBOs (23 variables each) the mean

@@ -124,12 +124,12 @@ def _load(path: str, sources: dict[str, Instance]) -> Instance:
 def resolve_instance(entry, sources: dict[str, Instance] | None = None) -> Instance:
     """Load an instance path or realise a generation spec.
 
-    ``sources`` maps each path already parsed to its instance, and gains
-    each path parsed here; without it every call parses its file.
+    ``sources`` maps each spec source already parsed to its instance, and
+    gains each source parsed here; without it every call parses its file.
+    A plain path is parsed on every call.
     """
-    sources = {} if sources is None else sources
     if isinstance(entry, str):
-        return _load(entry, sources)
+        return load_instance(entry)
     if isinstance(entry, dict):
         unknown = set(entry) - {"source", "target_requests", "with_capacity", "seed"}
         if unknown:
@@ -137,7 +137,7 @@ def resolve_instance(entry, sources: dict[str, Instance] | None = None) -> Insta
         for key in ("source", "target_requests", "with_capacity", "seed"):
             if key not in entry:
                 raise ConfigError(f"generation spec missing field {key!r}")
-        src = _load(entry["source"], sources)
+        src = _load(entry["source"], {} if sources is None else sources)
         spec = ReductionSpec(
             target_requests=entry["target_requests"],
             with_capacity=entry["with_capacity"],
@@ -186,12 +186,10 @@ def run_cell(
         return metrics, doc, {"layers": per_layer}  # metrics of the final layer
     extra = None
     if solver == "sa":
-        # the range is derived from the QUBO, so the run records it
-        beta_start, beta_end = beta_range(
-            AnnealSchedule(), qubo.linear_terms(), qubo.interaction_matrix()
-        )
-        sched = AnnealSchedule(beta_start=beta_start, beta_end=beta_end)
+        sched = AnnealSchedule()
         samples = sample_sa(qubo, reads, sched, seed)
+        # the range is derived from the QUBO, so the run records it
+        beta_start, beta_end = beta_range(sched, qubo.linear_terms(), qubo.interaction_matrix())
         extra = {"sweeps": sched.sweeps, "beta_start": beta_start, "beta_end": beta_end}
     else:
         if solver == "exhaustive":
@@ -252,7 +250,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> tuple[dict, int]:
 
     instances_doc = []
     file_stems: dict[str, str] = {}  # sample-file stem -> the instance name that took it
-    sources: dict[str, Instance] = {}  # each file parsed once per run, not across runs
+    sources: dict[str, Instance] = {}  # each spec source parsed once per run, not across runs
     for idx, entry in enumerate(cfg.instances):
         record: dict = {"spec": dict(entry) if isinstance(entry, dict) else entry, "solvers": {}}
         instances_doc.append(record)

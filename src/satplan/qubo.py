@@ -31,9 +31,8 @@ Encoding of an instance with penalty weight M (default: total weight + 1):
     QUBO's ``capacity_load``, so that the annealer can keep the load per
     read instead of the dense couplings; the stored terms stay dense.  The
     record is kept only where the factored sums are exact: all
-    coefficients, loads and M integer multiples of one power of two
-    ``2^-e``, and every partial field sum below 2^53 units of ``2^-e``
-    (see ``Qubo``).  Otherwise ``capacity_load`` is None.
+    coefficients, loads and M integers, and every partial field sum below
+    2^53 (see ``Qubo``).  Otherwise ``capacity_load`` is None.
 
 Decision variables occupy indices 0..n-1 in instance order; slacks follow,
 ternary-pair slacks first (in order of first appearance), then capacity
@@ -118,17 +117,6 @@ def _frozen_terms(coefficients: Mapping[tuple[int, int], float]):
     return rows, cols, vals
 
 
-def _binary_places(numbers: np.ndarray) -> int:
-    """Fewest e >= 0 such that every number, all finite, is an integer
-    multiple of ``2^-e``.  A number ``f * 2^k`` with ``0.5 <= |f| < 1`` is
-    ``f * 2^53`` (an integer) times ``2^(k-53)``, and each trailing zero bit
-    of that integer takes one place off."""
-    fractions, exponents = np.frexp(numbers[numbers != 0])
-    digits = np.ldexp(fractions, 53).astype(np.int64)
-    _, lowest = np.frexp((digits & -digits).astype(np.float64))  # 2^t gives t + 1
-    return int((54 - exponents - lowest).max(initial=0))
-
-
 def _exact_load(
     rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, load: np.ndarray, m: float
 ) -> bool:
@@ -136,22 +124,14 @@ def _exact_load(
     the remainder ``S = W - 2 m a a^T`` and the load ``L = a . x``, are exact
     in every order, as are the dense ``diag_i + sum_j W_ij x_j``.
 
-    With every coefficient a multiple of ``2^-p``, every load of ``2^-q``
-    and m of ``2^-r``, every term and product in either form (``2 m a_i``,
-    ``2 m a_i a_j``, ``2 m a_i L``) is a multiple of ``2^-e`` for
-    ``e = max(p, r + 2q)``.  It holds when variable i's bound
-    ``|diag_i| + sum_j |W_ij| + 4 |m a_i| sum_j |a_j|``, in units of
-    ``2^-e``, stays below 2^53: the bound covers every partial sum of
-    either form and every product (each nonzero ``|a_j|`` and m are at
-    least ``2^-q`` and ``2^-r``), so each is exact.  The bound is checked
-    against 2^52, which leaves room for the rounding of its own sum.
-    Integers are the case ``e = 0``.
+    It holds when every number is an integer and variable i's bound
+    ``|diag_i| + sum_j |W_ij| + 4 |m a_i| sum_j |a_j|`` stays below 2^53: the
+    bound covers every partial sum of either form, so each is an integer
+    float.  The bound is checked against 2^52, which leaves room for the
+    rounding of its own sum.
     """
     numbers = np.concatenate([vals, load, [m]])
-    if not np.all(np.isfinite(numbers)):
-        return False
-    e = max(_binary_places(vals), _binary_places(np.array([m])) + 2 * _binary_places(load))
-    if e > 1074:  # 2^-e would be below the smallest subnormal
+    if not (np.all(np.isfinite(numbers)) and np.all(numbers == np.round(numbers))):
         return False
     nv = len(load)
     off = rows != cols
@@ -159,7 +139,7 @@ def _exact_load(
     with np.errstate(over="ignore"):  # an infinite bound fails the test below
         bound = np.bincount(rows, size, nv) + np.bincount(cols[off], size[off], nv)
         bound += 4.0 * m * np.abs(load) * np.abs(load).sum()
-        return bool(np.all(np.ldexp(bound, e) < 2.0**52))
+    return bool(np.all(bound < 2.0**52))
 
 
 def _bit_axes(table: np.ndarray, i: int) -> np.ndarray:
@@ -180,9 +160,8 @@ class Qubo:
     ``penalty_m * (a . x - C)^2`` whose couplings ``2 penalty_m a_i a_j``
     the coefficients already hold.  It changes no energy; it lets the
     annealer factor those couplings out.  It is kept only when the factored
-    field sums are exact (every number an integer multiple of one power of
-    two ``2^-e``, every partial sum below 2^53 units of ``2^-e``);
-    otherwise ``capacity_load`` is None.
+    field sums are exact (every number an integer, every partial sum below
+    2^53); otherwise ``capacity_load`` is None.
     """
 
     def __init__(

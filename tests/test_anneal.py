@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -264,18 +263,6 @@ def _encoded(
     return encode(inst, m)
 
 
-def _half_weights(seed: int, with_capacity: bool, n_requests: int) -> Qubo:
-    """``_encoded`` with every request weight halved, so odd weights become
-    half-integers, and so do the default M and the capacity terms."""
-    rng = np.random.default_rng(seed)
-    inst = random_instance(
-        rng, n_requests=n_requests, n_pairs=3, n_triples=2, with_capacity=with_capacity,
-        name=f"half{seed}",
-    )
-    halved = tuple(dataclasses.replace(r, weight=r.weight / 2) for r in inst.requests)
-    return encode(dataclasses.replace(inst, requests=halved))
-
-
 def _mono(rid: int, weight: float, cams: tuple[int, ...], caps: dict[int, int]) -> Request:
     return Request(
         id=rid, kind="mono", weight=weight, allowed_cameras=cams, capacity_by_camera=caps
@@ -369,10 +356,6 @@ REFERENCE_CASES = {
     "capacity-fractional-m": (lambda: _encoded(6, True, 7, m=7.3), 300, AnnealSchedule(sweeps=80)),
     "capacity-huge-m": (lambda: _encoded(6, True, 7, m=1e300), 300, AnnealSchedule(sweeps=80)),
     "isolated-load": (_isolated_load, 300, AnnealSchedule(sweeps=60)),
-    # a half-integer M, and half-integer weights (so M and the linear terms
-    # too): both record a capacity load, in units of 1/2
-    "capacity-dyadic-m": (lambda: _encoded(6, True, 7, m=7.5), 300, AnnealSchedule(sweeps=80)),
-    "capacity-half-weights": (lambda: _half_weights(6, True, 7), 300, AnnealSchedule(sweeps=80)),
     "grouped-couplings": (_grouped_couplings, 300, AnnealSchedule(sweeps=60)),
 }
 
@@ -416,9 +399,6 @@ def test_capacity_case_factors_into_a_sparse_remainder():
     # "isolated-load": a loaded decision whose remainder row is empty
     iso = _isolated_load()
     assert iso.capacity_load[0] != 0 and not _remainder(iso)[0].any()
-    # sums in halves are exact too: a half-integer M or half-integer weights
-    assert _encoded(6, True, 7, m=7.5).capacity_load is not None
-    assert _half_weights(6, True, 7).capacity_load is not None
     # inexact sums, or a capacity that no request uses, record no load
     assert _encoded(6, True, 7, m=7.3).capacity_load is None
     assert _encoded(6, True, 7, m=1e300).capacity_load is None
@@ -434,22 +414,19 @@ def test_capacity_load_changes_no_sample_and_no_dense_view():
             rng, n_requests=int(rng.integers(3, 7)), n_pairs=2, n_triples=1,
             with_capacity=True, name=f"load{trial}",
         )
-        halved = tuple(dataclasses.replace(r, weight=r.weight / 2) for r in inst.requests)
-        half_weights = dataclasses.replace(inst, requests=halved)
-        # an integer M, a half-integer M, and half-integer weights
-        for q in (encode(inst), encode(inst, 7.5), encode(half_weights)):
-            assert q.capacity_load is not None
-            dense = Qubo(
-                {(i, j): v for i, j, v in q.terms()},
-                offset=q.offset, penalty_m=q.penalty_m, registry=q.registry,
-            )
-            assert dense.capacity_load is None
-            assert q.to_json() == dense.to_json()
-            assert np.array_equal(q.interaction_matrix(), dense.interaction_matrix())
-            assert_bitwise_equal(q.energy_table(), dense.energy_table())
-            sched = AnnealSchedule(sweeps=30)
-            got = sample_sa(q, 200, sched, trial)
-            assert got.to_json() == sample_sa(dense, 200, sched, trial).to_json()
+        q = encode(inst)
+        assert q.capacity_load is not None
+        dense = Qubo(
+            {(i, j): v for i, j, v in q.terms()},
+            offset=q.offset, penalty_m=q.penalty_m, registry=q.registry,
+        )
+        assert dense.capacity_load is None
+        assert q.to_json() == dense.to_json()
+        assert np.array_equal(q.interaction_matrix(), dense.interaction_matrix())
+        assert_bitwise_equal(q.energy_table(), dense.energy_table())
+        sched = AnnealSchedule(sweeps=30)
+        got = sample_sa(q, 200, sched, trial)
+        assert got.to_json() == sample_sa(dense, 200, sched, trial).to_json()
 
 
 def test_wide_sparse_case_has_scattered_and_empty_rows():

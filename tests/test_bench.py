@@ -362,6 +362,12 @@ def test_generation_spec_entries(tmp_path):
     assert len(inst.requests) >= 3
     with pytest.raises(ConfigError):
         resolve_instance({"source": str(src_path)})
+    # only a spec's source is kept for later entries; a plain path is not
+    sources = {}
+    assert resolve_instance(str(src_path), sources) == spec_source()
+    assert sources == {}
+    assert resolve_instance(spec, sources) == inst
+    assert list(sources) == [str(src_path)]
 
 
 def test_run_parses_each_source_once(tmp_path, monkeypatch):

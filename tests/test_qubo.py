@@ -161,22 +161,6 @@ def test_negative_variable_index_is_rejected(key):
         Qubo({key: 1.0, (1, 1): 1.0})
 
 
-def test_capacity_load_kept_for_exact_sums_in_powers_of_two():
-    terms = {(0, 0): -1.0, (0, 1): 0.25, (1, 1): 0.5}
-    # quarters: every field sum is exact in units of 2^-4
-    assert Qubo(terms, penalty_m=2.0, capacity_load=[0.5, 0.25]).capacity_load is not None
-    # 0.1 is a multiple of 2^-55 only, which puts the sums past 2^53 units
-    assert Qubo(terms, penalty_m=0.1, capacity_load=[0.5, 0.25]).capacity_load is None
-    # M = 1 + 2^-6 and a load of 1 + 2^-3 make 2 M a_0 a_1 a multiple of
-    # 2^-8: next to a 2^45 term, a field sum needs more than 53 bits
-    big = {(0, 0): 2.0**45, (0, 1): 1.0}
-    assert Qubo(big, penalty_m=1 + 2**-6, capacity_load=[1 + 2**-3, 1.0]).capacity_load is None
-    # 2^-1074 * 0.5 falls below the smallest subnormal
-    tiny = 2.0**-1074
-    q = Qubo({(0, 0): tiny, (0, 1): tiny}, penalty_m=tiny, capacity_load=[0.5, 0.5])
-    assert q.capacity_load is None
-
-
 def test_capacity_load_must_cover_every_variable():
     with pytest.raises(ValueError, match="capacity load"):
         Qubo({(0, 1): 2.0}, capacity_load=np.ones(3))
