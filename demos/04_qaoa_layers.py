@@ -5,7 +5,7 @@ The one-layer stage tries several random angle pairs and keeps the one whose
 samples score the best expected AR; each deeper circuit starts from the
 previous optimum plus a zero-angle layer.
 
-Run:  python3 demos/04_qaoa_layers.py  (about half a minute)
+Run:  python3 demos/04_qaoa_layers.py  (about 3 seconds)
 """
 
 from satplan import (

@@ -348,7 +348,8 @@ def results_csv(report: dict) -> str:
 
 def emit_plot_data(report: dict) -> tuple[str, str]:
     """Plot-ready tables: instances as rows (ordered by request count),
-    one value column plus one CI column per solver, config solver order."""
+    one value column plus one CI column per solver, config solver order,
+    and a last ``proven_optimal`` column as in ``results_csv``."""
     solvers = report["solvers"]
     rows = [inst for inst in report["instances"] if not inst.get("error")]
     rows.sort(key=lambda r: (r["requests"], r["name"]))
@@ -359,7 +360,7 @@ def emit_plot_data(report: dict) -> tuple[str, str]:
         header = ["instance"]
         for solver in solvers:
             header += [solver, f"{solver}_ci95"]
-        writer.writerow(header)
+        writer.writerow(header + ["proven_optimal"])
         for inst in rows:
             cells = [inst["name"]]
             for solver in solvers:
@@ -370,7 +371,7 @@ def emit_plot_data(report: dict) -> tuple[str, str]:
                     cells += [repr(cell["aggregate"][value_key]), repr(cell["aggregate"][ci_key])]
                 else:
                     cells += [repr(cell["runs"][0][run_key]), ""]
-            writer.writerow(cells)
+            writer.writerow(cells + [str(inst["proven_optimal"]).lower()])
         return buf.getvalue()
 
     expected = table("mean_expected_ar", "ci95_expected", "expected_ar")

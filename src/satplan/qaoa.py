@@ -2,38 +2,51 @@
 
 The ansatz starts from the uniform superposition (ground state of the
 transverse-field mixer sum_i X_i) and alternates, per layer, a diagonal
-cost phase exp(-i * gamma * E_x) with a single-qubit mixer rotation
-RX(2 * beta) on every qubit.  The cost Hamiltonian's diagonal is the
-QUBO's own energy table, ``Qubo.energy_table()``: the energy of every basis
-state, indexed little-endian, so the cost phase is a plain elementwise
-multiply and sampled energies equal ``Qubo.energy`` of their bits exactly.
-Every function takes that table; the qubit count is its length's log2.
+cost phase exp(-i * gamma * E_x / scale) with a single-qubit mixer
+rotation RX(2 * beta) on every qubit.  The cost Hamiltonian's diagonal is
+the QUBO's own energy table, ``Qubo.energy_table()``: the energy of every
+basis state, indexed little-endian, so the cost phase is a plain
+elementwise multiply and sampled energies equal ``Qubo.energy`` of their
+bits exactly.  Every function takes that table; the qubit count is its
+length's log2.
+
+gamma is in units of 1 / scale, scale = max|table| (1 for an all-zero
+table), so the cost phase turns by at most gamma whatever the QUBO's
+penalty weights; layer 1's gamma is drawn from [0, 2pi), where one turn of
+the largest energy lies.  Only the phase is scaled: expectations,
+``LayerResult.expectation`` and sampled energies are raw QUBO energies.
 
 An ``_Evaluator`` holds what the evaluations of one table share.  The
 table has far fewer distinct energies than entries (180 of 1024 on the
 10-qubit benchmark instance), so each cost phase is exp(-i * gamma * u)
-over the distinct energies u, keyed by bit pattern so that 0.0 and -0.0
-stay apart, gathered through the ``np.unique`` inverse index into a phase
-buffer.  Equal inputs give equal outputs, so the state is bit-identical to
-one exponential per entry.  The ops run in the order phase 1, mixer 1,
-phase 2, ...; the evaluator keeps one copy of the state taken just before
-the first op whose angle (compared by bit pattern) differed from the
-previous call's, and the next call resumes from it when its own first
-difference is no earlier, else it restarts from the uniform state and
-moves the copy back.  Powell's line searches move one direction at a time,
-so consecutive evaluations share long prefixes.
+over the distinct scaled energies u, keyed by bit pattern so that 0.0 and
+-0.0 stay apart, gathered through the ``np.unique`` inverse index into a
+phase buffer.  Equal inputs give equal outputs, so the state is
+bit-identical to one exponential of gamma * (table / scale) per entry.
+The ops run in the order phase 1, mixer 1, phase 2, ...; the evaluator
+keeps one copy of the state taken just before the first op whose angle
+(compared by bit pattern) differed from the previous call's, and the next
+call resumes from it when its own first difference is no earlier, else it
+restarts from the uniform state and moves the copy back.  Powell's line
+searches move one direction at a time, so consecutive evaluations share
+long prefixes.
+
+The mixer applies RX(2 * beta) to up to five qubits at a time, as in the
+fused multi-qubit passes of QOKit (Lykov et al., arXiv 2309.04841): the k
+qubits from bit ``lo`` up are one matmul of the state, reshaped so that
+they form one axis, with the 2^k x 2^k matrix RX(2 * beta)^(x k).  That
+is 2 matmuls at 10 qubits where a per-qubit loop makes 30 ufunc calls.
+Each matmul writes to the other of two buffers, so the result does not
+depend on which buffers hold the state.
 
 Every op runs in place on buffers the evaluator owns: the retained state,
 a work state that each call refills from it and returns (valid until the
-evaluator's next call), the phase buffer (which also holds the mixer's
-partner products between phase ops, and an expectation's |psi|^2 between
-calls) and the inverse index, one to four bytes per entry: about 3.1 state
-vectors in all, and no state-sized allocation per evaluation and
-expectation.  The mixer's per-qubit views of both states are built once.
-Per qubit the mixer forms s * psi[i ^ (1 << q)], then c * psi[i], then
-their sum, one rounding each whatever buffers hold them, so running in
-place keeps every bit of the state.  ``run_schedule`` builds one
-evaluator and uses it for every optimization and every sampled state.
+evaluator's next call), the phase buffer (which is also the mixer's
+second buffer between phase ops, and holds an expectation's |psi|^2
+between calls) and the inverse index, one to four bytes per entry: about
+3.1 state vectors in all, and no state-sized allocation per evaluation and
+expectation.  ``run_schedule`` builds one evaluator and uses it for every
+optimization and every sampled state.
 
 Parameter optimisation is local and derivative-free (Powell's
 direction-set method) with the best evaluation tracked explicitly, so the
@@ -49,6 +62,8 @@ leave it.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -60,9 +75,11 @@ from .qubo import MAX_TABLE_VARIABLES
 MAX_QUBITS = MAX_TABLE_VARIABLES  # one energy-table entry per basis state
 _GATHER_CHUNK = 1 << 13  # entries per cost-phase gather: 64 KiB of intp index
 
+# qubits per mixer matmul: 5 ran faster than 3, 4, 6 and 7 at 10 and 18 qubits
+_MIXER_GROUP = 5
+_QUARTER_TURNS = np.array([1.0, -1j, -1.0, 1j])  # (-i)^d by d mod 4
+
 StateVector = np.ndarray
-# per qubit, (the state read at i ^ (1 << q), the partner buffer in the same shape)
-_MixerViews = list[tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -146,35 +163,57 @@ def uniform_state(num_qubits: int) -> StateVector:
     return np.full(1 << num_qubits, _uniform_amplitude(num_qubits), dtype=np.complex128)
 
 
-def _mixer_views(psi: StateVector, s_partner: StateVector) -> _MixerViews:
-    """Per qubit q, the view of ``psi`` whose entry i is psi[i ^ (1 << q)],
-    and ``s_partner`` shaped like it.  Both arrays must be C-contiguous, so
-    that the reshapes are views that see every later write."""
-    if not (psi.flags.c_contiguous and s_partner.flags.c_contiguous):
-        raise ValueError("the mixer needs C-contiguous buffers")
-    views = []
-    for qubit in range(len(psi).bit_length() - 1):
-        shape = (-1, 2, 1 << qubit)
-        # the reversed middle axis maps index i to i ^ (1 << qubit)
-        views.append((psi.reshape(shape)[:, ::-1, :], s_partner.reshape(shape)))
-    return views
+@functools.cache
+def _group_pattern(group: int) -> tuple[np.ndarray, ...]:
+    """What a group of ``group`` qubits' mixer matrix is built from: per flip
+    count d = 0..group, the exponents group - d of cos and d of sin and
+    (-i)^d; and d = popcount(i ^ j) for i, j < 2^group."""
+    d = np.arange(group + 1)
+    index = np.arange(1 << group, dtype=np.uint8)
+    differ = index[:, None] ^ index[None, :]
+    flips = sum((differ >> bit) & 1 for bit in range(group))
+    pattern = group - d, d, _QUARTER_TURNS[d % 4], flips
+    for array in pattern:  # shared by every call
+        array.flags.writeable = False
+    return pattern
 
 
-def _apply_mixer(
-    psi: StateVector, beta: float, s_partner: StateVector, views: _MixerViews
-) -> StateVector:
-    """RX(2*beta) on every qubit q: new[i] = c * psi[i] + s * psi[i ^ (1 << q)].
+def _group_matrix(c: float, s: float, group: int) -> np.ndarray:
+    """RX(2*beta)^(x group) with c = cos(beta), s = sin(beta): entry (i, j) is
+    c^(group - d) * (-i*s)^d, d = popcount(i ^ j), a symmetric matrix."""
+    cos_exp, sin_exp, turns, flips = _group_pattern(group)
+    return (c**cos_exp * s**sin_exp * turns).take(flips)
 
-    ``psi`` is updated in place and returned.  ``s_partner``, a scratch
-    array of the state's size and dtype, holds the partner products;
-    ``views`` is ``_mixer_views(psi, s_partner)``, built once by the caller.
+
+def _apply_mixer(psi: StateVector, beta: float, scratch: StateVector) -> StateVector:
+    """RX(2*beta) on every qubit, ``_MIXER_GROUP`` qubits per matmul.
+
+    The group at bit offset ``lo`` is one matmul with its 2^k x 2^k matrix:
+    ``psi.reshape(-1, 2^k) @ U`` at ``lo`` 0, ``U @ psi.reshape(-1, 2^k, 2^lo)``
+    above.  Each matmul writes to the other of ``psi`` and ``scratch``, a
+    C-contiguous array of the state's size and dtype; ``psi`` is updated in
+    place (copied back from ``scratch`` after an odd number of groups) and
+    returned.
     """
-    c = np.cos(beta)
-    s = -1j * np.sin(beta)
-    for partner_of_psi, partner in views:
-        np.multiply(s, partner_of_psi, out=partner)
-        np.multiply(c, psi, out=psi)
-        np.add(psi, s_partner, out=psi)
+    if not (psi.flags.c_contiguous and scratch.flags.c_contiguous):
+        raise ValueError("the mixer needs C-contiguous buffers")
+    num_qubits = len(psi).bit_length() - 1
+    c, s = math.cos(beta), math.sin(beta)
+    matrices: dict[int, np.ndarray] = {}
+    src, dst = psi, scratch
+    for lo in range(0, num_qubits, _MIXER_GROUP):
+        k = min(_MIXER_GROUP, num_qubits - lo)
+        if k not in matrices:
+            matrices[k] = _group_matrix(c, s, k)
+        if lo == 0:
+            shape = (-1, 1 << k)
+            np.matmul(src.reshape(shape), matrices[k], out=dst.reshape(shape))
+        else:
+            shape = (-1, 1 << k, 1 << lo)
+            np.matmul(matrices[k], src.reshape(shape), out=dst.reshape(shape))
+        src, dst = dst, src
+    if src is not psi:
+        np.copyto(psi, src)
     return psi
 
 
@@ -186,7 +225,11 @@ class _Evaluator:
         self.num_qubits = _num_qubits(energy_table)
         table = np.ascontiguousarray(energy_table, dtype=np.float64)
         levels, inverse = np.unique(table.view(np.int64), return_inverse=True)
-        self._levels = levels.view(np.float64)
+        levels = levels.view(np.float64)
+        # gamma is in units of 1 / max|table|; an all-zero table phases with
+        # its raw levels
+        self.scale = float(np.abs(levels).max()) or 1.0
+        self._levels = levels / self.scale
         self._index = inverse.astype(np.min_scalar_type(len(levels) - 1))
         self._phase = np.empty(len(table), dtype=np.complex128)
         self._bits = np.empty(0, dtype=np.uint64)  # angles of the previous call
@@ -199,11 +242,9 @@ class _Evaluator:
             (self._index[lo : lo + _GATHER_CHUNK], self._phase[lo : lo + _GATHER_CHUNK])
             for lo in range(0, len(table), _GATHER_CHUNK)
         ]
-        # the phase buffer is free between phase ops: it holds the partner
-        # products, and between calls the first half of its bytes holds the
-        # expectation's |psi|^2
-        self._saved_views = _mixer_views(self._saved, self._phase)
-        self._work_views = _mixer_views(self._work, self._phase)
+        # the phase buffer is free between phase ops: it is the mixer's
+        # scratch state, and between calls the first half of its bytes holds
+        # the expectation's |psi|^2
         self.probs = self._phase.view(np.float64)[: len(table)]
 
     def state(self, params: QaoaParams) -> StateVector:
@@ -217,22 +258,14 @@ class _Evaluator:
         if first < self._saved_at:
             self._saved.fill(_uniform_amplitude(self.num_qubits))
             self._saved_at = 0
-        self._run(self._saved, self._saved_views, angles, self._saved_at, first)
+        self._run(self._saved, angles, self._saved_at, first)
         self._saved_at = first
         self._bits = bits
         np.copyto(self._work, self._saved)
-        return self._run(self._work, self._work_views, angles, first, len(angles))
+        return self._run(self._work, angles, first, len(angles))
 
-    def _run(
-        self,
-        psi: StateVector,
-        views: _MixerViews,
-        angles: list[float],
-        start: int,
-        stop: int,
-    ) -> StateVector:
-        """Apply ops ``start`` to ``stop`` - 1 to ``psi`` in place; ``views``
-        are its mixer views."""
+    def _run(self, psi: StateVector, angles: list[float], start: int, stop: int) -> StateVector:
+        """Apply ops ``start`` to ``stop`` - 1 to ``psi`` in place."""
         for op in range(start, stop):
             if op % 2 == 0:
                 phase = np.exp(-1j * angles[op] * self._levels)
@@ -242,7 +275,7 @@ class _Evaluator:
                     np.take(phase, index, out=out, mode="clip")
                 psi *= self._phase
             else:
-                _apply_mixer(psi, angles[op], self._phase, views)
+                _apply_mixer(psi, angles[op], self._phase)
         return psi
 
 
@@ -251,10 +284,15 @@ def apply_ansatz(
 ) -> StateVector:
     """Prepare the layered ansatz state for the given cost diagonal and angles.
 
+    Each gamma is in units of 1 / max|table| (1 for an all-zero table), and
+    each mixer is RX(2 * beta) on every qubit, applied five qubits per
+    matmul (see the module docstring).
+
     ``_evaluator``, an ``_Evaluator`` of the same table, lets repeated calls
     share their set-up and resume from the previous call's state; the state
-    returned is then its work state, overwritten by its next call.  Without
-    one, the returned array belongs to the caller alone.
+    returned is then its work state, overwritten by its next call, and is
+    bit-identical to a fresh evaluator's.  Without one, the returned array
+    belongs to the caller alone.
     """
     if _evaluator is None:
         _evaluator = _Evaluator(energy_table)
@@ -358,6 +396,11 @@ def run_schedule(
     Each subsequent stage re-optimises all parameters starting from the
     previous optimum extended with a zero-angle layer, then samples the
     optimised state.
+
+    gammas are in units of 1 / max|table| (see :func:`apply_ansatz`);
+    expectations and sampled energies are raw QUBO energies.  For a given
+    table, arguments and library versions the results are deterministic,
+    and every state is bit-identical to one built by a fresh evaluator.
     """
     if max_layers < 1:
         raise ValueError("max_layers must be >= 1")

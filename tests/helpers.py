@@ -32,7 +32,7 @@ from satplan import (
 )
 from satplan.anneal import beta_range
 from satplan.exact import DEFAULT_NODE_BUDGET
-from satplan.qaoa import _check_size
+from satplan.qaoa import _apply_mixer, _check_size
 
 CAMERA_SUBSETS = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
 
@@ -513,8 +513,10 @@ def reference_solve_exact(
     )
 
 
-def _reference_mixer(psi: np.ndarray, num_qubits: int, beta: float) -> np.ndarray:
-    """RX(2*beta) on every qubit."""
+def reference_per_qubit_mixer(psi: np.ndarray, num_qubits: int, beta: float) -> np.ndarray:
+    """RX(2*beta) on every qubit, one qubit at a time: the per-qubit loop
+    that the grouped mixer replaced, bit-identical to it.  Updates ``psi``
+    in place and returns it."""
     c = np.cos(beta)
     s = -1j * np.sin(beta)
     for qubit in range(num_qubits):
@@ -530,12 +532,12 @@ def _reference_mixer(psi: np.ndarray, num_qubits: int, beta: float) -> np.ndarra
 def reference_apply_ansatz(
     ising: IsingModel, params: QaoaParams, energy_table: np.ndarray | None = None
 ) -> np.ndarray:
-    """The ansatz with the mixer's slice-assignment loop that
-    ``apply_ansatz`` replaced: a copy of one half and four temporaries per
-    qubit.  ``apply_ansatz`` must return exactly the same state, bit for
-    bit.
-
-    Prepare the layered ansatz state for the given cost model and angles.
+    """The ansatz as a fresh layer loop: one exp(-1j * gamma * table / scale)
+    per entry, scale = max|table| (1 for an all-zero table), then the
+    library's grouped mixer on a fresh scratch array.  ``apply_ansatz`` must
+    return exactly the same state, bit for bit, so this pins its phase
+    lookup, its in-place buffers and its resume rule; the mixer's own maths
+    is checked against ``expm`` and ``reference_per_qubit_mixer``.
     """
     nq = ising.num_variables
     _check_size(nq)
@@ -543,8 +545,9 @@ def reference_apply_ansatz(
         energy_table = ising.energy_table()
     elif len(energy_table) != (1 << nq):
         raise ValueError("energy table size does not match the model")
+    scale = float(np.abs(energy_table).max()) or 1.0
     psi = uniform_state(nq)
     for gamma, beta in zip(params.gammas, params.betas):
-        psi *= np.exp(-1j * gamma * energy_table)
-        psi = _reference_mixer(psi, nq, beta)
+        psi *= np.exp(-1j * gamma * (energy_table / scale))
+        psi = _apply_mixer(psi, beta, np.empty_like(psi))
     return psi

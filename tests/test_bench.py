@@ -119,6 +119,11 @@ def test_results_csv_flags_unproven_optimum(instance_file, tmp_path):
         assert len(rows) == 3  # two runs and the aggregate
         assert all(row.split(",")[-1] == flag for row in rows)
         assert all(len(row.split(",")) == len(header.split(",")) for row in rows)
+        # the plot tables carry the same flag as their last column
+        for name in ("expected_ar.csv", "best_ar.csv"):
+            header, row = (tmp_path / str(budget) / name).read_text().splitlines()
+            assert header.endswith(",proven_optimal")
+            assert row.split(",")[-1] == flag
 
 
 def test_emit_plot_data_layout(instance_file, tmp_path):
@@ -141,18 +146,19 @@ def test_emit_plot_data_layout(instance_file, tmp_path):
     report, _ = run_pipeline(cfg, tmp_path / "out")
     expected_csv, best_csv = emit_plot_data(report)
     header, *rows = expected_csv.strip().splitlines()
-    assert header == "instance,exhaustive,exhaustive_ci95,exact,exact_ci95"
+    assert header == "instance,exhaustive,exhaustive_ci95,exact,exact_ci95,proven_optimal"
     assert len(rows) == 2
     # ordered by request count: tiny3 (3 requests) before zz-bigger (4)
     assert rows[0].startswith("tiny3,")
     assert rows[1].startswith("zz-bigger,")
+    assert all(row.endswith(",true") for row in rows)
     assert best_csv.splitlines()[0] == header
 
 
 def test_emit_plot_data_empty_report():
     expected_csv, best_csv = emit_plot_data({"solvers": ["sa"], "instances": []})
-    assert expected_csv == "instance,sa,sa_ci95\n"
-    assert best_csv == "instance,sa,sa_ci95\n"
+    assert expected_csv == "instance,sa,sa_ci95,proven_optimal\n"
+    assert best_csv == "instance,sa,sa_ci95,proven_optimal\n"
 
 
 def test_csv_files_quote_names_with_commas_and_quotes(tmp_path):
@@ -254,7 +260,8 @@ def test_cell_failure_is_isolated(instance_file, tmp_path, monkeypatch):
         "tiny3__exact__run0.json",
         "tiny3__exact__run1.json",
     ]
-    assert (out / "expected_ar.csv").read_text().splitlines()[1].endswith(",,")
+    # the failed sa cell leaves its two columns empty, before proven_optimal
+    assert (out / "expected_ar.csv").read_text().splitlines()[1].endswith(",,,true")
 
 
 def test_oversized_cells_are_skipped_with_reason(tmp_path):

@@ -168,7 +168,7 @@ def test_run_and_report(tmp_path, capsys):
     report_dir = tmp_path / "plots"
     assert main(["report", str(out_dir / "report.json"), "-o", str(report_dir)]) == 0
     header = (report_dir / "expected_ar.csv").read_text().splitlines()[0]
-    assert header == "instance,exhaustive,exhaustive_ci95,sa,sa_ci95"
+    assert header == "instance,exhaustive,exhaustive_ci95,sa,sa_ci95,proven_optimal"
 
 
 def test_flag_overrides_beat_config(tmp_path):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +22,14 @@ from satplan import (
     solve_exhaustive,
     uniform_state,
 )
-from satplan.qaoa import _apply_mixer, _mixer_views
+from satplan.qaoa import _apply_mixer
 from test_ising import random_integer_qubo
 from helpers import (
     acceptance_source,
     assert_bitwise_equal,
     random_instance,
     reference_apply_ansatz,
+    reference_per_qubit_mixer,
 )
 
 
@@ -102,14 +107,118 @@ def test_mixer_half_turn_flips_basis_states():
     k = int(rng.integers(0, 1 << n))
     psi = np.zeros(1 << n, dtype=np.complex128)
     psi[k] = 1.0
-    scratch = np.empty_like(psi)
-    flipped = _apply_mixer(psi, np.pi / 2, scratch, _mixer_views(psi, scratch))
+    flipped = _apply_mixer(psi, np.pi / 2, np.empty_like(psi))
     probs = np.abs(flipped) ** 2
     complement = k ^ ((1 << n) - 1)
     assert probs[complement] == pytest.approx(1.0, abs=1e-12)
 
 
 SPECIAL_ANGLES = (0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 1e-3, -1e-3, 1e3, -1e3)
+
+
+def _mixer_angles(rng: np.random.Generator) -> list[float]:
+    return list(SPECIAL_ANGLES) + list(rng.uniform(-np.pi, np.pi, size=4))
+
+
+def _random_state(rng: np.random.Generator, num_qubits: int) -> np.ndarray:
+    psi = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
+    return psi / np.linalg.norm(psi)
+
+
+def _sum_of_x(num_qubits: int) -> np.ndarray:
+    """sum_q X_q as a dense matrix, qubit q at bit q of the basis index."""
+    index = np.arange(1 << num_qubits)
+    h = np.zeros((1 << num_qubits, 1 << num_qubits))
+    for qubit in range(num_qubits):
+        h[index, index ^ (1 << qubit)] = 1.0
+    return h
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 7))
+def test_mixer_matches_matrix_exponential(num_qubits):
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(200 + num_qubits)
+    h = _sum_of_x(num_qubits)
+    for beta in _mixer_angles(rng):
+        psi = _random_state(rng, num_qubits)
+        want = expm(-1j * beta * h) @ psi
+        got = _apply_mixer(psi.copy(), beta, np.empty_like(psi))
+        assert np.abs(got - want).max() <= 1e-12
+        assert abs(np.linalg.norm(got) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 13))
+def test_mixer_matches_per_qubit_loop(num_qubits):
+    rng = np.random.default_rng(300 + num_qubits)
+    for beta in _mixer_angles(rng):
+        psi = _random_state(rng, num_qubits)
+        want = reference_per_qubit_mixer(psi.copy(), num_qubits, beta)
+        got = _apply_mixer(psi.copy(), beta, np.empty_like(psi))
+        assert np.abs(got - want).max() <= 1e-12
+        assert abs(np.linalg.norm(got) - 1.0) <= 1e-12
+    for beta in (0.0, -0.0):
+        uniform = uniform_state(num_qubits)
+        assert np.array_equal(_apply_mixer(uniform.copy(), beta, np.empty_like(uniform)), uniform)
+
+
+def test_mixer_bits_do_not_depend_on_blas_threads():
+    """The mixer's matmuls go through OpenBLAS; one and two threads must give
+    the same bytes on an 18-qubit state."""
+    script = (
+        "import hashlib, sys\n"
+        "import numpy as np\n"
+        "from satplan.qaoa import _apply_mixer\n"
+        "rng = np.random.default_rng(5)\n"
+        "psi = rng.normal(size=1 << 18) + 1j * rng.normal(size=1 << 18)\n"
+        "scratch = np.empty_like(psi)\n"
+        "for beta in (0.3, -1.1, 2.5):\n"
+        "    _apply_mixer(psi, beta, scratch)\n"
+        "sys.stdout.write(hashlib.sha256(psi.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(qaoa.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout)
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
+
+
+def test_gamma_is_in_units_of_the_largest_energy_magnitude():
+    rng = np.random.default_rng(61)
+    params = QaoaParams((0.7, -2.1), (0.4, 1.3))
+    assert qaoa._Evaluator(np.zeros(8)).scale == 1.0
+    mixers_only = uniform_state(3)
+    for beta in params.betas:
+        _apply_mixer(mixers_only, beta, np.empty_like(mixers_only))
+    assert np.array_equal(apply_ansatz(np.zeros(8), params), mixers_only)
+    table = random_integer_qubo(rng, 5).energy_table()
+    table[3] = -(np.abs(table).max() + 5.0)  # the largest magnitude is negative
+    scale = -table[3]
+    assert qaoa._Evaluator(table).scale == scale
+    assert qaoa._Evaluator(table / scale).scale == 1.0
+    assert_bitwise_equal(apply_ansatz(table, params), apply_ansatz(table / scale, params))
+    # a small table is scaled up to magnitude 1 as well
+    assert_bitwise_equal(apply_ansatz(table / scale / 64, params), apply_ansatz(table, params))
+
+
+def test_expectations_and_samples_stay_in_qubo_energies():
+    rng = np.random.default_rng(73)
+    q = encode(random_instance(rng, n_requests=3, n_pairs=1, n_triples=0, name="units"))
+    table = q.energy_table()
+    assert np.abs(table).max() > 1.0  # so a scaled energy would differ
+    cfg = OptimizerConfig(max_evals=40)
+    for result in run_schedule(table, max_layers=2, n_inits=2, cfg=cfg, seed=4, reads=100):
+        psi = apply_ansatz(table, result.params)
+        assert result.expectation == expectation(table, psi)
+        assert result.expectation == float(np.abs(psi) ** 2 @ table)
+        for entry in result.samples.entries:
+            assert entry.energy == q.energy(entry.bit_array())
 
 
 def _angle_sets(rng: np.random.Generator, layers: int) -> list[QaoaParams]:
@@ -252,13 +361,13 @@ def test_evaluator_runs_in_its_own_buffers():
     # the retained state, the work state, the phase buffer and a one-byte index
     assert evaluator._index.itemsize == 1
     assert held <= 3.1 * state_bytes
-    # a ufunc over the mixer's strided views stages through numpy's iterator
-    # buffer, getbufsize() elements whatever the state's size
-    iterator_buffer = 16 * np.getbufsize()
+    # np.take casts each chunk of the inverse index to intp; the mixer's
+    # matmuls write straight into the evaluator's buffers
+    gather_index = np.dtype(np.intp).itemsize * qaoa._GATHER_CHUNK
     # an evaluation with its expectation peaks at the evaluator's own buffers
     for peak, kept in calls:
-        assert peak < 0.1 * state_bytes + iterator_buffer
-        assert held + peak < 3.1 * state_bytes + iterator_buffer
+        assert peak < 0.1 * state_bytes + gather_index
+        assert held + peak < 3.1 * state_bytes + gather_index
         assert kept < 0.01 * state_bytes
 
 
