@@ -20,15 +20,31 @@ Kernel layout.  ``sgn = 1 - 2x`` (+1 or -1) and the local fields are kept
 as contiguous ``(variables, reads)`` arrays, so one variable's values over
 all reads form one row.  Each sweep draws its ``(variables, reads)`` block
 of uniforms in one call, which is the same stream, in the same order, as
-one ``rng.random(reads)`` per variable.  Each restart builds a plan once:
-per variable, views of its field, sign and uniform rows, its load scale,
-and the rows its flips update (below), so a step indexes no array.
+one ``rng.random(reads)`` per variable, in either dtype.  Each restart
+builds a plan once: per variable, views of its field, sign and threshold
+rows, its load scale, and the rows its flips update (below), so a step
+indexes no array.
 
-Step.  Each (sweep, variable) step is one exact Metropolis test over all
-reads: with ``delta = sgn[i] * fields[i]``, a read flips when
-``u < exp(-beta * delta)``.  The exponent needs no clamp at 0: ``u`` lies
-in [0, 1), so ``delta <= 0`` gives ``exp >= 1 > u``, an accept, and so
-does an overflow to ``+inf``; an overflow to ``-inf`` gives 0, a reject.
+Precision and test.  The kernel runs in float32 when the QUBO's fields
+are exact in float32 (``Qubo.fields_exact_in``: every coefficient, load
+and M an integer, every partial field sum below 2^23) and the ramp's
+betas lie in ``FLOAT32_BETAS``, and in float64 otherwise, e.g. for
+M = 7.3, 7.5 or 1e300.  Where the fields are exact, fields, loads, flip
+vectors and their products are the same integers in float32 as in
+float64; only the uniforms are coarser.  Each sweep turns its block of
+uniforms u, in place, into thresholds ``t = -ln(u) / beta``, and each
+(sweep, variable) step flips the reads with
+``delta = sgn[i] * fields[i] < t``.  That is ``u < exp(-beta * delta)``,
+the Metropolis test, in distribution: in float32 u is a multiple of
+2^-24, so acceptance probabilities are resolved to 2^-24 (2^-53 in
+float64).  ``delta <= 0`` always flips, since ``t > 0``.  ``u = 0``
+(probability 2^-24 per draw in float32) gives ``ln(0) = -inf`` and
+``t = +inf``, an accept, with the division warning silenced; so does a
+float64 beta small enough (below about 1e-307) to take a threshold past
+the largest float, which every finite delta is below anyway.  Within
+``FLOAT32_BETAS`` every float32 threshold of a u > 0 is a positive,
+finite, normal number.  Energies are recomputed in float64 from the
+final states.
 
 Field update.  Early in a ramp that starts hot, many flips are accepted,
 and the update of the fields they touch is the dearest step.  After a
@@ -85,6 +101,9 @@ MAX_EXHAUSTIVE_VARIABLES = 24  # 2**24 energies: 128 MiB as float64, also the pe
 
 HOT_ACCEPT = 0.5  # acceptance of the largest possible flip cost at beta_start
 COLD_ACCEPT = 1e-4  # acceptance of the smallest nonzero coefficient at beta_end
+# betas whose thresholds -ln(u) / beta, over the float32 uniforms u > 0
+# (-ln(u) from 6e-8 to 16.7), are normal float32 numbers
+FLOAT32_BETAS = (1e-30, 1e30)
 
 
 def _check_betas(beta_start: float, beta_end: float) -> None:
@@ -98,7 +117,7 @@ def _check_betas(beta_start: float, beta_end: float) -> None:
 class AnnealSchedule:
     """A geometric ramp of ``sweeps`` inverse temperatures per restart.
 
-    With ``beta_start`` and ``beta_end`` left at None, :func:`beta_range`
+    With ``beta_start`` and ``beta_end`` left at None, :func:`anneal_settings`
     derives both from the QUBO being annealed (see the module docstring);
     give both to fix the ramp for every QUBO.
     """
@@ -119,26 +138,25 @@ class AnnealSchedule:
             raise ValueError("restarts_per_read must be >= 1")
 
 
-def beta_range(sched: AnnealSchedule, diag: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    """(beta_start, beta_end) of ``sched`` on the QUBO with linear terms
-    ``diag`` and interaction matrix ``w``: the schedule's own betas when it
-    fixes them, else the range derived from the QUBO's energy scale."""
+def anneal_settings(q: Qubo, sched: AnnealSchedule) -> tuple[float, float, str]:
+    """(beta_start, beta_end, precision) of annealing ``q`` under ``sched``.
+
+    The betas are the schedule's own when it fixes them, else the range
+    derived from the QUBO's energy scale.  The precision is ``"float32"``
+    when the QUBO's field sums are exact in float32 and every threshold of
+    the ramp is a normal float32 number, else ``"float64"``.
+    """
     if sched.beta_start is not None:
-        return sched.beta_start, sched.beta_end
-    magnitudes = np.abs(w)
-    with np.errstate(over="ignore"):  # an infinite bound is rejected below
-        flip_bounds = np.abs(diag) + magnitudes.sum(axis=1)
-    coefficients = np.concatenate([np.abs(diag), magnitudes.ravel()])
-    coefficients = coefficients[coefficients != 0]
-    if coefficients.size:
-        max_flip, min_coefficient = float(flip_bounds.max()), float(coefficients.min())
-    else:  # no energy scale at all: take it as 1
-        max_flip = min_coefficient = 1.0
-    # a subnormal or infinite scale gives an infinite or zero beta
-    beta_start = math.log(1 / HOT_ACCEPT) / max_flip
-    beta_end = math.log(1 / COLD_ACCEPT) / min_coefficient
-    _check_betas(beta_start, beta_end)
-    return beta_start, beta_end
+        beta_start, beta_end = sched.beta_start, sched.beta_end
+    else:
+        max_flip, min_coefficient = q.energy_scale()
+        # a subnormal or infinite scale gives an infinite or zero beta
+        beta_start = math.log(1 / HOT_ACCEPT) / max_flip
+        beta_end = math.log(1 / COLD_ACCEPT) / min_coefficient
+        _check_betas(beta_start, beta_end)
+    low, high = FLOAT32_BETAS
+    float32 = q.fields_exact_in(np.float32) and low <= beta_start and beta_end <= high
+    return beta_start, beta_end, "float32" if float32 else "float64"
 
 
 @dataclass(frozen=True)
@@ -238,69 +256,71 @@ def sample_sa(
     sched = sched or AnnealSchedule()
     rng = np.random.default_rng(seed)
     nv = q.num_variables
-    diag = q.linear_terms()
-    w = q.interaction_matrix()
-    betas = np.geomspace(*beta_range(sched, diag, w), sched.sweeps)
+    beta_start, beta_end, precision = anneal_settings(q, sched)
+    dtype = np.dtype(precision)
+    betas = np.geomspace(beta_start, beta_end, sched.sweeps).tolist()
+    diag = q.linear_terms().astype(dtype)
     # the couplings less the capacity clique, with -2M a_i^2 on the diagonal;
     # without a recorded load, the couplings themselves
     load = np.zeros(nv) if q.capacity_load is None else q.capacity_load
     scale = 2.0 * q.penalty_m * load
-    remainder = w - np.outer(scale, load)
+    remainder = (q.interaction_matrix() - np.outer(scale, load)).astype(dtype)
+    load = load.astype(dtype)
     # the rows an accepted flip of i updates: field row j by S_ij * dx, and
     # the load, taken as row nv, by a_i * dx
     groups = [_coupling_groups(row) for row in np.column_stack([remainder, load])]
     scales = scale.tolist()
 
-    us = np.empty((nv, reads))
-    accept_p = np.empty(reads)
+    thresholds = np.empty((nv, reads), dtype)
+    delta = np.empty(reads, dtype)
     accept = np.empty(reads, dtype=bool)
-    dx = np.empty(reads)
-    product = np.empty(reads)
+    dx = np.empty(reads, dtype)
+    product = np.empty(reads, dtype)
     best_states: np.ndarray | None = None
     best_energies: np.ndarray | None = None
     for _ in range(sched.restarts_per_read):
         states = rng.integers(0, 2, size=(reads, nv), dtype=np.uint8)
         total_load = states @ load  # L, one per read
-        fields = states.astype(np.float64) @ remainder
+        fields = states.astype(dtype) @ remainder
         fields += diag
         fields = np.ascontiguousarray(fields.T)
-        sgn = np.ascontiguousarray(states.T, dtype=np.float64)
+        sgn = np.ascontiguousarray(states.T, dtype=dtype)
         sgn *= -2.0
         sgn += 1.0
-        # per variable: its rows of fields, sgn and uniforms, its load scale,
-        # and the rows its flips update, under each coupling value
+        # per variable: its rows of fields, sgn and thresholds, its load
+        # scale, and the rows its flips update, under each coupling value
         targets = [*fields, total_load]
         plan = [
-            (fields[i], sgn[i], us[i], scales[i],
+            (fields[i], sgn[i], thresholds[i], scales[i],
              [(w_ij, [targets[j] for j in cols]) for w_ij, cols in groups[i]])
             for i in range(nv)
         ]
-        # on a QUBO whose coefficients span many decades, -beta * delta and
-        # its exp can overflow; +-inf still gives the right decision
-        # (exp(+inf) = inf accepts, exp(-inf) = 0 rejects)
-        with np.errstate(over="ignore"):
-            for beta in betas:
-                rng.random(out=us)
-                for field_i, sgn_i, u_i, c_i, coupled in plan:
-                    if c_i:  # delta = sgn_i * (fields_i + 2M a_i L)
-                        np.multiply(total_load, c_i, out=accept_p)
-                        accept_p += field_i
-                        accept_p *= sgn_i
-                    else:
-                        np.multiply(sgn_i, field_i, out=accept_p)  # delta
-                    accept_p *= -beta
-                    np.exp(accept_p, out=accept_p)
-                    np.less(u_i, accept_p, out=accept)
-                    if not np.count_nonzero(accept):
-                        continue
-                    # x_i changes by sgn_i = 1 - 2 x_i on flipped reads, by +-0 elsewhere
-                    np.multiply(sgn_i, accept, out=dx)
-                    sgn_i -= dx
-                    sgn_i -= dx
-                    for w_ij, rows in coupled:
-                        np.multiply(dx, w_ij, out=product)
-                        for row in rows:
-                            row += product
+        for beta in betas:
+            rng.random(out=thresholds, dtype=dtype)
+            # t = -ln(u) / beta; u = 0 gives t = +inf, an accept.  In
+            # float64 a beta below about 1e-307 can take t past the largest
+            # float, which accepts every finite delta, as the exact t would
+            with np.errstate(divide="ignore", over="ignore"):
+                np.log(thresholds, out=thresholds)
+                thresholds *= -1.0 / beta
+            for field_i, sgn_i, t_i, c_i, coupled in plan:
+                if c_i:  # delta = sgn_i * (fields_i + 2M a_i L)
+                    np.multiply(total_load, c_i, out=delta)
+                    delta += field_i
+                    delta *= sgn_i
+                else:
+                    np.multiply(sgn_i, field_i, out=delta)
+                np.less(delta, t_i, out=accept)
+                if not np.count_nonzero(accept):
+                    continue
+                # x_i changes by sgn_i = 1 - 2 x_i on flipped reads, by +-0 elsewhere
+                np.multiply(sgn_i, accept, out=dx)
+                sgn_i -= dx
+                sgn_i -= dx
+                for w_ij, rows in coupled:
+                    np.multiply(dx, w_ij, out=product)
+                    for row in rows:
+                        row += product
         states = np.ascontiguousarray((sgn < 0.0).T, dtype=np.uint8)  # x = 1 where sgn = -1
         energies = q.energies(states)
         if best_states is None:

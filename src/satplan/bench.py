@@ -26,7 +26,7 @@ from .anneal import (
     AnnealSchedule,
     SampleEntry,
     SampleSet,
-    beta_range,
+    anneal_settings,
     sample_sa,
     solve_exhaustive,
 )
@@ -188,9 +188,14 @@ def run_cell(
     if solver == "sa":
         sched = AnnealSchedule()
         samples = sample_sa(qubo, reads, sched, seed)
-        # the range is derived from the QUBO, so the run records it
-        beta_start, beta_end = beta_range(sched, qubo.linear_terms(), qubo.interaction_matrix())
-        extra = {"sweeps": sched.sweeps, "beta_start": beta_start, "beta_end": beta_end}
+        # the range and the precision are derived from the QUBO, so the run records them
+        beta_start, beta_end, precision = anneal_settings(qubo, sched)
+        extra = {
+            "sweeps": sched.sweeps,
+            "beta_start": beta_start,
+            "beta_end": beta_end,
+            "precision": precision,
+        }
     else:
         if solver == "exhaustive":
             bits, energy = solve_exhaustive(qubo)

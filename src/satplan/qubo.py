@@ -117,29 +117,27 @@ def _frozen_terms(coefficients: Mapping[tuple[int, int], float]):
     return rows, cols, vals
 
 
-def _exact_load(
-    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, load: np.ndarray, m: float
-) -> bool:
-    """Whether fields summed as ``diag_i + sum_j S_ij x_j + 2 m a_i L``, with
-    the remainder ``S = W - 2 m a a^T`` and the load ``L = a . x``, are exact
-    in every order, as are the dense ``diag_i + sum_j W_ij x_j``.
+def _field_bound(
+    vals: np.ndarray, flip_bounds: np.ndarray, load: np.ndarray | None, m: float
+) -> float:
+    """The largest per-variable bound ``|diag_i| + sum_j |W_ij| + 4 m |a_i|
+    sum_j |a_j|`` (the load term only with a ``load``) when every
+    coefficient, and with a load every load and ``m``, is an integer;
+    infinite otherwise.
 
-    It holds when every number is an integer and variable i's bound
-    ``|diag_i| + sum_j |W_ij| + 4 |m a_i| sum_j |a_j|`` stays below 2^53: the
-    bound covers every partial sum of either form, so each is an integer
-    float.  The bound is checked against 2^52, which leaves room for the
-    rounding of its own sum.
+    The bound covers every partial sum of the dense fields ``diag_i +
+    sum_j W_ij x_j`` and of the factored ``diag_i + sum_j S_ij x_j + 2 m a_i
+    L``, with ``S = W - 2 m a a^T`` and ``L = a . x``, and the products in
+    them: all are integers no larger than it.
     """
-    numbers = np.concatenate([vals, load, [m]])
+    numbers = vals if load is None else np.concatenate([vals, load, [m]])
     if not (np.all(np.isfinite(numbers)) and np.all(numbers == np.round(numbers))):
-        return False
-    nv = len(load)
-    off = rows != cols
-    size = np.abs(vals)
-    with np.errstate(over="ignore"):  # an infinite bound fails the test below
-        bound = np.bincount(rows, size, nv) + np.bincount(cols[off], size[off], nv)
-        bound += 4.0 * m * np.abs(load) * np.abs(load).sum()
-    return bool(np.all(bound < 2.0**52))
+        return math.inf
+    bounds = flip_bounds
+    if load is not None:
+        with np.errstate(over="ignore"):  # an infinite bound certifies nothing
+            bounds = bounds + 4.0 * m * np.abs(load) * np.abs(load).sum()
+    return float(bounds.max(initial=0.0))
 
 
 def _bit_axes(table: np.ndarray, i: int) -> np.ndarray:
@@ -159,9 +157,10 @@ class Qubo:
     ``capacity_load`` is the load vector a of a rank-one penalty
     ``penalty_m * (a . x - C)^2`` whose couplings ``2 penalty_m a_i a_j``
     the coefficients already hold.  It changes no energy; it lets the
-    annealer factor those couplings out.  It is kept only when the factored
-    field sums are exact (every number an integer, every partial sum below
-    2^53); otherwise ``capacity_load`` is None.
+    annealer factor those couplings out.  ``field_bound`` bounds the
+    annealer's field sums when every number is an integer (infinite
+    otherwise), and ``fields_exact_in`` says when they are exact; the load
+    is kept only when they are exact in float64, and is None otherwise.
     """
 
     def __init__(
@@ -193,13 +192,20 @@ class Qubo:
         if objective_diag is None:
             objective_diag = np.zeros(nv)
         self._objective_diag = np.asarray(objective_diag, dtype=np.float64)
-        self.capacity_load: np.ndarray | None = None
+        load = None
         if capacity_load is not None:
             load = np.asarray(capacity_load, dtype=np.float64)
             if load.shape != (nv,):
                 raise ValueError(f"expected a capacity load of length {nv}, got shape {load.shape}")
-            if _exact_load(self._rows, self._cols, self._vals, load, self.penalty_m):
-                self.capacity_load = load
+        off = self._rows != self._cols
+        size = np.abs(self._vals)
+        with np.errstate(over="ignore"):  # an infinite bound gives beta_start 0, which is rejected
+            # |diag_i| + sum_j |W_ij|: the largest flip cost of variable i
+            self._flip_bounds = np.bincount(self._rows, size, nv) + np.bincount(
+                self._cols[off], size[off], nv
+            )
+        self.field_bound = _field_bound(self._vals, self._flip_bounds, load, self.penalty_m)
+        self.capacity_load: np.ndarray | None = load if self.fields_exact_in(np.float64) else None
 
     # -- shape ---------------------------------------------------------
 
@@ -228,6 +234,19 @@ class Qubo:
         mask = self._rows == self._cols
         diag[self._rows[mask]] = self._vals[mask]
         return diag
+
+    def fields_exact_in(self, dtype) -> bool:
+        """Whether the annealer's field sums are exact numbers of ``dtype``:
+        ``field_bound`` below 2^(mantissa bits), half the range of exact
+        integers, which leaves room for the rounding of the bound's own sum."""
+        return self.field_bound < 2.0 ** np.finfo(dtype).nmant
+
+    def energy_scale(self) -> tuple[float, float]:
+        """(largest flip-cost bound ``max_i(|diag_i| + sum_j |W_ij|)``,
+        smallest nonzero |coefficient|), or (1, 1) without coefficients."""
+        if not len(self._vals):
+            return 1.0, 1.0
+        return float(self._flip_bounds.max()), float(np.abs(self._vals).min())
 
     def interaction_matrix(self) -> np.ndarray:
         """Dense pairwise coefficients, combined convention, zero diagonal."""

@@ -30,7 +30,7 @@ from satplan import (
     objective,
     uniform_state,
 )
-from satplan.anneal import beta_range
+from satplan.anneal import anneal_settings
 from satplan.exact import DEFAULT_NODE_BUDGET
 from satplan.qaoa import _apply_mixer, _check_size
 
@@ -272,7 +272,7 @@ def reference_energy(inst: Instance, m: float, bits: np.ndarray) -> float:
 def assert_bitwise_equal(new: np.ndarray, ref: np.ndarray) -> None:
     # compare the bits, not the floats: -0.0 == 0.0 as floats
     assert new.dtype == ref.dtype
-    assert np.array_equal(new.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(new.view(np.uint8), ref.view(np.uint8))
 
 
 def reference_energy_table(q: Qubo) -> np.ndarray:
@@ -364,9 +364,12 @@ def reference_sample_sa(
     seed: int = 0,
 ) -> SampleSet:
     """The annealer's plain per-variable Metropolis loop: one
-    ``rng.random(reads)`` and one exact test per (sweep, variable) step,
-    on a (reads, variables) layout.  ``sample_sa`` must return exactly
-    the same sample set."""
+    ``rng.random(reads)`` and one threshold test per (sweep, variable) step,
+    on a (reads, variables) layout, in the precision ``anneal_settings``
+    picks.  A read flips when ``delta < -ln(u) / beta``, which is
+    ``u < exp(-beta * delta)`` in distribution.  ``sample_sa`` must return
+    exactly the same sample set, and its fields are checked exact wherever
+    ``Qubo.fields_exact_in`` says they are."""
     if reads < 1:
         raise ValueError("reads must be >= 1")
     sched = sched or AnnealSchedule()
@@ -377,30 +380,36 @@ def reference_sample_sa(
         states = np.zeros((reads, 0), dtype=np.uint8)
         return SampleSet.from_states(states, q.energies(states), "sa", seed)
 
-    diag = q.linear_terms()
-    w = q.interaction_matrix()
-    betas = np.geomspace(*beta_range(sched, diag, w), sched.sweeps)
+    beta_start, beta_end, precision = anneal_settings(q, sched)
+    dtype = np.dtype(precision)
+    diag = q.linear_terms().astype(dtype)
+    w = q.interaction_matrix().astype(dtype)
+    betas = np.geomspace(beta_start, beta_end, sched.sweeps).tolist()
 
     best_states: np.ndarray | None = None
     best_energies: np.ndarray | None = None
     for _ in range(sched.restarts_per_read):
         states = rng.integers(0, 2, size=(reads, nv), dtype=np.uint8)
-        x = states.astype(np.float64)
+        x = states.astype(dtype)
         fields = diag[None, :] + x @ w  # flip cost of var i is (1 - 2 x_i) * field_i
-        # -beta * delta may overflow to -inf, whose exp is 0: a reject
-        with np.errstate(over="ignore"):
-            for beta in betas:
-                for i in range(nv):
-                    delta = (1.0 - 2.0 * x[:, i]) * fields[:, i]
-                    u = rng.random(reads)
-                    accept = delta <= 0.0
-                    hot = ~accept
-                    if hot.any():
-                        accept[hot] = u[hot] < np.exp(-beta * delta[hot])
-                    if accept.any():
-                        step = np.where(accept, 1.0 - 2.0 * x[:, i], 0.0)
-                        x[:, i] += step
-                        fields += step[:, None] * w[i][None, :]
+        for beta in betas:
+            for i in range(nv):
+                delta = (1.0 - 2.0 * x[:, i]) * fields[:, i]
+                u = rng.random(reads, dtype=dtype)
+                # log(0) = -inf: t = +inf accepts; a t past the largest
+                # float accepts every finite delta
+                with np.errstate(divide="ignore", over="ignore"):
+                    t = np.log(u) * (-1.0 / beta)
+                accept = delta < t
+                if accept.any():
+                    step = np.where(accept, 1.0 - 2.0 * x[:, i], 0.0)
+                    x[:, i] += step
+                    fields += step[:, None] * w[i][None, :]
+        if q.fields_exact_in(dtype):
+            # where the QUBO says its fields are exact, the updated fields
+            # equal the sums recomputed in float64 from the final states
+            exact = q.linear_terms() + x.astype(np.float64) @ q.interaction_matrix()
+            assert np.array_equal(fields.astype(np.float64), exact)
         states = x.astype(np.uint8)
         energies = q.energies(states)
         if best_states is None:

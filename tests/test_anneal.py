@@ -13,7 +13,7 @@ from satplan import (
     sample_sa,
     solve_exhaustive,
 )
-from satplan.anneal import beta_range
+from satplan.anneal import anneal_settings
 from satplan.qubo import Qubo
 from helpers import (
     assert_bitwise_equal,
@@ -143,7 +143,7 @@ def _scale(q: Qubo) -> tuple[float, float]:
 
 
 def _range(q: Qubo, sched: AnnealSchedule | None = None) -> tuple[float, float]:
-    return beta_range(sched or AnnealSchedule(), q.linear_terms(), q.interaction_matrix())
+    return anneal_settings(q, sched or AnnealSchedule())[:2]
 
 
 @pytest.mark.parametrize(
@@ -294,7 +294,7 @@ _wide_sparse = lambda: _encoded(21, False, 24, n_pairs=10, n_triples=4)
 _FREE = Qubo({(0, 0): -1.0, (0, 1): 1.0}, num_variables=3)
 
 # |coefficients| from 1e-300 to 3e10: late in the derived ramp (beta_end
-# about 9e300) -beta * delta overflows for every uphill flip of a large term.
+# about 9e300) the thresholds -ln(u) / beta fall to subnormal numbers.
 # Three degenerate states at -3e10 on variables 0 and 1 keep several entries.
 _EXTREME = Qubo({
     (0, 0): -3e10, (1, 1): -3e10, (0, 1): 3e10, (1, 2): 1e-3, (2, 2): 5.0,
@@ -352,15 +352,21 @@ REFERENCE_CASES = {
         AnnealSchedule(sweeps=21, beta_start=1e-12, beta_end=1e-11),
     ),
     # a non-integer M, and an M whose sums pass 2^53: neither records a
-    # capacity load, so both anneal the dense couplings
+    # capacity load, so both anneal the dense couplings in float64
     "capacity-fractional-m": (lambda: _encoded(6, True, 7, m=7.3), 300, AnnealSchedule(sweeps=80)),
     "capacity-huge-m": (lambda: _encoded(6, True, 7, m=1e300), 300, AnnealSchedule(sweeps=80)),
+    # betas this small take -ln(u) / beta past the largest float64 for
+    # u < 0.17 or so: such a threshold accepts, as every flip here should
+    "tiny-betas": (
+        lambda: _FREE, 100, AnnealSchedule(sweeps=9, beta_start=1e-308, beta_end=1e-307),
+    ),
     "isolated-load": (_isolated_load, 300, AnnealSchedule(sweeps=60)),
     "grouped-couplings": (_grouped_couplings, 300, AnnealSchedule(sweeps=60)),
 }
 
 
-# an overflow in either loop must be handled there, not surface as a warning
+# an overflow or a log(0) in either loop must be handled there, not
+# surface as a warning
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("seed", [0, 1, 29])
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
@@ -446,3 +452,110 @@ def test_grouped_couplings_case_shares_some_values_and_not_others():
     counts = [np.unique(row[row != 0], return_counts=True)[1] for row in w]
     assert sum(1 for c in counts if c.max(initial=0) >= 2 and c.min() == 1) >= 10
     assert not np.array_equal(w, np.round(w))
+
+
+@pytest.mark.parametrize(
+    "h, beta, precision",
+    [(3.0, 1 / 3, "float32"), (3.0, 1.0, "float32"), (0.3, 10 / 3, "float64"), (0.3, 10.0, "float64")],
+)
+def test_threshold_rule_accepts_uphill_flips_at_the_metropolis_rate(h, beta, precision):
+    # one sweep over one variable of cost h: a read that starts at 0 ends at
+    # 1 with probability exp(-beta h), and one that starts at 1 always flips
+    # down, so the share of reads ending at 1 is exp(-beta h) / 2
+    q = Qubo({(0, 0): h})
+    sched = AnnealSchedule(sweeps=1, beta_start=beta, beta_end=2 * beta)
+    assert anneal_settings(q, sched)[2] == precision
+    reads = 200_000
+    ones = sum(e.count for e in sample_sa(q, reads, sched, seed=4).entries if e.bits == "1")
+    p = math.exp(-beta * h) / 2
+    assert abs(ones / reads - p) < 5 * math.sqrt(p * (1 - p) / reads)
+
+
+_hot = AnnealSchedule(sweeps=5, beta_start=1e-12, beta_end=1e-11)
+
+# (QUBO, schedule, whether it keeps its capacity load, precision).  The
+# single-variable loads are consistent: with no couplings, S_00 = -2M a_0^2
+# and 2M a_0 L cancel, as they must.
+PRECISION_CASES = {
+    "bound-just-below-2^23": (lambda: Qubo({(0, 0): 2.0**23 - 1}), None, False, "float32"),
+    "bound-2^23": (lambda: Qubo({(0, 0): 2.0**23}), None, False, "float64"),
+    "coupled-bound-just-below-2^23": (
+        lambda: Qubo({(0, 0): 2.0**22, (0, 1): 1 - 2.0**22, (1, 1): 1.0}), None, False, "float32",
+    ),
+    "coupled-bound-2^23": (
+        lambda: Qubo({(0, 0): 2.0**22, (0, 1): -(2.0**22), (1, 1): 1.0}), None, False, "float64",
+    ),
+    # fields of 2^24 + 1, which float32 would round to 2^24
+    "odd-sums-past-2^24": (
+        lambda: Qubo({(0, 0): 1.0, (0, 1): 2.0**24, (1, 1): -1.0}), None, False, "float64",
+    ),
+    "load-bound-just-below-2^23": (
+        lambda: Qubo({(0, 0): 3.0}, penalty_m=2.0**21 - 1, capacity_load=[1.0]), None, True, "float32",
+    ),
+    "load-bound-2^23": (
+        lambda: Qubo({(0, 0): 4.0}, penalty_m=2.0**21 - 1, capacity_load=[1.0]), None, True, "float64",
+    ),
+    "load-bound-just-below-2^52": (
+        lambda: Qubo({(0, 0): 3.0}, penalty_m=2.0**50 - 1, capacity_load=[1.0]), None, True, "float64",
+    ),
+    "load-bound-2^52": (
+        lambda: Qubo({(0, 0): 4.0}, penalty_m=2.0**50 - 1, capacity_load=[1.0]), None, False, "float64",
+    ),
+    "m-7.5": (lambda: _encoded(6, True, 7, m=7.5), None, False, "float64"),
+    "m-7.3": (lambda: _encoded(6, True, 7, m=7.3), None, False, "float64"),
+    "m-1e300": (lambda: _encoded(6, True, 7, m=1e300), None, False, "float64"),
+    "betas-1e-12": (lambda: _encoded(6, True, 7), _hot, True, "float32"),
+    "betas-1e-12-float64": (lambda: _encoded(6, True, 7, m=7.3), _hot, False, "float64"),
+    "beta-below-float32": (
+        lambda: _encoded(6, True, 7), AnnealSchedule(sweeps=5, beta_start=1e-31, beta_end=1.0),
+        True, "float64",
+    ),
+    "beta-above-float32": (
+        lambda: _encoded(6, True, 7), AnnealSchedule(sweeps=5, beta_start=1.0, beta_end=1e31),
+        True, "float64",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(PRECISION_CASES))
+def test_field_bound_picks_the_load_split_and_the_precision(case):
+    build, sched, load_kept, precision = PRECISION_CASES[case]
+    q, sched = build(), sched or AnnealSchedule(sweeps=20)
+    assert (q.capacity_load is not None) == load_kept
+    assert anneal_settings(q, sched)[2] == precision
+    # the reference loop also checks that its fields are exact wherever
+    # the QUBO says they are
+    assert sample_sa(q, 50, sched, seed=2) == reference_sample_sa(q, 50, sched, seed=2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_zero_uniform_accepts_without_a_warning():
+    # seed 17's float32 uniforms for this one-sweep call hold an exact 0,
+    # whose log is -inf: its threshold is +inf, an accept
+    reads, seed = 1 << 20, 17
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 2, size=(reads, 1), dtype=np.uint8)
+    assert (rng.random((1, reads), dtype=np.float32) == 0).any()
+    q = Qubo({(0, 0): 1.0})
+    sched = AnnealSchedule(sweeps=1, beta_start=1.0, beta_end=2.0)
+    assert anneal_settings(q, sched)[2] == "float32"
+    assert sample_sa(q, reads, sched, seed) == reference_sample_sa(q, reads, sched, seed)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("reads", [1, 5, 300])
+def test_uniform_block_equals_per_variable_draws(reads, dtype):
+    # sample_sa draws each sweep's (variables, reads) block in one call and
+    # takes its log in one call; the reference loop does both one variable
+    # at a time, after the same initial states
+    nv = 7
+    block_rng, row_rng = np.random.default_rng(8), np.random.default_rng(8)
+    for rng in (block_rng, row_rng):
+        rng.integers(0, 2, size=(reads, nv), dtype=np.uint8)
+    block = np.empty((nv, reads), dtype)
+    for _ in range(3):
+        block_rng.random(out=block, dtype=dtype)
+        rows = np.stack([row_rng.random(reads, dtype=dtype) for _ in range(nv)])
+        assert_bitwise_equal(block, rows)
+        assert_bitwise_equal(np.log(block), np.stack([np.log(row) for row in rows]))

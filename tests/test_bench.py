@@ -16,7 +16,7 @@ from satplan import (
     save_instance,
     solve_exact,
 )
-from satplan.anneal import beta_range
+from satplan.anneal import anneal_settings
 from satplan.bench import (
     ConfigError,
     ExperimentConfig,
@@ -83,10 +83,11 @@ def test_sa_runs_record_their_schedule(instance_file, tmp_path):
     assert code == 0
     q = encode(tiny_instance())
     sched = AnnealSchedule()
-    beta_start, beta_end = beta_range(sched, q.linear_terms(), q.interaction_matrix())
+    beta_start, beta_end, precision = anneal_settings(q, sched)
+    assert precision == "float32"
     for doc in report["instances"][0]["solvers"]["sa"]["runs"]:
-        assert (doc["sweeps"], doc["beta_start"], doc["beta_end"]) == (
-            sched.sweeps, beta_start, beta_end,
+        assert (doc["sweeps"], doc["beta_start"], doc["beta_end"], doc["precision"]) == (
+            sched.sweeps, beta_start, beta_end, precision,
         )
 
 

@@ -143,6 +143,9 @@ def test_solve_is_one_cell_of_run(tmp_path, solver):
     assert {key: run[key] for key in cell["metrics"]} == cell["metrics"]
     assert run.get("layers") == cell.get("layers")
     assert (solver == "qaoa") == ("layers" in cell)
+    schedule = ("sweeps", "beta_start", "beta_end", "precision")
+    assert {key: run.get(key) for key in schedule} == {key: cell.get(key) for key in schedule}
+    assert (solver == "sa") == ("precision" in cell)
     samples = tmp_path / "out" / "samples" / f"source__{solver}__run0.json"
     assert json.loads(samples.read_text()) == cell["samples"]
 

@@ -166,6 +166,26 @@ def test_capacity_load_must_cover_every_variable():
         Qubo({(0, 1): 2.0}, capacity_load=np.ones(3))
 
 
+@pytest.mark.parametrize(
+    "q, bound",
+    [
+        # variable 0: |3| + |-2| = 5
+        (Qubo({(0, 0): 3.0, (0, 1): -2.0}), 5.0),
+        (Qubo({(0, 0): 0.75, (0, 1): -0.5}), np.inf),
+        (Qubo({(0, 0): 1e300}), 1e300),
+        (Qubo({}, num_variables=2), 0.0),
+        (Qubo({(0, 0): np.inf}), np.inf),
+        # loads 1 and 3 and M = 3: variable 1's 4 * 3 * 3 * 4 = 144 is above
+        # variable 0's 1 + 4 * 3 * 1 * 4 = 49
+        (Qubo({(0, 0): 1.0}, penalty_m=3.0, num_variables=2, capacity_load=[1.0, 3.0]), 144.0),
+        (Qubo({(0, 0): 1.0}, penalty_m=3.0, num_variables=2, capacity_load=[0.5, 1.5]), np.inf),
+        (Qubo({(0, 0): 1.0}, penalty_m=2.5, num_variables=2, capacity_load=[1.0, 3.0]), np.inf),
+    ],
+)
+def test_field_bound_covers_integer_qubos_only(q, bound):
+    assert q.field_bound == bound
+
+
 def test_energy_basics():
     q = Qubo({}, offset=1.5)
     q2 = Qubo({(0, 0): -1.0})
