@@ -6,15 +6,35 @@ as numpy arrays; flip energies come from cached local fields, and final
 energies are recomputed from scratch so that stored values are exactly
 reproducible with :meth:`satplan.qubo.Qubo.energy`.
 
-Temperature range.  Unless the schedule fixes it, the ramp is set from the
-QUBO's own energy scale, like dwave-neal's default range.  The flip cost of
-variable ``i`` is at most ``|h_i| + sum_j |W_ij|`` in magnitude; at
-``beta_start = ln 2 / max_i(|h_i| + sum_j |W_ij|)`` the largest possible
-uphill flip is accepted with probability 1/2, so penalty-sized flips are
-still open in the first sweep.  At ``beta_end = ln 1e4 / min |c|``, over
-the nonzero coefficients ``c``, a flip costing the smallest coefficient is
-accepted with probability 1e-4.  A QUBO with no nonzero coefficient takes
-its scale as 1.
+Settings.  :func:`anneal_settings` owns every choice the kernel makes
+about a QUBO: its beta range, its precision, and whether it factors out
+the capacity load.  The schedule sets only the number of sweeps and of
+restarts.
+
+Temperature range.  The ramp is always set from the QUBO's own energy
+scale, like dwave-neal's default range.  The flip cost of variable ``i``
+is at most ``|h_i| + sum_j |W_ij|`` in magnitude (``Qubo.flip_bounds``);
+at ``beta_start = ln 2 / max_i(|h_i| + sum_j |W_ij|)`` the largest
+possible uphill flip is accepted with probability 1/2, so penalty-sized
+flips are still open in the first sweep.  At ``beta_end = ln 1e4 / min
+|c|``, over the nonzero coefficients ``c``, a flip costing the smallest
+coefficient is accepted with probability 1e-4.  A QUBO with no nonzero
+coefficient takes its scale as 1.
+
+Exactness certificate.  When every coefficient, and with a capacity load
+every load and M, is an integer, the field bound ``max_i(|h_i| + sum_j
+|W_ij| + 4 M |a_i| sum_j |a_j|)`` (the load term only with a load) bounds
+every partial sum of the dense fields ``h_i + sum_j W_ij x_j``, of the
+factored fields ``h_i + sum_j S_ij x_j + 2 M a_i L`` (below), and every
+product in them: all are integers no larger than it.  Otherwise the bound
+is infinite.  Below 2^52 every such sum is exact in float64, and the
+kernel factors out the capacity load; below 2^23 every such sum is exact
+in float32, and the kernel runs in float32.  Each limit is half the range
+of exact integers, which leaves room for the rounding of the bound's own
+sum.  A fractional coefficient, or M = 7.3, 7.5 or 1e300, anneals the
+dense couplings in float64.  A float32-certified QUBO has integer
+coefficients, so ``min |c| >= 1`` and ``beta_end <= ln 1e4``, and every
+flip bound is below 2^23, so ``beta_start >= ln 2 / 2^23``.
 
 Kernel layout.  ``sgn = 1 - 2x`` (+1 or -1) and the local fields are kept
 as contiguous ``(variables, reads)`` arrays, so one variable's values over
@@ -25,26 +45,22 @@ builds a plan once: per variable, views of its field, sign and threshold
 rows, its load scale, and the rows its flips update (below), so a step
 indexes no array.
 
-Precision and test.  The kernel runs in float32 when the QUBO's fields
-are exact in float32 (``Qubo.fields_exact_in``: every coefficient, load
-and M an integer, every partial field sum below 2^23) and the ramp's
-betas lie in ``FLOAT32_BETAS``, and in float64 otherwise, e.g. for
-M = 7.3, 7.5 or 1e300.  Where the fields are exact, fields, loads, flip
+Precision and test.  Where the fields are exact, fields, loads, flip
 vectors and their products are the same integers in float32 as in
 float64; only the uniforms are coarser.  Each sweep turns its block of
 uniforms u, in place, into thresholds ``t = -ln(u) / beta``, and each
-(sweep, variable) step flips the reads with
-``delta = sgn[i] * fields[i] < t``.  That is ``u < exp(-beta * delta)``,
-the Metropolis test, in distribution: in float32 u is a multiple of
-2^-24, so acceptance probabilities are resolved to 2^-24 (2^-53 in
-float64).  ``delta <= 0`` always flips, since ``t > 0``.  ``u = 0``
-(probability 2^-24 per draw in float32) gives ``ln(0) = -inf`` and
-``t = +inf``, an accept, with the division warning silenced; so does a
-float64 beta small enough (below about 1e-307) to take a threshold past
-the largest float, which every finite delta is below anyway.  Within
-``FLOAT32_BETAS`` every float32 threshold of a u > 0 is a positive,
-finite, normal number.  Energies are recomputed in float64 from the
-final states.
+(sweep, variable) step flips the reads with ``delta = sgn[i] * fields[i]
+< t``.  That is ``u < exp(-beta * delta)``, the Metropolis test, in
+distribution: in float32 u is a multiple of 2^-24, so acceptance
+probabilities are resolved to 2^-24 (2^-53 in float64).  ``delta <= 0``
+always flips, since ``t > 0``.  ``u = 0`` (probability 2^-24 per draw in
+float32) gives ``ln(0) = -inf`` and ``t = +inf``, an accept, with the
+division warning silenced; so does a float64 beta small enough (below
+about 1e-307, from coefficients near 1e307) to take a threshold past the
+largest float, which every finite delta is below anyway.  Within the
+certified beta range, ``-ln(u)`` from 6e-8 to 16.7 gives float32
+thresholds from about 6e-9 to 2e8: positive, finite, normal numbers.
+Energies are recomputed in float64 from the final states.
 
 Field update.  Early in a ramp that starts hot, many flips are accepted,
 and the update of the fields they touch is the dearest step.  After a
@@ -67,23 +83,22 @@ step, with the same samples (10 alternating pairs of processes, median of
 
 Capacity load.  The squared capacity penalty M (a . x + slack - C)^2
 couples every pair of loaded variables with ``2M a_i a_j``, so on its own
-it makes every variable's update dense.  When the QUBO records its load
-vector a (``Qubo.capacity_load``), the couplings split as
-``W = S + 2M a a^T`` and each read keeps its load ``L = a . x``.  The
-kernel anneals the remainder S, whose diagonal holds ``-2M a_i^2``, so
-that the field of a loaded variable is ``fields[i] + 2M a_i L`` and that
-of any other variable is ``fields[i]``.  An accepted flip updates the
-rows of S's nonzero entries, which include row i itself when i is
-loaded, and L as one more row whose coupling is ``a_i``.  A QUBO without
-a load anneals W, as S = W.  The QUBO keeps the load only when every
-coefficient, load and M is an integer and every partial field sum stays
-below 2^53; then every sum in either layout is exact, so both compute
-equal fields, take the same decisions and give the same samples.  On the
-six seed-0 ``sa-capacity`` benchmark QUBOs (23 variables each) the mean
-degree fell from 10.3-18.6 to 1.7-2.1, and the six ``sample_sa`` calls
-took a median 0.64 s against 1.10 s with the dense couplings (10
-alternating pairs of processes, median of 3 calls each; shared 2-core
-Intel Xeon, numpy 2.4.6), with the same samples.
+it makes every variable's update dense.  ``encode`` records the load
+vector a (``Qubo.capacity_load``); where the certificate holds in
+float64, the couplings split as ``W = S + 2M a a^T`` and each read keeps
+its load ``L = a . x``.  The kernel anneals the remainder S, whose
+diagonal holds ``-2M a_i^2``, so that the field of a loaded variable is
+``fields[i] + 2M a_i L`` and that of any other variable is ``fields[i]``.
+An accepted flip updates the rows of S's nonzero entries, which include
+row i itself when i is loaded, and L as one more row whose coupling is
+``a_i``.  Without a factored load the kernel anneals W, as S = W.  Every
+sum in either layout is exact, so both compute equal fields, take the
+same decisions and give the same samples.  On the six seed-0
+``sa-capacity`` benchmark QUBOs (23 variables each) the mean degree fell
+from 10.3-18.6 to 1.7-2.1, and the six ``sample_sa`` calls took a median
+0.64 s against 1.10 s with the dense couplings (10 alternating pairs of
+processes, median of 3 calls each; shared 2-core Intel Xeon, numpy
+2.4.6), with the same samples.
 """
 
 from __future__ import annotations
@@ -101,62 +116,58 @@ MAX_EXHAUSTIVE_VARIABLES = 24  # 2**24 energies: 128 MiB as float64, also the pe
 
 HOT_ACCEPT = 0.5  # acceptance of the largest possible flip cost at beta_start
 COLD_ACCEPT = 1e-4  # acceptance of the smallest nonzero coefficient at beta_end
-# betas whose thresholds -ln(u) / beta, over the float32 uniforms u > 0
-# (-ln(u) from 6e-8 to 16.7), are normal float32 numbers
-FLOAT32_BETAS = (1e-30, 1e30)
-
-
-def _check_betas(beta_start: float, beta_end: float) -> None:
-    if not (math.isfinite(beta_end) and beta_end > beta_start > 0):
-        raise ValueError(
-            f"need finite beta_end > beta_start > 0, got {beta_start!r} -> {beta_end!r}"
-        )
 
 
 @dataclass(frozen=True)
 class AnnealSchedule:
-    """A geometric ramp of ``sweeps`` inverse temperatures per restart.
-
-    With ``beta_start`` and ``beta_end`` left at None, :func:`anneal_settings`
-    derives both from the QUBO being annealed (see the module docstring);
-    give both to fix the ramp for every QUBO.
-    """
+    """``sweeps`` inverse temperatures per restart, on the geometric ramp
+    :func:`anneal_settings` derives from the QUBO annealed."""
 
     sweeps: int = 100
-    beta_start: float | None = None
-    beta_end: float | None = None
     restarts_per_read: int = 1
 
     def __post_init__(self) -> None:
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
-        if (self.beta_start is None) != (self.beta_end is None):
-            raise ValueError("give both beta_start and beta_end, or neither")
-        if self.beta_start is not None:
-            _check_betas(self.beta_start, self.beta_end)
         if self.restarts_per_read < 1:
             raise ValueError("restarts_per_read must be >= 1")
 
 
-def anneal_settings(q: Qubo, sched: AnnealSchedule) -> tuple[float, float, str]:
-    """(beta_start, beta_end, precision) of annealing ``q`` under ``sched``.
+def _field_bound(q: Qubo) -> float:
+    """The field bound of the module docstring's certificate: finite only
+    when every coefficient, and with a capacity load every load and M, is
+    an integer."""
+    load = q.capacity_load
+    numbers = q.term_values()
+    if load is not None:
+        numbers = np.concatenate([numbers, load, [q.penalty_m]])
+    if not (np.all(np.isfinite(numbers)) and np.all(numbers == np.round(numbers))):
+        return math.inf
+    bounds = q.flip_bounds
+    if load is not None:
+        with np.errstate(over="ignore"):  # an infinite bound certifies nothing
+            bounds = bounds + 4.0 * q.penalty_m * np.abs(load) * np.abs(load).sum()
+    return float(bounds.max(initial=0.0))
 
-    The betas are the schedule's own when it fixes them, else the range
-    derived from the QUBO's energy scale.  The precision is ``"float32"``
-    when the QUBO's field sums are exact in float32 and every threshold of
-    the ramp is a normal float32 number, else ``"float64"``.
-    """
-    if sched.beta_start is not None:
-        beta_start, beta_end = sched.beta_start, sched.beta_end
-    else:
-        max_flip, min_coefficient = q.energy_scale()
-        # a subnormal or infinite scale gives an infinite or zero beta
-        beta_start = math.log(1 / HOT_ACCEPT) / max_flip
-        beta_end = math.log(1 / COLD_ACCEPT) / min_coefficient
-        _check_betas(beta_start, beta_end)
-    low, high = FLOAT32_BETAS
-    float32 = q.fields_exact_in(np.float32) and low <= beta_start and beta_end <= high
-    return beta_start, beta_end, "float32" if float32 else "float64"
+
+def anneal_settings(q: Qubo) -> tuple[float, float, str, bool]:
+    """(beta_start, beta_end, precision, factored) of annealing ``q``: the
+    ramp derived from its energy scale, ``"float32"`` or ``"float64"``,
+    and whether the kernel factors out its capacity load."""
+    sizes = np.abs(q.term_values())
+    max_flip, min_size = 1.0, 1.0  # a QUBO without coefficients takes unit scale
+    if sizes.size:
+        max_flip, min_size = float(q.flip_bounds.max()), float(sizes.min())
+    # a subnormal or infinite scale gives an infinite or zero beta
+    beta_start = math.log(1 / HOT_ACCEPT) / max_flip
+    beta_end = math.log(1 / COLD_ACCEPT) / min_size
+    if not (math.isfinite(beta_end) and beta_end > beta_start > 0):
+        raise ValueError(
+            f"need finite beta_end > beta_start > 0, got {beta_start!r} -> {beta_end!r}"
+        )
+    bound = _field_bound(q)
+    factored = q.capacity_load is not None and bound < 2.0**52
+    return beta_start, beta_end, "float32" if bound < 2.0**23 else "float64", factored
 
 
 @dataclass(frozen=True)
@@ -256,14 +267,17 @@ def sample_sa(
     sched = sched or AnnealSchedule()
     rng = np.random.default_rng(seed)
     nv = q.num_variables
-    beta_start, beta_end, precision = anneal_settings(q, sched)
+    beta_start, beta_end, precision, factored = anneal_settings(q)
     dtype = np.dtype(precision)
     betas = np.geomspace(beta_start, beta_end, sched.sweeps).tolist()
     diag = q.linear_terms().astype(dtype)
     # the couplings less the capacity clique, with -2M a_i^2 on the diagonal;
-    # without a recorded load, the couplings themselves
-    load = np.zeros(nv) if q.capacity_load is None else q.capacity_load
-    scale = 2.0 * q.penalty_m * load
+    # without a factored load, the couplings themselves (2M may overflow)
+    if factored:
+        load = q.capacity_load
+        scale = 2.0 * q.penalty_m * load
+    else:
+        load = scale = np.zeros(nv)
     remainder = (q.interaction_matrix() - np.outer(scale, load)).astype(dtype)
     load = load.astype(dtype)
     # the rows an accepted flip of i updates: field row j by S_ij * dx, and

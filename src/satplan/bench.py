@@ -81,8 +81,11 @@ class ExperimentConfig:
             value, least = getattr(self, name), 0 if name == "master_seed" else 1
             if not isinstance(value, int) or isinstance(value, bool) or value < least:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-        if self.penalty_m is not None and not 0 < self.penalty_m < math.inf:
-            raise ConfigError(f"penalty_m must be positive and finite, got {self.penalty_m!r}")
+        m = self.penalty_m
+        if m is not None and (
+            not isinstance(m, (int, float)) or isinstance(m, bool) or not 0 < m < math.inf
+        ):
+            raise ConfigError(f"penalty_m must be a positive finite number, got {m!r}")
 
     @classmethod
     def from_dict(cls, doc: dict, **overrides) -> "ExperimentConfig":
@@ -137,6 +140,8 @@ def resolve_instance(entry, sources: dict[str, Instance] | None = None) -> Insta
         for key in ("source", "target_requests", "with_capacity", "seed"):
             if key not in entry:
                 raise ConfigError(f"generation spec missing field {key!r}")
+        if not isinstance(entry["source"], str):
+            raise ConfigError(f"generation spec source must be a path, got {entry['source']!r}")
         src = _load(entry["source"], {} if sources is None else sources)
         spec = ReductionSpec(
             target_requests=entry["target_requests"],
@@ -189,7 +194,7 @@ def run_cell(
         sched = AnnealSchedule()
         samples = sample_sa(qubo, reads, sched, seed)
         # the range and the precision are derived from the QUBO, so the run records them
-        beta_start, beta_end, precision = anneal_settings(qubo, sched)
+        beta_start, beta_end, precision, _ = anneal_settings(qubo)
         extra = {
             "sweeps": sched.sweeps,
             "beta_start": beta_start,
@@ -238,7 +243,11 @@ def prepare(
     exact = solve_exact(inst, cfg.node_budget)
     if exact.best_value <= 0:
         raise ConfigError(f"instance {inst.name!r} has non-positive optimum; AR undefined")
-    return inst, encode(inst, cfg.penalty_m), exact
+    try:
+        qubo = encode(inst, cfg.penalty_m)
+    except ValueError as exc:
+        raise ConfigError(f"instance {inst.name!r}: {exc}") from exc
+    return inst, qubo, exact
 
 
 def run_pipeline(cfg: ExperimentConfig, out_dir) -> tuple[dict, int]:

@@ -26,13 +26,8 @@ Encoding of an instance with penalty weight M (default: total weight + 1):
     - 2 x_r s + 3 s); triples sharing the substituted pair share the slack;
   * capacity:  M (sum c_p x_p + sum 2^{d-1} s_d - C)^2 with the fewest
     binary slack digits whose range reaches C, i.e. min D with 2^D - 1 >= C.
-    Its couplings 2M a_i a_j, over the load vector a of decisions and
-    digits, join every loaded pair.  ``encode`` also records a as the
-    QUBO's ``capacity_load``, so that the annealer can keep the load per
-    read instead of the dense couplings; the stored terms stay dense.  The
-    record is kept only where the factored sums are exact: all
-    coefficients, loads and M integers, and every partial field sum below
-    2^53 (see ``Qubo``).  Otherwise ``capacity_load`` is None.
+    ``encode`` records the load vector a of decisions and digits as the
+    QUBO's ``capacity_load``; it changes no energy.
 
 Decision variables occupy indices 0..n-1 in instance order; slacks follow,
 ternary-pair slacks first (in order of first appearance), then capacity
@@ -117,29 +112,6 @@ def _frozen_terms(coefficients: Mapping[tuple[int, int], float]):
     return rows, cols, vals
 
 
-def _field_bound(
-    vals: np.ndarray, flip_bounds: np.ndarray, load: np.ndarray | None, m: float
-) -> float:
-    """The largest per-variable bound ``|diag_i| + sum_j |W_ij| + 4 m |a_i|
-    sum_j |a_j|`` (the load term only with a ``load``) when every
-    coefficient, and with a load every load and ``m``, is an integer;
-    infinite otherwise.
-
-    The bound covers every partial sum of the dense fields ``diag_i +
-    sum_j W_ij x_j`` and of the factored ``diag_i + sum_j S_ij x_j + 2 m a_i
-    L``, with ``S = W - 2 m a a^T`` and ``L = a . x``, and the products in
-    them: all are integers no larger than it.
-    """
-    numbers = vals if load is None else np.concatenate([vals, load, [m]])
-    if not (np.all(np.isfinite(numbers)) and np.all(numbers == np.round(numbers))):
-        return math.inf
-    bounds = flip_bounds
-    if load is not None:
-        with np.errstate(over="ignore"):  # an infinite bound certifies nothing
-            bounds = bounds + 4.0 * m * np.abs(load) * np.abs(load).sum()
-    return float(bounds.max(initial=0.0))
-
-
 def _bit_axes(table: np.ndarray, i: int) -> np.ndarray:
     """View of a little-endian 2^N table whose axis 1 is bit i."""
     return table.reshape(-1, 2, 1 << i)
@@ -154,13 +126,9 @@ def _pair_axes(table: np.ndarray, i: int, j: int) -> np.ndarray:
 class Qubo:
     """Immutable quadratic form over decision + slack bits.
 
-    ``capacity_load`` is the load vector a of a rank-one penalty
-    ``penalty_m * (a . x - C)^2`` whose couplings ``2 penalty_m a_i a_j``
-    the coefficients already hold.  It changes no energy; it lets the
-    annealer factor those couplings out.  ``field_bound`` bounds the
-    annealer's field sums when every number is an integer (infinite
-    otherwise), and ``fields_exact_in`` says when they are exact; the load
-    is kept only when they are exact in float64, and is None otherwise.
+    ``encode`` records the load vector of a capacity penalty as
+    ``capacity_load``; it changes no energy.  ``flip_bounds[i]`` is
+    ``|c_ii| + sum_j |c_ij|``, the largest flip cost of variable i.
     """
 
     def __init__(
@@ -192,20 +160,17 @@ class Qubo:
         if objective_diag is None:
             objective_diag = np.zeros(nv)
         self._objective_diag = np.asarray(objective_diag, dtype=np.float64)
-        load = None
+        self.capacity_load: np.ndarray | None = None
         if capacity_load is not None:
-            load = np.asarray(capacity_load, dtype=np.float64)
+            load = self.capacity_load = np.asarray(capacity_load, dtype=np.float64)
             if load.shape != (nv,):
                 raise ValueError(f"expected a capacity load of length {nv}, got shape {load.shape}")
         off = self._rows != self._cols
         size = np.abs(self._vals)
         with np.errstate(over="ignore"):  # an infinite bound gives beta_start 0, which is rejected
-            # |diag_i| + sum_j |W_ij|: the largest flip cost of variable i
-            self._flip_bounds = np.bincount(self._rows, size, nv) + np.bincount(
+            self.flip_bounds = np.bincount(self._rows, size, nv) + np.bincount(
                 self._cols[off], size[off], nv
             )
-        self.field_bound = _field_bound(self._vals, self._flip_bounds, load, self.penalty_m)
-        self.capacity_load: np.ndarray | None = load if self.fields_exact_in(np.float64) else None
 
     # -- shape ---------------------------------------------------------
 
@@ -235,18 +200,9 @@ class Qubo:
         diag[self._rows[mask]] = self._vals[mask]
         return diag
 
-    def fields_exact_in(self, dtype) -> bool:
-        """Whether the annealer's field sums are exact numbers of ``dtype``:
-        ``field_bound`` below 2^(mantissa bits), half the range of exact
-        integers, which leaves room for the rounding of the bound's own sum."""
-        return self.field_bound < 2.0 ** np.finfo(dtype).nmant
-
-    def energy_scale(self) -> tuple[float, float]:
-        """(largest flip-cost bound ``max_i(|diag_i| + sum_j |W_ij|)``,
-        smallest nonzero |coefficient|), or (1, 1) without coefficients."""
-        if not len(self._vals):
-            return 1.0, 1.0
-        return float(self._flip_bounds.max()), float(np.abs(self._vals).min())
+    def term_values(self) -> np.ndarray:
+        """The stored coefficients, in the order of :meth:`terms`."""
+        return self._vals
 
     def interaction_matrix(self) -> np.ndarray:
         """Dense pairwise coefficients, combined convention, zero diagonal."""
@@ -484,6 +440,10 @@ def encode(inst: Instance, m: float | None = None) -> Qubo:
             capacity_load = np.zeros(n + len(slack_refs))
             for u, au in loaded:
                 capacity_load[u] = au
+
+    # every energy is a sum of some of these numbers, so it stays finite
+    if not math.isfinite(abs(offset) + sum(abs(v) for v in coeffs.values())):
+        raise ValueError(f"penalty magnitude {big_m!r} takes energies past the largest float")
 
     registry = VarRegistry(decision_vars=order, slack_vars=tuple(slack_refs))
     objective_diag = np.zeros(registry.num_variables)

@@ -30,10 +30,12 @@ class ReductionSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.target_requests < 1:
-            raise ReductionError("target_requests must be >= 1")
-        if self.seed < 0:
-            raise ReductionError("seed must be a non-negative integer")
+        for name, least in (("target_requests", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ReductionError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not isinstance(self.with_capacity, bool):
+            raise ReductionError(f"with_capacity must be a bool, got {self.with_capacity!r}")
 
 
 def _retained_constraints(src: Instance, kept: set[int]):

@@ -365,11 +365,12 @@ def reference_sample_sa(
 ) -> SampleSet:
     """The annealer's plain per-variable Metropolis loop: one
     ``rng.random(reads)`` and one threshold test per (sweep, variable) step,
-    on a (reads, variables) layout, in the precision ``anneal_settings``
-    picks.  A read flips when ``delta < -ln(u) / beta``, which is
-    ``u < exp(-beta * delta)`` in distribution.  ``sample_sa`` must return
-    exactly the same sample set, and its fields are checked exact wherever
-    ``Qubo.fields_exact_in`` says they are."""
+    on a (reads, variables) layout with the dense couplings, in the
+    precision ``anneal_settings`` picks.  A read flips when ``delta <
+    -ln(u) / beta``, which is ``u < exp(-beta * delta)`` in distribution.
+    ``sample_sa`` must return exactly the same sample set, and the fields
+    are checked exact wherever the annealer relies on that: in float32,
+    and where it factors out the capacity load."""
     if reads < 1:
         raise ValueError("reads must be >= 1")
     sched = sched or AnnealSchedule()
@@ -380,7 +381,7 @@ def reference_sample_sa(
         states = np.zeros((reads, 0), dtype=np.uint8)
         return SampleSet.from_states(states, q.energies(states), "sa", seed)
 
-    beta_start, beta_end, precision = anneal_settings(q, sched)
+    beta_start, beta_end, precision, factored = anneal_settings(q)
     dtype = np.dtype(precision)
     diag = q.linear_terms().astype(dtype)
     w = q.interaction_matrix().astype(dtype)
@@ -405,8 +406,8 @@ def reference_sample_sa(
                     step = np.where(accept, 1.0 - 2.0 * x[:, i], 0.0)
                     x[:, i] += step
                     fields += step[:, None] * w[i][None, :]
-        if q.fields_exact_in(dtype):
-            # where the QUBO says its fields are exact, the updated fields
+        if precision == "float32" or factored:
+            # where the annealer relies on exact fields, the updated fields
             # equal the sums recomputed in float64 from the final states
             exact = q.linear_terms() + x.astype(np.float64) @ q.interaction_matrix()
             assert np.array_equal(fields.astype(np.float64), exact)

@@ -112,19 +112,7 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         AnnealSchedule(sweeps=0)
     with pytest.raises(ValueError):
-        AnnealSchedule(beta_start=2.0, beta_end=1.0)
-    with pytest.raises(ValueError):
         AnnealSchedule(restarts_per_read=0)
-    with pytest.raises(ValueError):
-        AnnealSchedule(beta_end=1.0, beta_start=math.inf)
-    with pytest.raises(ValueError):
-        AnnealSchedule(beta_start=1.0, beta_end=math.inf)
-
-
-@pytest.mark.parametrize("given", [{"beta_start": 0.5}, {"beta_end": 5.0}])
-def test_schedule_needs_both_betas_or_neither(given):
-    with pytest.raises(ValueError):
-        AnnealSchedule(**given)
 
 
 def _scale(q: Qubo) -> tuple[float, float]:
@@ -142,8 +130,8 @@ def _scale(q: Qubo) -> tuple[float, float]:
     return float(bound.max()), min(sizes)
 
 
-def _range(q: Qubo, sched: AnnealSchedule | None = None) -> tuple[float, float]:
-    return anneal_settings(q, sched or AnnealSchedule())[:2]
+def _range(q: Qubo) -> tuple[float, float]:
+    return anneal_settings(q)[:2]
 
 
 @pytest.mark.parametrize(
@@ -185,11 +173,6 @@ def test_non_finite_derived_beta_raises(q):
         _range(q)
     with pytest.raises(ValueError):
         sample_sa(q, reads=4, seed=0)
-
-
-def test_explicit_betas_are_kept():
-    sched = AnnealSchedule(beta_start=0.1, beta_end=10.0)
-    assert _range(_encoded(6, True, 7), sched) == (0.1, 10.0)
 
 
 def test_restarts_keep_best_per_read():
@@ -263,6 +246,15 @@ def _encoded(
     return encode(inst, m)
 
 
+def _scaled(q: Qubo, s: float) -> Qubo:
+    """``q`` with every coefficient, the offset and M times ``s``, and the
+    same load: its derived betas are those of ``q`` over ``s``."""
+    return Qubo(
+        {(i, j): v * s for i, j, v in q.terms()}, offset=q.offset * s,
+        penalty_m=q.penalty_m * s, registry=q.registry, capacity_load=q.capacity_load,
+    )
+
+
 def _mono(rid: int, weight: float, cams: tuple[int, ...], caps: dict[int, int]) -> Request:
     return Request(
         id=rid, kind="mono", weight=weight, allowed_cameras=cams, capacity_by_camera=caps
@@ -292,6 +284,11 @@ _wide_sparse = lambda: _encoded(21, False, 24, n_pairs=10, n_triples=4)
 # Variable 2 has no terms at all, and variable 1's field is exactly zero
 # whenever x0 = 0, so both see flip costs of +-0.
 _FREE = Qubo({(0, 0): -1.0, (0, 1): 1.0}, num_variables=3)
+
+# _FREE at 3e307: the derived betas run from about 1.2e-308 to 3.1e-307,
+# which take -ln(u) / beta past the largest float64 for u below about 0.13
+# early in the ramp; such a threshold accepts, as every flip here should.
+_HUGE = Qubo({(0, 0): -3e307, (0, 1): 3e307}, num_variables=3)
 
 # |coefficients| from 1e-300 to 3e10: late in the derived ramp (beta_end
 # about 9e300) the thresholds -ln(u) / beta fall to subnormal numbers.
@@ -333,32 +330,27 @@ REFERENCE_CASES = {
     "zero-variables": (
         lambda: Qubo({}, offset=-0.0), 7, AnnealSchedule(sweeps=5, restarts_per_read=2),
     ),
-    "extreme-betas": (
-        lambda: _encoded(13, True, 5), 300,
-        AnnealSchedule(sweeps=30, beta_start=1e-6, beta_end=1e3),
-    ),
+    # M = 1e6: betas from about 8e-9 to 9.2, with the load factored out
+    # in float64
+    "extreme-betas": (lambda: _encoded(13, True, 5, m=1e6), 300, AnnealSchedule(sweeps=30)),
     "default-schedule": (lambda: _encoded(6, True, 7), 100, AnnealSchedule()),
-    "fixed-unit-ramp": (
-        lambda: _encoded(6, True, 7), 100,
-        AnnealSchedule(sweeps=100, beta_start=0.1, beta_end=10.0),
-    ),
     "extreme-scale": (lambda: _EXTREME, 200, AnnealSchedule(sweeps=60)),
     "wide-sparse": (_wide_sparse, 600, AnnealSchedule(sweeps=50)),
-    # at betas this small every read flips in every step, so variable 0,
-    # which has no couplings, updates an empty block of field rows each
-    # time; an odd sweep count leaves it opposite its start in every read
+    # coefficients near 1e12 give betas from about 2e-13 to 2e-11;
+    # variable 0, which has no couplings, updates an empty block of field
+    # rows on each accepted flip
     "uncoupled-hot": (
-        lambda: Qubo({(0, 0): 2.0, (1, 1): -1.0, (1, 2): 3.0, (2, 2): 0.5}), 100,
-        AnnealSchedule(sweeps=21, beta_start=1e-12, beta_end=1e-11),
+        lambda: Qubo({(0, 0): 2e12, (1, 1): -1e12, (1, 2): 3e12, (2, 2): 5e11}), 100,
+        AnnealSchedule(sweeps=21),
     ),
-    # a non-integer M, and an M whose sums pass 2^53: neither records a
-    # capacity load, so both anneal the dense couplings in float64
+    # a non-integer M, and an M whose sums pass 2^52: neither factors out
+    # its capacity load, so both anneal the dense couplings in float64
     "capacity-fractional-m": (lambda: _encoded(6, True, 7, m=7.3), 300, AnnealSchedule(sweeps=80)),
     "capacity-huge-m": (lambda: _encoded(6, True, 7, m=1e300), 300, AnnealSchedule(sweeps=80)),
-    # betas this small take -ln(u) / beta past the largest float64 for
-    # u < 0.17 or so: such a threshold accepts, as every flip here should
-    "tiny-betas": (
-        lambda: _FREE, 100, AnnealSchedule(sweeps=9, beta_start=1e-308, beta_end=1e-307),
+    "tiny-betas": (lambda: _HUGE, 100, AnnealSchedule(sweeps=9)),
+    # an M whose double overflows, with no load to factor out
+    "unloaded-huge-m": (
+        lambda: Qubo({(0, 0): -2.0, (0, 1): 1.0}, penalty_m=1e308), 100, AnnealSchedule(sweeps=20),
     ),
     "isolated-load": (_isolated_load, 300, AnnealSchedule(sweeps=60)),
     "grouped-couplings": (_grouped_couplings, 300, AnnealSchedule(sweeps=60)),
@@ -396,18 +388,19 @@ def _remainder(q: Qubo) -> np.ndarray:
 
 def test_capacity_case_factors_into_a_sparse_remainder():
     # the "capacity-clique" case above must anneal through the load term:
-    # it records a load, and its remainder is sparse
+    # its load is factored out, and its remainder is sparse
     q = _encoded(6, True, 7)
-    assert q.capacity_load is not None
+    assert anneal_settings(q)[3]
     assert np.count_nonzero(q.capacity_load) >= 10
     remainder = _remainder(q)
     assert np.count_nonzero(remainder) <= 0.2 * np.count_nonzero(q.interaction_matrix())
     # "isolated-load": a loaded decision whose remainder row is empty
     iso = _isolated_load()
     assert iso.capacity_load[0] != 0 and not _remainder(iso)[0].any()
-    # inexact sums, or a capacity that no request uses, record no load
-    assert _encoded(6, True, 7, m=7.3).capacity_load is None
-    assert _encoded(6, True, 7, m=1e300).capacity_load is None
+    # inexact sums factor out no load, and a capacity that no request
+    # uses records none
+    for q in (_encoded(6, True, 7, m=7.3), _encoded(6, True, 7, m=1e300)):
+        assert q.capacity_load is not None and not anneal_settings(q)[3]
     unused = Instance(name="unused", requests=(_mono(0, 1.0, (1,), {}),), disk_capacity=3)
     with pytest.warns(UserWarning, match="no request uses disk"):
         assert encode(unused).capacity_load is None
@@ -421,7 +414,7 @@ def test_capacity_load_changes_no_sample_and_no_dense_view():
             with_capacity=True, name=f"load{trial}",
         )
         q = encode(inst)
-        assert q.capacity_load is not None
+        assert anneal_settings(q)[3]
         dense = Qubo(
             {(i, j): v for i, j, v in q.terms()},
             offset=q.offset, penalty_m=q.penalty_m, registry=q.registry,
@@ -455,64 +448,68 @@ def test_grouped_couplings_case_shares_some_values_and_not_others():
 
 
 @pytest.mark.parametrize(
-    "h, beta, precision",
-    [(3.0, 1 / 3, "float32"), (3.0, 1.0, "float32"), (0.3, 10 / 3, "float64"), (0.3, 10.0, "float64")],
+    "h, sweeps, precision",
+    [(3.0, 1, "float32"), (3.0, 2, "float32"), (0.3, 1, "float64"), (0.3, 2, "float64")],
 )
-def test_threshold_rule_accepts_uphill_flips_at_the_metropolis_rate(h, beta, precision):
-    # one sweep over one variable of cost h: a read that starts at 0 ends at
-    # 1 with probability exp(-beta h), and one that starts at 1 always flips
-    # down, so the share of reads ending at 1 is exp(-beta h) / 2
+def test_threshold_rule_accepts_uphill_flips_at_the_metropolis_rate(h, sweeps, precision):
+    # one variable of cost h: a sweep at beta takes a read at 0 to 1 with
+    # probability exp(-beta h) and always takes a read at 1 down, so the
+    # share of reads at 1 goes from 1/2 to (1 - share) * exp(-beta h) per
+    # sweep; the derived ramp's ends give exp(-beta h) = 1/2 and 1e-4
     q = Qubo({(0, 0): h})
-    sched = AnnealSchedule(sweeps=1, beta_start=beta, beta_end=2 * beta)
-    assert anneal_settings(q, sched)[2] == precision
+    beta_start, beta_end, got, _ = anneal_settings(q)
+    assert got == precision
+    p = 0.5
+    for beta in np.geomspace(beta_start, beta_end, sweeps):
+        p = (1 - p) * math.exp(-beta * h)
     reads = 200_000
-    ones = sum(e.count for e in sample_sa(q, reads, sched, seed=4).entries if e.bits == "1")
-    p = math.exp(-beta * h) / 2
+    samples = sample_sa(q, reads, AnnealSchedule(sweeps=sweeps), seed=4)
+    ones = sum(e.count for e in samples.entries if e.bits == "1")
     assert abs(ones / reads - p) < 5 * math.sqrt(p * (1 - p) / reads)
 
 
-_hot = AnnealSchedule(sweeps=5, beta_start=1e-12, beta_end=1e-11)
-
-# (QUBO, schedule, whether it keeps its capacity load, precision).  The
-# single-variable loads are consistent: with no couplings, S_00 = -2M a_0^2
-# and 2M a_0 L cancel, as they must.
+# (QUBO, whether the annealer factors out its capacity load, precision).
+# The single-variable loads are consistent: with no couplings,
+# S_00 = -2M a_0^2 and 2M a_0 L cancel, as they must.
 PRECISION_CASES = {
-    "bound-just-below-2^23": (lambda: Qubo({(0, 0): 2.0**23 - 1}), None, False, "float32"),
-    "bound-2^23": (lambda: Qubo({(0, 0): 2.0**23}), None, False, "float64"),
+    "bound-just-below-2^23": (lambda: Qubo({(0, 0): 2.0**23 - 1}), False, "float32"),
+    "bound-2^23": (lambda: Qubo({(0, 0): 2.0**23}), False, "float64"),
     "coupled-bound-just-below-2^23": (
-        lambda: Qubo({(0, 0): 2.0**22, (0, 1): 1 - 2.0**22, (1, 1): 1.0}), None, False, "float32",
+        lambda: Qubo({(0, 0): 2.0**22, (0, 1): 1 - 2.0**22, (1, 1): 1.0}), False, "float32",
     ),
     "coupled-bound-2^23": (
-        lambda: Qubo({(0, 0): 2.0**22, (0, 1): -(2.0**22), (1, 1): 1.0}), None, False, "float64",
+        lambda: Qubo({(0, 0): 2.0**22, (0, 1): -(2.0**22), (1, 1): 1.0}), False, "float64",
     ),
     # fields of 2^24 + 1, which float32 would round to 2^24
     "odd-sums-past-2^24": (
-        lambda: Qubo({(0, 0): 1.0, (0, 1): 2.0**24, (1, 1): -1.0}), None, False, "float64",
+        lambda: Qubo({(0, 0): 1.0, (0, 1): 2.0**24, (1, 1): -1.0}), False, "float64",
     ),
     "load-bound-just-below-2^23": (
-        lambda: Qubo({(0, 0): 3.0}, penalty_m=2.0**21 - 1, capacity_load=[1.0]), None, True, "float32",
+        lambda: Qubo({(0, 0): 3.0}, penalty_m=2.0**21 - 1, capacity_load=[1.0]), True, "float32",
     ),
     "load-bound-2^23": (
-        lambda: Qubo({(0, 0): 4.0}, penalty_m=2.0**21 - 1, capacity_load=[1.0]), None, True, "float64",
+        lambda: Qubo({(0, 0): 4.0}, penalty_m=2.0**21 - 1, capacity_load=[1.0]), True, "float64",
     ),
     "load-bound-just-below-2^52": (
-        lambda: Qubo({(0, 0): 3.0}, penalty_m=2.0**50 - 1, capacity_load=[1.0]), None, True, "float64",
+        lambda: Qubo({(0, 0): 3.0}, penalty_m=2.0**50 - 1, capacity_load=[1.0]), True, "float64",
     ),
     "load-bound-2^52": (
-        lambda: Qubo({(0, 0): 4.0}, penalty_m=2.0**50 - 1, capacity_load=[1.0]), None, False, "float64",
+        lambda: Qubo({(0, 0): 4.0}, penalty_m=2.0**50 - 1, capacity_load=[1.0]), False, "float64",
     ),
-    "m-7.5": (lambda: _encoded(6, True, 7, m=7.5), None, False, "float64"),
-    "m-7.3": (lambda: _encoded(6, True, 7, m=7.3), None, False, "float64"),
-    "m-1e300": (lambda: _encoded(6, True, 7, m=1e300), None, False, "float64"),
-    "betas-1e-12": (lambda: _encoded(6, True, 7), _hot, True, "float32"),
-    "betas-1e-12-float64": (lambda: _encoded(6, True, 7, m=7.3), _hot, False, "float64"),
+    "m-7.5": (lambda: _encoded(6, True, 7, m=7.5), False, "float64"),
+    "m-7.3": (lambda: _encoded(6, True, 7, m=7.3), False, "float64"),
+    "m-1e300": (lambda: _encoded(6, True, 7, m=1e300), False, "float64"),
+    # the capacity clique at 1e12 times its scale: betas from about 9e-18
+    # to 2e-12, integers whose sums pass 2^52
+    "betas-1e-12": (lambda: _scaled(_encoded(6, True, 7), 1e12), False, "float64"),
+    "betas-1e-12-float64": (lambda: _scaled(_encoded(6, True, 7, m=7.3), 1e12), False, "float64"),
+    # betas past 1e-30 and 1e30 come only with coefficients past 2^23 or
+    # below 1, which the bound already sends to float64
     "beta-below-float32": (
-        lambda: _encoded(6, True, 7), AnnealSchedule(sweeps=5, beta_start=1e-31, beta_end=1.0),
-        True, "float64",
+        lambda: Qubo({(0, 0): 1e31, (0, 1): -3.0, (1, 1): 2.0}), False, "float64",
     ),
     "beta-above-float32": (
-        lambda: _encoded(6, True, 7), AnnealSchedule(sweeps=5, beta_start=1.0, beta_end=1e31),
-        True, "float64",
+        lambda: Qubo({(0, 0): 1e-31, (0, 1): -3.0, (1, 1): 2.0}), False, "float64",
     ),
 }
 
@@ -520,13 +517,46 @@ PRECISION_CASES = {
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(PRECISION_CASES))
 def test_field_bound_picks_the_load_split_and_the_precision(case):
-    build, sched, load_kept, precision = PRECISION_CASES[case]
-    q, sched = build(), sched or AnnealSchedule(sweeps=20)
-    assert (q.capacity_load is not None) == load_kept
-    assert anneal_settings(q, sched)[2] == precision
+    build, factored, precision = PRECISION_CASES[case]
+    q, sched = build(), AnnealSchedule(sweeps=20)
+    assert anneal_settings(q)[2:] == (precision, factored)
     # the reference loop also checks that its fields are exact wherever
-    # the QUBO says they are
+    # the annealer relies on that
     assert sample_sa(q, 50, sched, seed=2) == reference_sample_sa(q, 50, sched, seed=2)
+
+
+# float32 runs at the edges of the certificate: a bound of 2^23 - 1 with
+# min |c| = 1, no coefficients at all, and capacity encodings
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Qubo({(0, 0): 2.0**23 - 2, (0, 1): 1.0}),
+        lambda: Qubo({}, num_variables=3),
+        lambda: _encoded(6, True, 7),
+        lambda: _encoded(11, True, 4),
+        _isolated_load,
+    ],
+    ids=["bound-2^23-1", "no-coefficients", "capacity-clique", "capacity-small", "isolated-load"],
+)
+def test_float32_betas_give_normal_thresholds(build):
+    beta_start, beta_end, precision, _ = anneal_settings(build())
+    assert precision == "float32"
+    assert math.log(2.0) / 2.0**23 <= beta_start < beta_end <= math.log(1e4)
+    # the smallest and largest float32 uniforms above 0, at both ends
+    u = np.array([2.0**-24, 1 - 2.0**-24], dtype=np.float32)
+    for beta in (beta_start, beta_end):
+        t = np.log(u) * (-1.0 / beta)
+        assert t.dtype == np.float32
+        assert np.all(np.isfinite(t)) and np.all(t >= np.finfo(np.float32).tiny)
+
+
+def test_tiny_betas_case_takes_thresholds_past_the_largest_float():
+    # the "tiny-betas" case above must reach the float64 overflow guard
+    beta_start, _, precision, _ = anneal_settings(_HUGE)
+    assert precision == "float64"
+    with np.errstate(over="ignore"):
+        assert np.log(np.float64(0.1)) * (-1.0 / beta_start) == np.inf
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -538,8 +568,8 @@ def test_a_zero_uniform_accepts_without_a_warning():
     rng.integers(0, 2, size=(reads, 1), dtype=np.uint8)
     assert (rng.random((1, reads), dtype=np.float32) == 0).any()
     q = Qubo({(0, 0): 1.0})
-    sched = AnnealSchedule(sweeps=1, beta_start=1.0, beta_end=2.0)
-    assert anneal_settings(q, sched)[2] == "float32"
+    sched = AnnealSchedule(sweeps=1)
+    assert anneal_settings(q)[2] == "float32"
     assert sample_sa(q, reads, sched, seed) == reference_sample_sa(q, reads, sched, seed)
 
 

@@ -82,12 +82,11 @@ def test_sa_runs_record_their_schedule(instance_file, tmp_path):
     report, code = run_pipeline(cfg, tmp_path / "out")
     assert code == 0
     q = encode(tiny_instance())
-    sched = AnnealSchedule()
-    beta_start, beta_end, precision = anneal_settings(q, sched)
+    beta_start, beta_end, precision, _ = anneal_settings(q)
     assert precision == "float32"
     for doc in report["instances"][0]["solvers"]["sa"]["runs"]:
         assert (doc["sweeps"], doc["beta_start"], doc["beta_end"], doc["precision"]) == (
-            sched.sweeps, beta_start, beta_end, precision,
+            AnnealSchedule().sweeps, beta_start, beta_end, precision,
         )
 
 
@@ -219,12 +218,22 @@ def test_crash_isolation(instance_file, tmp_path):
 
 
 def test_bad_instance_entry_is_isolated(instance_file, tmp_path):
-    cfg = ExperimentConfig(instances=[5, instance_file], solvers=["exact"], reads=10, runs=1)
+    spec = {"source": instance_file, "target_requests": 2, "with_capacity": False, "seed": 0}
+    # a source of 0 or 1 would be taken as a file descriptor
+    bad_fields = [
+        ("source", 1), ("source", 0), ("target_requests", 2.5), ("target_requests", True),
+        ("seed", True), ("with_capacity", "no"),
+    ]
+    entries = [5, *({**spec, field: value} for field, value in bad_fields), instance_file]
+    cfg = ExperimentConfig(instances=entries, solvers=["exact"], reads=10, runs=1)
     report, code = run_pipeline(cfg, tmp_path / "out")
     assert code == 1
-    broken, good = report["instances"]
+    broken, *bad_specs, good = report["instances"]
     assert broken["spec"] == 5
     assert "path or generation spec" in broken["error"]
+    for record, (field, value) in zip(bad_specs, bad_fields):
+        assert record["spec"][field] == value
+        assert field in record["error"]
     assert good["solvers"]["exact"]["runs"][0]["best_ar"] == 1.0
 
 
@@ -434,6 +443,8 @@ def test_config_validation():
         ("penalty_m", 0.0),
         ("penalty_m", float("nan")),
         ("penalty_m", float("inf")),
+        ("penalty_m", True),
+        ("penalty_m", "7"),
         ("instances", "x.json"),
         ("solvers", "sa"),
     ]

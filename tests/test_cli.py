@@ -61,6 +61,57 @@ def test_encode_rejects_bad_penalty(tmp_path, capsys, penalty):
     assert not out.exists()
 
 
+def write_capacity_instance(tmp_path):
+    """Three one-camera requests of loads 1, 2 and 3 on a disk of 3."""
+    inst = Instance(
+        name="cap3",
+        requests=tuple(
+            Request(
+                id=i, kind="mono", weight=float(i + 1), allowed_cameras=(1,),
+                capacity_by_camera={1: i + 1},
+            )
+            for i in range(3)
+        ),
+        disk_capacity=3,
+    )
+    path = tmp_path / "cap3.json"
+    save_instance(inst, path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["encode"], ["solve", "--solver", "exhaustive"], ["solve", "--solver", "sa"],
+     ["solve", "--solver", "exact"]],
+    ids=["encode", "exhaustive", "sa", "exact"],
+)
+def test_a_penalty_that_overflows_the_energies_exits_2(tmp_path, capsys, command):
+    path = write_capacity_instance(tmp_path)
+    out = tmp_path / "out.json"
+    argv = [command[0], str(path), *command[1:], "-o", str(out), "--penalty", "1e308"]
+    assert main(argv) == 2
+    assert "1e+308 takes energies past the largest float" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_penalty_that_overflows_the_energies_fails_only_its_instance(tmp_path):
+    # M enters no term of a lone one-camera request, so 1e308 encodes it
+    lone = Instance(
+        name="lone", requests=(Request(id=0, kind="mono", weight=2.0, allowed_cameras=(1,)),)
+    )
+    save_instance(lone, tmp_path / "lone.json")
+    config = tmp_path / "config.json"
+    entries = [str(write_capacity_instance(tmp_path)), str(tmp_path / "lone.json")]
+    config.write_text(json.dumps({"instances": entries, "solvers": ["sa", "exact"], "runs": 1}))
+    out = tmp_path / "out"
+    assert main(["run", str(config), "-o", str(out), "--penalty", "1e308", "--reads", "20"]) == 1
+    overflowed, fine = json.loads((out / "report.json").read_text())["instances"]
+    assert "past the largest float" in overflowed["error"]
+    assert fine["error"] is None
+    for solver in ("sa", "exact"):
+        assert fine["solvers"][solver]["runs"][0]["best_ar"] == 1.0
+
+
 def test_solve_one_cell(tmp_path):
     src = write_source(tmp_path)
     out = tmp_path / "cell.json"

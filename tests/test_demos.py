@@ -14,8 +14,9 @@ def _run_demo(name: str, tmp_path: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     env["TMPDIR"] = str(tmp_path)  # demo 05 writes its outputs to a temporary directory
+    # the suite's RuntimeWarning filter, which a subprocess does not inherit
     return subprocess.run(
-        [sys.executable, str(ROOT / "demos" / name)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "demos" / name)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
 

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from satplan import (
     min_slack_penalty,
     solve_exact,
 )
+from satplan.anneal import _field_bound
 from satplan.qaoa import MAX_QUBITS
 from satplan.qubo import MAX_TABLE_VARIABLES, IsingModel, Qubo
 from helpers import (
@@ -63,6 +65,16 @@ def test_encode_rejects_penalty_outside_positive_finite(m):
     with pytest.raises(ValueError, match="positive and finite"):
         encode(inst, m)
     assert encode(inst, 1e300).penalty_m == 1e300
+
+
+def test_encode_rejects_a_penalty_that_overflows_the_energies():
+    inst = Instance(
+        name="cap", requests=(_mono(0, caps={1: 3}), _mono(1, caps={1: 4})), disk_capacity=5
+    )
+    q = encode(inst, 1e300)  # |offset| + sum |c| is about 1.2e302
+    assert math.isfinite(abs(q.offset) + np.abs(q.term_values()).sum())
+    with pytest.raises(ValueError, match="past the largest float"):
+        encode(inst, 1e308)
 
 
 def test_pair_penalty_single_interaction_no_slack():
@@ -183,7 +195,8 @@ def test_capacity_load_must_cover_every_variable():
     ],
 )
 def test_field_bound_covers_integer_qubos_only(q, bound):
-    assert q.field_bound == bound
+    # the annealer's bound on the QUBO's field sums
+    assert _field_bound(q) == bound
 
 
 def test_energy_basics():
