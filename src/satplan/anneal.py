@@ -99,6 +99,16 @@ from 10.3-18.6 to 1.7-2.1, and the six ``sample_sa`` calls took a median
 0.64 s against 1.10 s with the dense couplings (10 alternating pairs of
 processes, median of 3 calls each; shared 2-core Intel Xeon, numpy
 2.4.6), with the same samples.
+
+Set-up without BLAS.  Each restart sums its initial fields and loads
+from zero as accepted flips update them: for i in index order, the
+products ``S_ij x_i`` go to field rows j and ``a_i x_i`` to the load,
+grouped by value; the diagonal is added last.  A matmul of the states gave
+the same samples, but it woke OpenBLAS's second thread, which then spun: on
+the six seed-0 ``sa-capacity`` benchmark QUBOs it burnt 0.10-0.13 s of
+CPU per ``sample_sa`` call, and none with these sums, and a fresh
+``satplan run`` of that config went from 1.9 to 1.2-1.3 s of CPU per
+second of wall time (the rest is numpy's import) at the same wall time.
 """
 
 from __future__ import annotations
@@ -141,7 +151,7 @@ def _field_bound(q: Qubo) -> float:
     numbers = q.term_values()
     if load is not None:
         numbers = np.concatenate([numbers, load, [q.penalty_m]])
-    if not (np.all(np.isfinite(numbers)) and np.all(numbers == np.round(numbers))):
+    if not np.all(numbers == np.round(numbers)):  # every number is finite (Qubo)
         return math.inf
     bounds = q.flip_bounds
     if load is not None:
@@ -294,13 +304,9 @@ def sample_sa(
     best_energies: np.ndarray | None = None
     for _ in range(sched.restarts_per_read):
         states = rng.integers(0, 2, size=(reads, nv), dtype=np.uint8)
-        total_load = states @ load  # L, one per read
-        fields = states.astype(dtype) @ remainder
-        fields += diag
-        fields = np.ascontiguousarray(fields.T)
-        sgn = np.ascontiguousarray(states.T, dtype=dtype)
-        sgn *= -2.0
-        sgn += 1.0
+        fields = np.zeros((nv, reads), dtype)
+        total_load = np.zeros(reads, dtype)  # L, one per read
+        sgn = np.ascontiguousarray(states.T, dtype=dtype)  # x until set-up ends
         # per variable: its rows of fields, sgn and thresholds, its load
         # scale, and the rows its flips update, under each coupling value
         targets = [*fields, total_load]
@@ -309,6 +315,16 @@ def sample_sa(
              [(w_ij, [targets[j] for j in cols]) for w_ij, cols in groups[i]])
             for i in range(nv)
         ]
+        # the initial fields and loads, summed over the variables in index
+        # order as the flips will update them (see the module docstring)
+        for _, x_i, _, _, coupled in plan:
+            for w_ij, rows in coupled:
+                np.multiply(x_i, w_ij, out=product)
+                for row in rows:
+                    row += product
+        fields += diag[:, None]
+        sgn *= -2.0
+        sgn += 1.0
         for beta in betas:
             rng.random(out=thresholds, dtype=dtype)
             # t = -ln(u) / beta; u = 0 gives t = +inf, an accept.  In

@@ -50,7 +50,12 @@ optimization and every sampled state.
 
 Parameter optimisation is local and derivative-free (Powell's
 direction-set method) with the best evaluation tracked explicitly, so the
-reported value never exceeds the value at the initial point.
+reported value never exceeds the value at the initial point.  Powell's
+search, with Brent's line search, runs here (``_powell``): a port of the
+one path of scipy 1.17.1's ``minimize(method="Powell")`` that
+``optimize_layer`` takes, which evaluates the same points in the same
+order, repeated evaluations included.  Importing ``scipy.optimize`` for it
+cost about 0.5 s and 47 MB per process.
 ``run_schedule`` implements layer-wise parameter fixing: the optimised 2*L
 parameters of the L-layer ansatz seed the (L+1)-layer search together with
 gamma = beta = 0 for the new layer.  That start is a stationary point of
@@ -115,8 +120,11 @@ class OptimizerConfig:
     max_evals: int = 1000
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        tol, evals = self.tolerance, self.max_evals
+        if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 < tol < math.inf:
+            raise ValueError(f"tolerance must be a positive finite number, got {tol!r}")
+        if not isinstance(evals, int) or isinstance(evals, bool) or evals < 1:
+            raise ValueError(f"max_evals must be an integer >= 1, got {evals!r}")
 
 
 @dataclass(frozen=True)
@@ -332,6 +340,241 @@ def sample_state(
     return SampleSet.from_states(states, energy_table[picks], "qaoa", seed)
 
 
+# Powell's search below is ported from scipy's optimize/_optimize.py, scipy
+# 1.17.1 (_minimize_powell, _linesearch_powell, Brent, bracket and
+# _recover_from_bracket_error), cut down to the one path optimize_layer
+# takes.  It evaluates the same points in the same order.  SciPy's licence:
+#
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions
+# are met:
+#
+# 1. Redistributions of source code must retain the above copyright
+#    notice, this list of conditions and the following disclaimer.
+#
+# 2. Redistributions in binary form must reproduce the above
+#    copyright notice, this list of conditions and the following
+#    disclaimer in the documentation and/or other materials provided
+#    with the distribution.
+#
+# 3. Neither the name of the copyright holder nor the names of its
+#    contributors may be used to endorse or promote products derived
+#    from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+
+_GOLD = 1.618034  # the bracket's growth ratio
+_CGOLD = 0.3819660  # Brent's golden-section fraction
+_MINTOL = 1.0e-11  # Brent's absolute tolerance
+_TINY = 1e-21  # the bracket's smallest parabola denominator
+_GROW_LIMIT = 110.0
+_BRACKET_ITERS = 1000
+_BRENT_ITERS = 500
+
+
+class _OutOfEvals(Exception):
+    """Raised by the evaluation that would pass the budget; ends the search."""
+
+
+def _bracket(f: Callable) -> tuple:
+    """scipy's ``bracket(f, 0.0, 1.0)``: (xa, xb, xc, fa, fb, fc, valid),
+    ``valid`` true when fb lies below fa and fc, one strictly, at strictly
+    ordered finite points."""
+    xa, xb = np.asarray([0.0, 1.0])  # numpy scalars, as in scipy
+    fa = f(xa)
+    fb = f(xb)
+    if fa < fb:
+        xa, xb, fa, fb = xb, xa, fb, fa
+    xc = xb + _GOLD * (xb - xa)
+    fc = f(xc)
+    iterations = 0
+    while fc < fb:
+        tmp1 = (xb - xa) * (fb - fc)
+        tmp2 = (xb - xc) * (fb - fa)
+        val = tmp2 - tmp1
+        denom = 2.0 * _TINY if np.abs(val) < _TINY else 2.0 * val
+        w = xb - ((xb - xc) * tmp2 - (xb - xa) * tmp1) / denom
+        wlim = xb + _GROW_LIMIT * (xc - xb)
+        if iterations > _BRACKET_ITERS:
+            raise RuntimeError("no valid bracket was found before the iteration limit")
+        iterations += 1
+        if (w - xc) * (xb - w) > 0.0:
+            fw = f(w)
+            if fw < fc:
+                xa, xb, fa, fb = xb, w, fb, fw
+                break
+            if fw > fb:
+                xc, fc = w, fw
+                break
+            w = xc + _GOLD * (xc - xb)
+            fw = f(w)
+        elif (w - wlim) * (wlim - xc) >= 0.0:
+            w = wlim
+            fw = f(w)
+        elif (w - wlim) * (xc - w) > 0.0:
+            fw = f(w)
+            if fw < fc:
+                xb, xc, fb, fc = xc, w, fc, fw
+                w = xc + _GOLD * (xc - xb)
+                fw = f(w)
+        else:
+            w = xc + _GOLD * (xc - xb)
+            fw = f(w)
+        xa, xb, xc, fa, fb, fc = xb, xc, w, fb, fc, fw
+    valid = (
+        ((fb < fc and fb <= fa) or (fb < fa and fb <= fc))
+        and (xa < xb < xc or xc < xb < xa)
+        and np.isfinite(xa) and np.isfinite(xb) and np.isfinite(xc)
+    )
+    return xa, xb, xc, fa, fb, fc, valid
+
+
+def _brent(f: Callable, tol: float) -> tuple:
+    """(x, f(x)) at the minimum Brent's method finds from ``_bracket(f)``.
+    Without a valid bracket it is the lowest of the bracket's three points,
+    or NaN if any of them or their values is NaN."""
+    xa, xb, xc, fa, fb, fc, valid = _bracket(f)
+    if not valid:
+        xs, fs = [xa, xb, xc], [fa, fb, fc]
+        if np.any(np.isnan([xs, fs])):
+            return np.nan, np.nan
+        best = np.argmin(fs)
+        return xs[best], fs[best]
+    x = w = v = xb
+    fw = fv = fx = fb
+    a, b = (xa, xc) if xa < xc else (xc, xa)
+    deltax = 0.0
+    # the first iteration takes the golden-section step, which sets rat
+    for _ in range(_BRENT_ITERS):
+        tol1 = tol * np.abs(x) + _MINTOL
+        tol2 = 2.0 * tol1
+        xmid = 0.5 * (a + b)
+        if np.abs(x - xmid) < (tol2 - 0.5 * (b - a)):
+            break
+        if np.abs(deltax) <= tol1:
+            deltax = a - x if x >= xmid else b - x
+            rat = _CGOLD * deltax
+        else:  # a parabolic step, if it is useful
+            tmp1 = (x - w) * (fx - fv)
+            tmp2 = (x - v) * (fx - fw)
+            p = (x - v) * tmp2 - (x - w) * tmp1
+            tmp2 = 2.0 * (tmp2 - tmp1)
+            if tmp2 > 0.0:
+                p = -p
+            tmp2 = np.abs(tmp2)
+            dx_temp = deltax
+            deltax = rat
+            if (
+                p > tmp2 * (a - x)
+                and p < tmp2 * (b - x)
+                and np.abs(p) < np.abs(0.5 * tmp2 * dx_temp)
+            ):
+                rat = p * 1.0 / tmp2
+                u = x + rat
+                if (u - a) < tol2 or (b - u) < tol2:
+                    rat = tol1 if xmid - x >= 0 else -tol1
+            else:
+                deltax = a - x if x >= xmid else b - x
+                rat = _CGOLD * deltax
+        if np.abs(rat) < tol1:  # move by at least tol1
+            u = x + tol1 if rat >= 0 else x - tol1
+        else:
+            u = x + rat
+        fu = f(u)
+        if fu > fx:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, w, fv, fw = w, u, fw, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        else:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
+    return x, fx
+
+
+def _powell(
+    func: Callable[[np.ndarray], float], x0: np.ndarray, tol: float, max_evals: int
+) -> None:
+    """Call ``func`` at the points, and in the order, of scipy's
+    ``minimize(func, x0, method="Powell", tol=tol, options={"maxfev":
+    max_evals})``, no bounds; the call that would pass ``max_evals`` ends
+    the search.  Each point is a new array."""
+    evals = 0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal evals
+        if evals >= max_evals:
+            raise _OutOfEvals
+        evals += 1
+        return func(np.copy(x))
+
+    def line_search(p: np.ndarray, xi: np.ndarray, fval: float) -> tuple:
+        """(value, point, step) of Brent's minimum along ``xi`` from ``p``."""
+        if not np.any(xi):
+            return fval, p, xi
+        alpha, fret = _brent(lambda step: f(p + step * xi), tol * 100)
+        xi = alpha * xi
+        return fret, p + xi, xi
+
+    x = np.asarray(x0).flatten()
+    direc = np.eye(len(x), dtype=float)
+    try:
+        fval = f(x)
+        x1 = x.copy()
+        while True:
+            fx = fval
+            bigind = 0
+            delta = 0.0
+            for i in range(len(x)):
+                fx2 = fval
+                fval, x, _ = line_search(x, direc[i], fval)
+                if (fx2 - fval) > delta:
+                    delta = fx2 - fval
+                    bigind = i
+            bnd = tol * (np.abs(fx) + np.abs(fval)) + 1e-20
+            if 2.0 * (fx - fval) <= bnd or evals >= max_evals:
+                return
+            if np.isnan(fx) and np.isnan(fval):  # in a NaN region
+                return
+            # the extrapolated point, and the direction of the whole sweep
+            direc1 = x - x1
+            x1 = x.copy()
+            fx2 = f(x + direc1)
+            if fx > fx2:
+                t = 2.0 * (fx + fx2 - 2.0 * fval)
+                temp = fx - fval - delta
+                t *= temp * temp
+                temp = fx - fx2
+                t -= delta * temp * temp
+                if t < 0.0:
+                    fval, x, direc1 = line_search(x, direc1, fval)
+                    if np.any(direc1):
+                        direc[bigind] = direc[-1]
+                        direc[-1] = direc1
+    except _OutOfEvals:
+        return
+
+
 def optimize_layer(
     energy_table: np.ndarray,
     init: QaoaParams,
@@ -346,9 +589,6 @@ def optimize_layer(
     never worse than the initial point.  ``_evaluator`` is as in
     :func:`apply_ansatz`.
     """
-    # imported on first use: scipy.optimize adds about 0.2 s to every command's start-up
-    from scipy.optimize import minimize
-
     cfg = cfg or OptimizerConfig()
     evaluator = _evaluator if _evaluator is not None else _Evaluator(energy_table)
     best_x = init.to_flat()
@@ -367,13 +607,7 @@ def optimize_layer(
             best_x = np.array(x)
         return val
 
-    minimize(
-        objective,
-        init.to_flat(),
-        method="Powell",
-        tol=cfg.tolerance,
-        options={"maxfev": cfg.max_evals},
-    )
+    _powell(objective, init.to_flat(), cfg.tolerance, cfg.max_evals)
     return QaoaParams.from_flat(best_x), float(best_val)
 
 

@@ -142,9 +142,13 @@ class Qubo:
         num_variables: int | None = None,
         capacity_load: np.ndarray | None = None,
     ):
-        if penalty_m <= 0:
-            raise ValueError("penalty_m must be positive")
+        if not 0 < penalty_m < math.inf:
+            raise ValueError(f"penalty_m must be positive and finite, got {penalty_m!r}")
+        if not math.isfinite(offset):
+            raise ValueError(f"offset must be finite, got {offset!r}")
         self._rows, self._cols, self._vals = _frozen_terms(coefficients)
+        if not np.all(np.isfinite(self._vals)):
+            raise ValueError("coefficients must be finite")
         if registry is not None:
             nv = registry.num_variables
         elif num_variables is not None:
@@ -165,9 +169,13 @@ class Qubo:
             load = self.capacity_load = np.asarray(capacity_load, dtype=np.float64)
             if load.shape != (nv,):
                 raise ValueError(f"expected a capacity load of length {nv}, got shape {load.shape}")
+            if not np.all(np.isfinite(load)):
+                raise ValueError("capacity load entries must be finite")
         off = self._rows != self._cols
         size = np.abs(self._vals)
-        with np.errstate(over="ignore"):  # an infinite bound gives beta_start 0, which is rejected
+        # finite coefficients can still sum past the largest float; an
+        # infinite bound gives beta_start 0, which is rejected
+        with np.errstate(over="ignore"):
             self.flip_bounds = np.bincount(self._rows, size, nv) + np.bincount(
                 self._cols[off], size[off], nv
             )

@@ -289,8 +289,29 @@ def test_partial_failure_exit_code(tmp_path):
 
 def test_cli_import_skips_scipy_stats():
     # scipy.stats adds over a second of import time and nothing needs it;
-    # scipy.optimize and scipy.special are imported where they are first used
+    # nothing imports scipy.optimize, and scipy.special is imported where
+    # it is first used
     env = dict(os.environ, PYTHONPATH=str(Path(satplan.__file__).parents[1]))
     heavy = ("scipy.stats", "scipy.optimize", "scipy.special")
     code = f"import sys, satplan.cli; sys.exit(any(m in sys.modules for m in {heavy!r}))"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
+def test_qaoa_solve_skips_scipy_optimize(tmp_path):
+    # Powell's method runs in satplan.qaoa: importing scipy.optimize would
+    # add about 47 MB and half a second to every QAOA run
+    path = tmp_path / "tiny.json"
+    requests = tuple(
+        Request(id=i, kind="mono", weight=float(i + 1), allowed_cameras=(1,)) for i in range(3)
+    )
+    save_instance(Instance(name="tiny", requests=requests), path)
+    out = tmp_path / "cell.json"
+    argv = ["solve", str(path), "--solver", "qaoa", "--reads", "20", "--max-layers", "2",
+            "--n-inits", "1", "-o", str(out)]
+    code = (
+        "import sys; from satplan.cli import main; code = main(%r); "
+        "sys.exit(code or 3 * ('scipy.optimize' in sys.modules))" % argv
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(satplan.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+    assert "layers" in json.loads(out.read_text())

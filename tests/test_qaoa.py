@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -533,3 +534,104 @@ def test_param_validation():
         QaoaParams((0.1,), (0.1, 0.2))
     with pytest.raises(ValueError):
         OptimizerConfig(tolerance=0.0)
+    bad = [
+        dict(tolerance=-1e-6), dict(tolerance=math.nan), dict(tolerance=math.inf),
+        dict(tolerance=True), dict(tolerance="1e-6"), dict(max_evals=0),
+        dict(max_evals=-3), dict(max_evals=2.5), dict(max_evals=True),
+    ]
+    for kwargs in bad:
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            OptimizerConfig(**kwargs)
+    assert OptimizerConfig(tolerance=1, max_evals=1).max_evals == 1
+
+
+# Powell's method runs in satplan.qaoa as a port of scipy 1.17.1's path.
+# These tests hold it to scipy's own: the objective must receive the same
+# points, bit for bit and in the same order.  A scipy release that changes
+# Powell's path fails them by design.
+
+
+def _scipy_powell(func, x0, tol, max_evals):
+    from scipy.optimize import minimize
+
+    minimize(func, x0, method="Powell", tol=tol, options={"maxfev": max_evals})
+
+
+def _points(search, func, x0, tol=1e-6, max_evals=1000):
+    """The points ``search`` evaluates ``func`` at, as bytes, and the type
+    of the RuntimeError it raised, if any."""
+    points = []
+
+    def recorded(x):
+        points.append(np.asarray(x, dtype=np.float64).tobytes())
+        return func(x)
+
+    try:
+        search(recorded, np.array(x0, dtype=np.float64), tol, max_evals)
+    except RuntimeError as exc:
+        return points, type(exc)
+    return points, None
+
+
+@pytest.mark.parametrize(
+    "func, x0, overflows, error",
+    [
+        # bounded and monotone: one bracket is invalid, its lowest point wins
+        (lambda x: -math.atan(x[0]) - math.tanh(x[1]), [0.5, 0.2], False, None),
+        (lambda x: 3.0, [0.5, 0.2], False, None),
+        (lambda x: 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2, [-1.2, 1.0], False, None),
+        # NaN on part of each line
+        (lambda x: math.nan if x[0] > 1.5 else (x[0] - 1.0) ** 2 + (x[1] + 0.5) ** 2,
+         [0.0, 0.0], False, None),
+        (lambda x: math.nan, [0.0, 0.0], False, None),
+        # unbounded below: the brackets' parabola products overflow, and
+        # the budget ends the search
+        (lambda x: x[0] + 2.0 * x[1], [0.0, 0.0], True, None),
+        # concave: the bracket grows by the golden ratio until its iteration
+        # limit, a RuntimeError, before the budget runs out
+        (lambda x: -abs(x[0]) ** 1.2 - abs(x[1]) ** 1.2, [0.0, 0.0], True, RuntimeError),
+    ],
+    ids=["monotone", "constant", "rosenbrock", "partly-nan", "all-nan", "linear", "concave"],
+)
+def test_powell_evaluates_scipys_points(func, x0, overflows, error):
+    def objective(x):
+        return float(func([float(v) for v in x]))
+
+    budget = 1000 if error is None else 2000
+    with np.errstate(over="ignore", invalid="ignore") if overflows else np.errstate():
+        ported = _points(qaoa._powell, objective, x0, max_evals=budget)
+        reference = _points(_scipy_powell, objective, x0, max_evals=budget)
+    assert ported == reference
+    assert len(ported[0]) > 3 and ported[1] is error
+
+
+@pytest.mark.parametrize(
+    "spec, max_evals",
+    [
+        ((3, False, 0), 1000),  # 10 qubits: 91, 513, 853 and 102 evaluations
+        ((4, True, 2), 1000),  # 9 qubits: layers 3 and 4 use their budget
+        ((3, False, 0), 1),
+        ((3, False, 0), 2),
+        ((3, False, 0), 5),
+        ((3, False, 0), 40),
+    ],
+)
+def test_qaoa_layers_evaluate_scipys_points(monkeypatch, spec, max_evals):
+    target, with_capacity, seed = spec
+    inst = reduce(acceptance_source(), ReductionSpec(target, with_capacity, seed))
+    table = encode(inst).energy_table()
+    cfg = OptimizerConfig(max_evals=max_evals)
+    runs = []
+    for search in (qaoa._powell, _scipy_powell):
+        layers = []
+
+        def recorded(func, x0, tol, budget, search=search, layers=layers):
+            points, error = _points(search, func, x0, tol, budget)
+            assert error is None
+            layers.append(points)
+
+        monkeypatch.setattr(qaoa, "_powell", recorded)
+        results = run_schedule(table, max_layers=4, n_inits=1, cfg=cfg, seed=seed, reads=50)
+        runs.append((layers, [r.to_json_dict() for r in results]))
+    assert runs[0] == runs[1]
+    assert all(len(points) <= max_evals for points in runs[0][0])

@@ -186,7 +186,8 @@ def test_capacity_load_must_cover_every_variable():
         (Qubo({(0, 0): 0.75, (0, 1): -0.5}), np.inf),
         (Qubo({(0, 0): 1e300}), 1e300),
         (Qubo({}, num_variables=2), 0.0),
-        (Qubo({(0, 0): np.inf}), np.inf),
+        # variable 1's finite terms sum past the largest float
+        (Qubo({(0, 1): 1e308, (1, 1): 1e308}), np.inf),
         # loads 1 and 3 and M = 3: variable 1's 4 * 3 * 3 * 4 = 144 is above
         # variable 0's 1 + 4 * 3 * 1 * 4 = 49
         (Qubo({(0, 0): 1.0}, penalty_m=3.0, num_variables=2, capacity_load=[1.0, 3.0]), 144.0),
@@ -197,6 +198,27 @@ def test_capacity_load_must_cover_every_variable():
 def test_field_bound_covers_integer_qubos_only(q, bound):
     # the annealer's bound on the QUBO's field sums
     assert _field_bound(q) == bound
+
+
+@pytest.mark.parametrize(
+    "coefficients, kwargs, match",
+    [
+        ({(0, 0): np.nan, (0, 1): 1.0}, {}, "coefficients"),
+        ({(0, 0): np.inf}, {}, "coefficients"),
+        ({(0, 0): -np.inf}, {}, "coefficients"),
+        # a pair given both ways sums past the largest float
+        ({(0, 1): 1e308, (1, 0): 1e308}, {}, "coefficients"),
+        ({(0, 0): 1.0}, dict(offset=np.nan), "offset"),
+        ({(0, 0): 1.0}, dict(offset=-np.inf), "offset"),
+        ({(0, 0): 1.0}, dict(penalty_m=np.nan), "penalty_m"),
+        ({(0, 0): 1.0}, dict(penalty_m=np.inf), "penalty_m"),
+        ({(0, 0): 1.0}, dict(capacity_load=[np.nan]), "capacity load"),
+        ({(0, 0): 1.0}, dict(capacity_load=[np.inf]), "capacity load"),
+    ],
+)
+def test_non_finite_qubo_is_rejected(coefficients, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        Qubo(coefficients, **kwargs)
 
 
 def test_energy_basics():
