@@ -109,6 +109,21 @@ the six seed-0 ``sa-capacity`` benchmark QUBOs it burnt 0.10-0.13 s of
 CPU per ``sample_sa`` call, and none with these sums, and a fresh
 ``satplan run`` of that config went from 1.9 to 1.2-1.3 s of CPU per
 second of wall time (the rest is numpy's import) at the same wall time.
+
+Exhaustive search.  :func:`solve_exhaustive` is the ground truth the
+heuristics are scored against.  It enumerates the 2^N states in blocks of
+2^16 (512 KiB of float64) that share their high bits, each one
+``Qubo.energy_table(high, low_bits)`` and bit for bit that block's slice of
+the full table, so its memory is one block at any N.  A block's minima are
+filtered one bit at a time in numpy, keeping those with bit i clear where
+any has it, for i = 0, 1, ...; block winners compare by (energy, bits).
+The lexicographically smallest minimiser, variable 0 first, wins ties, as
+with a Python ``min`` over every tied state of the whole table.  Against
+that whole table, on random QUBOs (shared 2-core Intel Xeon, numpy 2.4.6):
+20 variables and 45 terms take 16 ms either way, with a traced peak of
+1.1 MiB against 9 MiB; 24 variables take 0.30 s against 0.48 s with 45
+terms and 2.4 s against 3.6 s with all 300, with a peak of 1.1 MiB against
+144 MiB; and 20 variables with every state tied take 0.02 s against 5.4 s.
 """
 
 from __future__ import annotations
@@ -121,7 +136,10 @@ import numpy as np
 
 from .qubo import Qubo
 
-MAX_EXHAUSTIVE_VARIABLES = 24  # 2**24 energies: 128 MiB as float64, also the peak of building them
+# a bound on time, not memory: one block of 2**_EXHAUSTIVE_BLOCK_BITS energies
+# at a time, 2**24 take 0.3-2.4 s to enumerate (45 to 300 terms)
+MAX_EXHAUSTIVE_VARIABLES = 24
+_EXHAUSTIVE_BLOCK_BITS = 16  # 2**16 float64 energies: 512 KiB, a cache-sized block
 
 
 HOT_ACCEPT = 0.5  # acceptance of the largest possible flip cost at beta_start
@@ -363,17 +381,45 @@ def sample_sa(
     return SampleSet.from_states(best_states, best_energies, "sa", seed)
 
 
+def _lexicographic_first(candidates: np.ndarray, bits: int) -> int:
+    """The candidate state whose ``bits`` low bits, variable 0 first, are
+    lexicographically smallest: keep the candidates with bit i clear, if
+    any, for i = 0, 1, ..."""
+    for i in range(bits):
+        if len(candidates) == 1:
+            break
+        clear = (candidates & (1 << i)) == 0
+        if clear.any():
+            candidates = candidates[clear]
+    return int(candidates[0])
+
+
 def solve_exhaustive(q: Qubo) -> tuple[np.ndarray, float]:
     """Global minimiser by full enumeration; ties go to the lexicographically
-    smallest bit vector (variable 0 first)."""
+    smallest bit vector (variable 0 first).
+
+    The states are enumerated in blocks of ``Qubo.energy_table(high,
+    low_bits)``, which share their high bits, so memory stays at one block
+    whatever N.  Each block's tie-break runs in numpy, and the block
+    winners are compared by (energy, bits).
+    """
     nv = q.num_variables
     if nv > MAX_EXHAUSTIVE_VARIABLES:
         raise ValueError(
             f"exhaustive enumeration limited to {MAX_EXHAUSTIVE_VARIABLES} variables, got {nv}"
         )
-    table = q.energy_table()
-    best = table.min()
-    candidates = np.flatnonzero(table == best)
-    bits_of = lambda k: tuple((int(k) >> i) & 1 for i in range(nv))
-    winner = min(candidates, key=bits_of)
-    return np.array(bits_of(winner), dtype=np.uint8), float(best)
+    low_bits = min(nv, _EXHAUSTIVE_BLOCK_BITS)
+    best: tuple[float, tuple[int, ...]] | None = None
+    for high in range(1 << (nv - low_bits)):
+        block = q.energy_table(high, low_bits)
+        energy = float(block.min())
+        if best is not None and energy > best[0]:
+            continue
+        candidates = np.flatnonzero(block == energy)
+        del block  # the tie-break's temporaries take its place
+        k = high << low_bits | _lexicographic_first(candidates, low_bits)
+        winner = (energy, tuple((k >> i) & 1 for i in range(nv)))
+        if best is None or winner < best:
+            best = winner
+    energy, bits = best
+    return np.array(bits, dtype=np.uint8), energy

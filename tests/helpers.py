@@ -291,6 +291,28 @@ def reference_energy_table(q: Qubo) -> np.ndarray:
     return e
 
 
+def reference_energies(q: Qubo, bits: np.ndarray) -> np.ndarray:
+    """``Qubo.energies`` as it was before it kept the bits in their own
+    dtype: a float64 copy of the batch and ``e += v * b_i * b_j``."""
+    b = np.asarray(bits).astype(np.float64)
+    e = np.full(b.shape[0], q.offset)
+    for i, j, v in q.terms():
+        e += v * b[:, i] if i == j else v * b[:, i] * b[:, j]
+    return e
+
+
+def reference_solve_exhaustive(q: Qubo) -> tuple[np.ndarray, float]:
+    """``solve_exhaustive`` as it was before it enumerated in blocks: the
+    whole 2^N table, then a Python ``min`` over the tied states by their
+    bit tuples, variable 0 first."""
+    nv = q.num_variables
+    table = q.energy_table()
+    best = table.min()
+    bits_of = lambda k: tuple((int(k) >> i) & 1 for i in range(nv))
+    winner = min(np.flatnonzero(table == best), key=bits_of)
+    return np.array(bits_of(winner), dtype=np.uint8), float(best)
+
+
 def reference_ising_table(ising: IsingModel) -> np.ndarray:
     """The 2^N table of ``IsingModel.energy_table`` before it worked in
     place, as ``e += h_i * z_i`` and ``e += v * (z_i * z_j)`` over every

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from satplan import (
     sample_sa,
     solve_exhaustive,
 )
+from satplan import anneal
 from satplan.anneal import anneal_settings
 from satplan.qubo import Qubo
 from helpers import (
@@ -20,6 +22,7 @@ from helpers import (
     random_instance,
     reference_from_states,
     reference_sample_sa,
+    reference_solve_exhaustive,
 )
 
 
@@ -100,6 +103,84 @@ def test_exhaustive_tie_breaks_lexicographically():
     bits, energy = solve_exhaustive(q)
     assert energy == -1.0
     assert bits.tolist() == [0, 1]  # (0,1) precedes (1,0)
+
+
+def _tie_rich_qubo(rng, n):
+    # every variable alone scores -1 and a coupling of 0 or 1 joins a pair,
+    # so many sets of variables tie at the minimum
+    coeffs = {(i, i): -1.0 for i in range(n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.5:
+                coeffs[(i, j)] = float(rng.integers(0, 2))
+    return Qubo(coeffs, offset=float(rng.choice([0.0, -0.0, 0.5])), num_variables=n)
+
+
+@pytest.mark.parametrize("block_bits", [1, 3, 9])
+def test_exhaustive_matches_the_full_table_reference(block_bits, monkeypatch):
+    # small blocks put most ties across block boundaries
+    monkeypatch.setattr(anneal, "_EXHAUSTIVE_BLOCK_BITS", block_bits)
+    rng = np.random.default_rng(83)
+    for n in [0, 1, 2, 5, 8, 12]:
+        for _ in range(3):
+            q = _tie_rich_qubo(rng, n)
+            bits, energy = solve_exhaustive(q)
+            ref_bits, ref_energy = reference_solve_exhaustive(q)
+            assert bits.dtype == np.uint8
+            assert bits.tolist() == ref_bits.tolist()
+            assert energy == ref_energy
+
+
+@pytest.mark.parametrize(
+    "n, coeffs, winner",
+    [
+        # a free high bit: e_3 in block 0 ties e_3 + e_16 in block 1
+        (17, {(3, 3): -1.0}, {3}),
+        # e_15 in block 0 ties e_16 in block 1, whose bit 15 is clear
+        (17, {(15, 15): -1.0, (16, 16): -1.0, (15, 16): 1.0}, {16}),
+        # equal low bits: e_16 in block 1 ties e_17 in block 2
+        (18, {(16, 16): -1.0, (17, 17): -1.0, (16, 17): 1.0}, {17}),
+    ],
+)
+def test_exhaustive_ties_across_blocks(n, coeffs, winner):
+    bits, energy = solve_exhaustive(Qubo(coeffs, num_variables=n))
+    assert energy == -1.0
+    assert set(np.flatnonzero(bits).tolist()) == winner
+
+
+def test_exhaustive_all_tie_picks_all_zero_bits():
+    bits, energy = solve_exhaustive(Qubo({}, offset=2.0, num_variables=20))
+    assert bits.tolist() == [0] * 20
+    assert energy == 2.0
+
+
+def test_exhaustive_memory_is_one_block():
+    rng = np.random.default_rng(89)
+    q = _tie_rich_qubo(rng, 20)
+    tracemalloc.start()
+    try:
+        solve_exhaustive(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20  # the 2^20 table alone is 8 MiB
+
+
+def test_exhaustive_enumerates_every_state_once_through_energy_table(monkeypatch):
+    # a tracer that counts the entries Qubo.energy_table returns must see
+    # one 2^N table's worth per exhaustive call
+    lengths = []
+    table = Qubo.energy_table
+
+    def counted(self, *args, **kwargs):
+        result = table(self, *args, **kwargs)
+        lengths.append(len(result))
+        return result
+
+    monkeypatch.setattr(Qubo, "energy_table", counted)
+    solve_exhaustive(_tie_rich_qubo(np.random.default_rng(97), 20))
+    assert len(lengths) > 1
+    assert sum(lengths) == 2**20
 
 
 def test_exhaustive_size_guard():

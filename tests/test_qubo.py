@@ -27,6 +27,7 @@ from helpers import (
     encode_checked,
     feasible_decision_mask,
     random_instance,
+    reference_energies,
     reference_energy,
     reference_energy_table,
     reference_ising_table,
@@ -299,6 +300,16 @@ def test_energy_tables_match_reference_bit_for_bit(gaussian, negative, offset):
         assert_bitwise_equal(ising.energy_table(), reference_ising_table(ising))
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.int64, np.float64])
+def test_energies_match_the_float_copy_reference_bit_for_bit(dtype):
+    # negative coefficients give -0.0 products, which must keep their sign
+    rng = np.random.default_rng(73)
+    for negative in (False, True):
+        q = Qubo(_random_coefficients(rng, 9, True, negative), offset=-0.0, num_variables=9)
+        bits = rng.integers(0, 2, size=(300, 9)).astype(dtype)
+        assert_bitwise_equal(q.energies(bits), reference_energies(q, bits))
+
+
 @pytest.mark.parametrize("view", ["qubo", "ising"])
 def test_energy_table_memory_is_the_table(view):
     rng = np.random.default_rng(67)
@@ -311,6 +322,45 @@ def test_energy_table_memory_is_the_table(view):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * table.nbytes
+
+
+@pytest.mark.parametrize("offset", [0.0, -0.0])
+@pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 20])
+def test_energy_table_blocks_are_slices_of_the_full_table(n, offset):
+    rng = np.random.default_rng(71 + n)
+    for negative in (False, True):
+        coeffs = _random_coefficients(rng, n, True, negative, density=0.3)
+        q = Qubo(coeffs, offset=offset, num_variables=n)
+        full = q.energy_table()
+        for low_bits in sorted({n, min(n, 16), max(n - 2, 0)}):
+            blocks = [q.energy_table(high, low_bits) for high in range(1 << (n - low_bits))]
+            assert all(len(block) == 1 << low_bits for block in blocks)
+            assert_bitwise_equal(np.concatenate(blocks), full)
+
+
+@pytest.mark.parametrize("high, low_bits", [(0, -1), (0, 4), (-1, 2), (2, 2), (1, 3)])
+def test_energy_table_rejects_a_block_outside_the_states(high, low_bits):
+    q = Qubo({(0, 1): 1.0}, num_variables=3)
+    with pytest.raises(ValueError, match="no block"):
+        q.energy_table(high, low_bits)
+
+
+@pytest.mark.parametrize(
+    "h, couplings, offset, match",
+    [
+        ([1.0, np.inf], {}, 0.0, "fields"),
+        ([np.nan, 0.0], {}, 0.0, "fields"),
+        ([1.0, 0.0], {(0, 1): -np.inf}, 0.0, "couplings"),
+        ([1.0, 0.0], {(0, 1): np.nan}, 0.0, "couplings"),
+        # a pair given both ways sums past the largest float
+        ([1.0, 0.0], {(0, 1): 1e308, (1, 0): 1e308}, 0.0, "couplings"),
+        ([1.0, 0.0], {}, np.nan, "offset"),
+        ([1.0, 0.0], {}, np.inf, "offset"),
+    ],
+)
+def test_non_finite_ising_model_is_rejected(h, couplings, offset, match):
+    with pytest.raises(ValueError, match=match):
+        IsingModel(h, couplings, offset)
 
 
 def test_one_limit_for_every_energy_table():
