@@ -56,6 +56,7 @@ from .qubo import (
     TernaryPairSlack,
     VarRegistry,
     capacity_slack_count,
+    complete_slacks,
     encode,
     min_slack_penalty,
 )

@@ -210,7 +210,8 @@ class SampleEntry:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Multiset of sampled bit vectors, lowest energy first."""
+    """Multiset of sampled bit vectors, lowest energy first.  It owns their
+    '0'/'1' format: :meth:`from_states` writes it, :meth:`bit_matrix` reads it."""
 
     entries: tuple[SampleEntry, ...]
     total_reads: int
@@ -253,6 +254,14 @@ class SampleSet:
             sampler_tag=sampler_tag,
             seed=seed,
         )
+
+    def bit_matrix(self, n: int) -> np.ndarray:
+        """Boolean (entries, n) matrix of each entry's first ``n`` bits."""
+        rows = [entry.bits[:n] for entry in self.entries]
+        if any(len(row) != n for row in rows):
+            raise ValueError(f"expected {n} decision bits in every sample")
+        text = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+        return (text != ord("0")).reshape(len(rows), n)
 
     def best(self) -> SampleEntry:
         if not self.entries:

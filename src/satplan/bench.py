@@ -24,7 +24,6 @@ import numpy as np
 from .anneal import (
     MAX_EXHAUSTIVE_VARIABLES,
     AnnealSchedule,
-    SampleEntry,
     SampleSet,
     anneal_settings,
     sample_sa,
@@ -34,7 +33,7 @@ from .exact import DEFAULT_NODE_BUDGET, ExactResult, solve_exact
 from .instance import Instance, load_instance
 from .metrics import RunMetrics, aggregate, run_metrics
 from .qaoa import MAX_QUBITS, OptimizerConfig, run_schedule
-from .qubo import Qubo, encode
+from .qubo import Qubo, complete_slacks, encode
 from .reductor import ReductionSpec, reduce as reduce_instance
 
 SOLVERS = ("exact", "sa", "qaoa", "exhaustive")
@@ -205,17 +204,13 @@ def run_cell(
         if solver == "exhaustive":
             bits, energy = solve_exhaustive(qubo)
         elif solver == "exact":
-            bits = np.zeros(qubo.num_variables, dtype=np.uint8)
-            bits[: qubo.n] = solve_exact(inst, cfg.node_budget).best_assignment.to_bits(inst)
+            decisions = solve_exact(inst, cfg.node_budget).best_assignment.to_bits(inst)
+            bits = complete_slacks(inst, qubo, decisions)
             energy = qubo.energy(bits)
         else:
             raise ConfigError(f"unknown solver {solver!r}")
-        key = "".join("1" if b else "0" for b in bits)
-        samples = SampleSet(
-            entries=(SampleEntry(bits=key, energy=energy, count=reads),),
-            total_reads=reads,
-            sampler_tag=solver,
-            seed=seed,
+        samples = SampleSet.from_states(
+            np.broadcast_to(bits, (reads, len(bits))), np.full(reads, energy), solver, seed
         )
     return run_metrics(inst, f_max, samples), samples.to_json_dict(), extra
 

@@ -25,7 +25,6 @@ import numpy as np
 
 MONO_CAMERAS = (1, 2, 3)
 STEREO_CAMERA = 4
-ALL_CAMERAS = (1, 2, 3, 4)
 
 KIND_MONO = "mono"
 KIND_STEREO = "stereo"
@@ -110,14 +109,8 @@ def _validate_request(req: Request) -> None:
             )
 
 
-def _canonical_pair(pair: Iterable[VarRef]) -> tuple[VarRef, VarRef]:
-    a, b = sorted(VarRef(*p) for p in pair)
-    return (a, b)
-
-
-def _canonical_triple(triple: Iterable[VarRef]) -> tuple[VarRef, VarRef, VarRef]:
-    a, b, c = sorted(VarRef(*p) for p in triple)
-    return (a, b, c)
+def _canonical(refs: Iterable[VarRef]) -> tuple[VarRef, ...]:
+    return tuple(sorted(VarRef(*ref) for ref in refs))
 
 
 @dataclass(frozen=True)
@@ -138,19 +131,12 @@ class Instance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "requests", tuple(self.requests))
-        object.__setattr__(
-            self, "binary_forbidden", frozenset(_canonical_pair(p) for p in self.binary_forbidden)
-        )
-        object.__setattr__(
-            self,
-            "ternary_forbidden",
-            frozenset(_canonical_triple(t) for t in self.ternary_forbidden),
-        )
+        for group in ("binary_forbidden", "ternary_forbidden"):
+            object.__setattr__(self, group, frozenset(map(_canonical, getattr(self, group))))
         self._validate()
 
     def _validate(self) -> None:
-        ids = [r.id for r in self.requests]
-        if len(ids) != len(set(ids)):
+        if len(self.request_by_id) != len(self.requests):
             raise InstanceSemanticError(f"instance {self.name!r}: duplicate request ids")
         if self.disk_capacity is not None:
             cap = self.disk_capacity
@@ -158,15 +144,15 @@ class Instance:
                 raise InstanceSemanticError(
                     f"instance {self.name!r}: disk_capacity must be a non-negative integer"
                 )
-        by_id = {r.id: r for r in self.requests}
         for group, arity in ((self.binary_forbidden, 2), (self.ternary_forbidden, 3)):
             for refs in group:
                 if len(set(refs)) != arity:
                     raise InstanceSemanticError(
-                        f"instance {self.name!r}: constraint {refs} repeats a variable"
+                        f"instance {self.name!r}: constraint {refs} "
+                        f"must name {arity} distinct variables"
                     )
                 for ref in refs:
-                    req = by_id.get(ref.request_id)
+                    req = self.request_by_id.get(ref.request_id)
                     if req is None:
                         raise InstanceSemanticError(
                             f"instance {self.name!r}: constraint references unknown request {ref.request_id}"
@@ -220,7 +206,7 @@ class Assignment:
     taken: tuple[VarRef, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "taken", tuple(sorted(VarRef(*t) for t in self.taken)))
+        object.__setattr__(self, "taken", _canonical(self.taken))
 
     @classmethod
     def from_map(cls, chosen: Mapping[int, int]) -> "Assignment":
@@ -252,9 +238,6 @@ class Assignment:
             chosen[ref.request_id] = ref.camera
         return chosen
 
-    def __len__(self) -> int:
-        return len(self.taken)
-
 
 # --- JSON file format -----------------------------------------------------
 
@@ -275,12 +258,12 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _parse_ref(obj, where: str) -> VarRef:
+def _check_ref(obj, where: str) -> list:
     _expect(
         isinstance(obj, list) and len(obj) == 2 and all(_is_int(v) for v in obj),
         f"{where}: a variable reference must be a [request_id, camera] pair of integers",
     )
-    return VarRef(obj[0], obj[1])
+    return obj
 
 
 def _parse_request(obj, pos: int) -> Request:
@@ -291,7 +274,6 @@ def _parse_request(obj, pos: int) -> Request:
     for name in ("id", "kind", "weight", "allowed_cameras"):
         _expect(name in obj, f"{where}: missing field {name!r}")
     _expect(_is_int(obj["id"]), f"{where}: id must be an integer")
-    _expect(isinstance(obj["kind"], str), f"{where}: kind must be a string")
     _expect(
         obj["kind"] in (KIND_MONO, KIND_STEREO),
         f"{where}: kind must be '{KIND_MONO}' or '{KIND_STEREO}'",
@@ -302,28 +284,25 @@ def _parse_request(obj, pos: int) -> Request:
         isinstance(cams, list) and all(_is_int(c) for c in cams),
         f"{where}: allowed_cameras must be a list of integers",
     )
-    if not all(c in ALL_CAMERAS for c in cams):
-        raise InstanceSemanticError(f"{where}: camera ids must be in {ALL_CAMERAS}")
+    try:
+        weight = float(obj["weight"])
+    except OverflowError:  # an integer literal past the largest float
+        raise InstanceSemanticError(f"{where}: weight must be finite and >= 0") from None
     caps: dict[int, int] = {}
     if "capacity_by_camera" in obj:
         raw = obj["capacity_by_camera"]
         _expect(isinstance(raw, dict), f"{where}: capacity_by_camera must be an object")
         for key, val in raw.items():
             try:
-                cam = int(key)
+                caps[int(key)] = val
             except ValueError:
                 raise InstanceSchemaError(
                     f"{where}: capacity_by_camera keys must be camera ids, got {key!r}"
                 ) from None
-            if not _is_int(val):
-                raise InstanceSemanticError(
-                    f"{where}: capacity for camera {cam} must be an integer"
-                )
-            caps[cam] = val
     return Request(
         id=obj["id"],
         kind=obj["kind"],
-        weight=float(obj["weight"]),
+        weight=weight,
         allowed_cameras=tuple(cams),
         capacity_by_camera=caps,
     )
@@ -360,7 +339,7 @@ def parse_instance(text: bytes | str) -> Instance:
                 isinstance(entry, list) and len(entry) == arity,
                 f"{where}: must list exactly {arity} variable references",
             )
-            refs = tuple(sorted(_parse_ref(r, where) for r in entry))
+            refs = _canonical(_check_ref(r, where) for r in entry)
             if refs in seen:
                 raise InstanceSemanticError(f"{where}: duplicate constraint {refs}")
             seen.add(refs)
@@ -384,8 +363,6 @@ def _parse_capacity(doc) -> int | None:
         return None
     cap = doc["disk_capacity"]
     _expect(_is_int(cap), "disk_capacity must be an integer")
-    if cap < 0:
-        raise InstanceSemanticError("disk_capacity must be >= 0")
     return cap
 
 

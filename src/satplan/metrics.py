@@ -5,7 +5,8 @@ first ``len(inst.variables)`` components (slack bits never repair
 feasibility), decoding, and checking feasibility:
 feasible states score value / optimum, infeasible ones score 0.  One
 scorer does this for a whole sample set at once, with array tests over a
-(vectors, variables) bit matrix; a single vector is a batch of one.
+(vectors, variables) bit matrix, which ``SampleSet.bit_matrix`` reads from
+a sample set; a single vector is a batch of one.
 Aggregates over repeated runs use Student-t 95% confidence half-widths,
 which is the honest choice at five runs.
 """
@@ -89,13 +90,7 @@ def run_metrics(inst: Instance, f_max: float, samples: SampleSet) -> RunMetrics:
     if not samples.entries:
         raise ValueError("empty sample set")
     _check_optimum(f_max)
-    n = len(inst.variables)
-    rows = [entry.bits[:n] for entry in samples.entries]
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise ValueError(f"expected {n} decision bits in every sample")
-    text = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
-    feasible, ars = _score(inst, f_max, (text != ord("0")).reshape(len(rows), width))
+    feasible, ars = _score(inst, f_max, samples.bit_matrix(len(inst.variables)))
     counts = np.array([entry.count for entry in samples.entries])
     weighted_ar = 0.0
     for count, ar in zip(counts.tolist(), ars.tolist()):  # in entry order, one by one

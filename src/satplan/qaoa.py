@@ -329,7 +329,9 @@ def sample_state(
     """Draw bitstrings from |psi|^2 by inverse-CDF sampling."""
     if reads < 1:
         raise ValueError("reads must be >= 1")
-    nq = int(np.log2(len(psi)))
+    if psi.shape != energy_table.shape:
+        raise ValueError("state vector and energy table sizes differ")
+    nq = _num_qubits(energy_table)
     probs = np.abs(psi) ** 2
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)

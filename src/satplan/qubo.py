@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
@@ -442,9 +443,7 @@ def encode(inst: Instance, m: float | None = None) -> Qubo:
     capacity_load = None
     if inst.disk_capacity is not None:
         loaded = [
-            (v, float(inst.capacity_of(ref)))
-            for v, ref in enumerate(order)
-            if inst.capacity_of(ref) != 0
+            (v, inst.capacity_of(ref)) for v, ref in enumerate(order) if inst.capacity_of(ref) != 0
         ]
         if not loaded:
             warnings.warn(
@@ -454,6 +453,10 @@ def encode(inst: Instance, m: float | None = None) -> Qubo:
             )
         else:
             cap = inst.disk_capacity
+            # the slack digits are at most C, so C and the loads bound every integer
+            if max(cap, *(a for _, a in loaded)) > sys.float_info.max:
+                raise ValueError("a disk capacity or load exceeds the largest float")
+            loaded = [(v, float(a)) for v, a in loaded]
             for d in range(1, capacity_slack_count(cap) + 1):
                 loaded.append((n + len(slack_refs), float(2 ** (d - 1))))
                 slack_refs.append(CapacityBitSlack(d=d))
@@ -486,6 +489,28 @@ def encode(inst: Instance, m: float | None = None) -> Qubo:
         objective_diag=objective_diag,
         capacity_load=capacity_load,
     )
+
+
+def complete_slacks(inst: Instance, q: Qubo, decision_bits) -> np.ndarray:
+    """The decision bits of ``inst``, followed by the slack values of ``q``,
+    its encoding, that minimise the penalty for them: each ternary-pair
+    slack is ``x_q * x_r``, and the capacity digits spell ``max(C - load,
+    0)`` in binary."""
+    dec = np.asarray(decision_bits, dtype=np.uint8)
+    if dec.shape != (q.n,):
+        raise ValueError(f"expected {q.n} decision bits, got shape {dec.shape}")
+    bits = np.zeros(q.num_variables, dtype=np.uint8)
+    bits[: q.n] = dec
+    index = inst.variable_index
+    if inst.disk_capacity is not None:
+        load = sum(inst.capacity_of(ref) for ref, x in zip(inst.variables, dec) if x)
+        spare = max(inst.disk_capacity - load, 0)
+    for k, slack in enumerate(q.registry.slack_vars, start=q.n):
+        if isinstance(slack, TernaryPairSlack):
+            bits[k] = dec[index[slack.q]] & dec[index[slack.r]]
+        else:
+            bits[k] = spare >> (slack.d - 1) & 1
+    return bits
 
 
 def min_slack_penalty(q: Qubo, decision_bits) -> float:

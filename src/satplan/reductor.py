@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .instance import Instance, Request, VarRef
+from .instance import Instance, VarRef
 
 
 class ReductionError(ValueError):
@@ -134,14 +134,5 @@ def derive_capacity(inst: Instance) -> Instance:
 
 def strip_capacity(inst: Instance) -> Instance:
     """Remove the disk budget and zero all per-request capacity requirements."""
-    requests = tuple(
-        Request(
-            id=r.id,
-            kind=r.kind,
-            weight=r.weight,
-            allowed_cameras=r.allowed_cameras,
-            capacity_by_camera={},
-        )
-        for r in inst.requests
-    )
+    requests = tuple(replace(r, capacity_by_camera={}) for r in inst.requests)
     return replace(inst, requests=requests, disk_capacity=None)

@@ -277,6 +277,17 @@ def test_sample_set_requires_consistent_counts():
         )
 
 
+def test_bit_matrix_reads_the_first_bits_of_every_entry():
+    states = np.array([[1, 0, 1], [0, 1, 1], [1, 0, 1]], dtype=np.uint8)
+    samples = SampleSet.from_states(states, np.array([2.0, 1.0, 2.0]), "sa", 0)
+    assert [e.bits for e in samples.entries] == ["011", "101"]
+    assert samples.bit_matrix(3).tolist() == [[False, True, True], [True, False, True]]
+    assert samples.bit_matrix(2).tolist() == [[False, True], [True, False]]
+    assert samples.bit_matrix(0).shape == (2, 0)
+    with pytest.raises(ValueError, match="expected 4 decision bits in every sample"):
+        samples.bit_matrix(4)
+
+
 def _tally_cases():
     rng = np.random.default_rng(61)
     mixed = rng.integers(0, 2, size=(300, 4), dtype=np.uint8)

@@ -16,6 +16,7 @@ from satplan import (
     save_instance,
     solve_exact,
 )
+from helpers import encode_checked, random_instance
 from satplan.anneal import anneal_settings
 from satplan.bench import (
     ConfigError,
@@ -73,7 +74,10 @@ def test_pipeline_is_deterministic(instance_file, tmp_path):
     _, code_a = run_pipeline(ExperimentConfig(**cfg), tmp_path / "a")
     _, code_b = run_pipeline(ExperimentConfig(**cfg), tmp_path / "b")
     assert code_a == code_b == 0
-    for name in ("results.csv", "report.json", "expected_ar.csv", "best_ar.csv"):
+    samples = sorted(f"samples/{p.name}" for p in (tmp_path / "a" / "samples").iterdir())
+    assert samples == sorted(f"samples/{p.name}" for p in (tmp_path / "b" / "samples").iterdir())
+    assert len(samples) == 2 * 3  # two solvers, three runs
+    for name in ("results.csv", "report.json", "expected_ar.csv", "best_ar.csv", *samples):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
@@ -355,6 +359,29 @@ def test_sample_energies_are_qubo_energies(solver):
     for sample_set in sample_sets:
         for entry in (SampleEntry(**e) for e in sample_set["entries"]):
             assert entry.energy == qubo.energy(entry.bit_array())
+
+
+@pytest.mark.parametrize("trial", range(6))
+def test_exact_cell_stores_a_qubo_ground_state(trial):
+    # capacity instances with triples: the exact cell's slacks complete the
+    # optimum to a ground state, as low as the exhaustive cell's
+    rng = np.random.default_rng([83, trial])
+    inst = random_instance(
+        rng, n_requests=6, n_pairs=1, n_triples=2, with_capacity=True, name=f"ground{trial}"
+    )
+    qubo = encode_checked(inst)
+    assert qubo.s > 0 and qubo.num_variables <= 20
+    f_max = solve_exact(inst).best_value
+    cfg = ExperimentConfig(instances=["-"], solvers=["exact", "exhaustive"], reads=30)
+    energies = {}
+    for solver in ("exact", "exhaustive"):
+        metrics, doc, _ = run_cell(inst, qubo, f_max, solver, 0, cfg)
+        (entry,) = doc["entries"]
+        assert entry["count"] == doc["reads"] == 30
+        assert entry["energy"] == qubo.energy(SampleEntry(**entry).bit_array())
+        assert metrics.best_ar == metrics.expected_ar == 1.0
+        energies[solver] = entry["energy"]
+    assert energies["exact"] == energies["exhaustive"] == -f_max
 
 
 def spec_source() -> Instance:

@@ -112,6 +112,41 @@ def test_a_penalty_that_overflows_the_energies_fails_only_its_instance(tmp_path)
         assert fine["solvers"][solver]["runs"][0]["best_ar"] == 1.0
 
 
+BIG = 10**400  # an integer literal past the largest float
+
+
+@pytest.mark.parametrize(
+    "field, error",
+    [
+        ("weight", "requests[0]: weight must be finite and >= 0"),
+        ("disk_capacity", "a disk capacity or load exceeds the largest float"),
+        ("capacity", "a disk capacity or load exceeds the largest float"),
+    ],
+)
+@pytest.mark.parametrize(
+    "command", [["encode"], ["solve", "--solver", "exact"]], ids=["encode", "solve"]
+)
+def test_integers_past_the_largest_float_exit_2(tmp_path, capsys, field, error, command):
+    request = {"id": 0, "kind": "mono", "weight": 2, "allowed_cameras": [1, 2],
+               "capacity_by_camera": {"1": 1}}
+    doc = {"name": "big", "requests": [request], "binary_forbidden": [],
+           "ternary_forbidden": [], "disk_capacity": 3}
+    if field == "capacity":
+        request["capacity_by_camera"]["1"] = BIG
+    elif field == "weight":
+        request["weight"] = BIG
+    else:
+        doc[field] = BIG
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert main([command[0], str(path), *command[1:], "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and error in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_solve_one_cell(tmp_path):
     src = write_source(tmp_path)
     out = tmp_path / "cell.json"

@@ -57,6 +57,7 @@ def test_malformed_json_is_a_syntax_error():
         lambda d: d["requests"][0].pop("weight"),
         lambda d: d["requests"][0].__setitem__("weight", "heavy"),
         lambda d: d["requests"][0].__setitem__("kind", "pano"),
+        lambda d: d["requests"][0].__setitem__("kind", 7),
         lambda d: d.__setitem__("disk_capacity", 2.5),
     ],
 )
@@ -75,6 +76,13 @@ def test_schema_errors(mutate):
         lambda d: d["requests"][0].__setitem__("allowed_cameras", [4]),
         lambda d: d["requests"][0].__setitem__("capacity_by_camera", {"2": 1}),
         lambda d: d["requests"][0].__setitem__("capacity_by_camera", {"1": 1.5}),
+        lambda d: d["requests"][0].__setitem__("capacity_by_camera", {"1": "x"}),
+        lambda d: d["requests"][0].__setitem__("capacity_by_camera", {"1": True}),
+        lambda d: d["requests"][0].__setitem__("capacity_by_camera", {"1": -1}),
+        lambda d: d["requests"][0].__setitem__("allowed_cameras", [0]),
+        lambda d: d["requests"][0].__setitem__("allowed_cameras", [5]),
+        lambda d: d["requests"][0].update(kind="stereo", allowed_cameras=[7]),
+        lambda d: d["requests"][0].__setitem__("weight", 10**400),
         lambda d: d.__setitem__("binary_forbidden", [[[0, 1], [0, 3]]]),
         lambda d: d.__setitem__("disk_capacity", -1),
     ],
@@ -84,6 +92,24 @@ def test_semantic_errors(mutate):
     mutate(doc)
     with pytest.raises(InstanceSemanticError):
         parse_instance(json.dumps(doc))
+
+
+def test_camera_ids_are_checked_by_the_request():
+    doc = json.loads(MINIMAL)
+    doc["requests"][0]["allowed_cameras"] = [5]
+    with pytest.raises(InstanceSemanticError, match=r"non-empty subset of cameras \(1, 2, 3\)"):
+        parse_instance(json.dumps(doc))
+
+
+def test_wrong_arity_constraint_is_a_semantic_error():
+    requests = tuple(
+        Request(id=i, kind="mono", weight=1.0, allowed_cameras=(1,)) for i in range(3)
+    )
+    three = (VarRef(0, 1), VarRef(1, 1), VarRef(2, 1))
+    with pytest.raises(InstanceSemanticError, match="must name 2 distinct variables"):
+        Instance(name="arity", requests=requests, binary_forbidden=frozenset({three}))
+    with pytest.raises(InstanceSemanticError, match="must name 3 distinct variables"):
+        Instance(name="arity", requests=requests, ternary_forbidden=frozenset({three[:2]}))
 
 
 def test_duplicate_constraint_rejected():

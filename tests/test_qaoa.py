@@ -474,6 +474,16 @@ def test_sampling_determinism_and_counts():
     assert a.total_reads == 500
 
 
+def test_sample_state_checks_its_sizes():
+    table = random_integer_qubo(np.random.default_rng(5), 3).energy_table()
+    psi = apply_ansatz(table, QaoaParams((0.7,), (0.4,)))
+    longer = np.concatenate([table, table])
+    odd = np.full(6, 1 / np.sqrt(6), dtype=complex)
+    for state, energies in ((psi, longer), (longer.astype(complex), table), (odd, odd.real)):
+        with pytest.raises(ValueError):
+            sample_state(state, 10, seed=0, energy_table=energies)
+
+
 def test_sampled_mean_tracks_expectation():
     rng = np.random.default_rng(31)
     table = random_integer_qubo(rng, 6).energy_table()

@@ -14,6 +14,7 @@ from satplan import (
     VarRef,
     capacity_slack_count,
     check_feasible,
+    complete_slacks,
     encode,
     min_slack_penalty,
     solve_exact,
@@ -404,6 +405,55 @@ def test_min_slack_penalty_examples():
     qc = encode(cap_inst)
     assert min_slack_penalty(qc, [0, 1]) == 0.0  # load 3 == C
     assert min_slack_penalty(qc, [1, 1]) >= qc.penalty_m  # load 5 > C
+
+
+def test_complete_slacks_minimise_the_penalty():
+    # random selections, feasible or not, on instances with pair slacks and
+    # capacity digits: the completion's penalty is the minimum over all slacks
+    rng = np.random.default_rng(71)
+    checked = 0
+    for trial in range(40):
+        inst = random_instance(
+            rng,
+            n_requests=int(rng.integers(2, 7)),
+            n_pairs=int(rng.integers(0, 3)),
+            n_triples=int(rng.integers(1, 4)),
+            with_capacity=bool(trial % 4),
+            name=f"slacks{trial}",
+        )
+        q = encode_checked(inst)
+        for _ in range(5):
+            dec = rng.integers(0, 2, size=q.n, dtype=np.uint8)
+            bits = complete_slacks(inst, q, dec)
+            assert bits.shape == (q.num_variables,)
+            assert np.array_equal(bits[: q.n], dec)
+            objective = -sum(
+                inst.weight_of(ref.request_id) for ref, x in zip(inst.variables, dec) if x
+            )
+            assert q.energy(bits) - objective == min_slack_penalty(q, dec)
+            checked += 1
+    assert checked == 200
+
+
+def test_complete_slacks_examples():
+    triple = (VarRef(0, 1), VarRef(1, 1), VarRef(2, 1))
+    inst = Instance(
+        name="cs",
+        requests=(_mono(0, caps={1: 2}), _mono(1, caps={1: 3}), _mono(2)),
+        ternary_forbidden=frozenset({triple}),
+        disk_capacity=6,
+    )
+    q = encode(inst)
+    assert q.registry.slack_vars == (
+        TernaryPairSlack(VarRef(1, 1), VarRef(2, 1)),
+        CapacityBitSlack(1), CapacityBitSlack(2), CapacityBitSlack(3),
+    )
+    # x1 x2 = 1, and the spare capacity 6 - 3 = 3 is digits 1 and 2
+    assert complete_slacks(inst, q, [0, 1, 1]).tolist() == [0, 1, 1, 1, 1, 1, 0]
+    # x1 x2 = 0, and the spare capacity 6 - 2 = 4 is digit 3
+    assert complete_slacks(inst, q, [1, 0, 1]).tolist() == [1, 0, 1, 0, 0, 0, 1]
+    with pytest.raises(ValueError, match="expected 3 decision bits"):
+        complete_slacks(inst, q, [1, 0])
 
 
 def test_capacity_equivalence_over_all_decision_vectors():

@@ -1,0 +1,81 @@
+"""Compare the ``satplan run`` outputs of two source trees, file by file.
+
+    python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC [--seed N]
+
+For each benchmark workload, the config and source instances are written
+once with ``benchmark/workloads.write_inputs`` (importing the package from
+PARENT_SRC), then ``satplan run`` runs that config once from each tree, in a
+fresh interpreter with ``PYTHONPATH`` set to the tree.  Every file of the two
+output directories (report.json, results.csv, the plot CSVs and every sample
+file) is compared byte for byte.  Each differing, missing or extra file is
+listed; the exit code is 1 on any difference or failed run, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
+
+
+def run_tree(src: Path, config: Path, out: Path) -> int:
+    """Exit code of ``satplan run config -o out`` with the package from ``src``."""
+    env = {k: v for k, v in os.environ.items() if k != "SATPLAN_WORKERS"}
+    env["PYTHONPATH"] = str(src)
+    cmd = [sys.executable, "-m", "satplan.cli", "run", str(config), "-o", str(out)]
+    return subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL).returncode
+
+
+def differing_files(a: Path, b: Path) -> list[str]:
+    """Relative paths of the files that differ between trees ``a`` and ``b``
+    or exist in only one of them, sorted."""
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    return sorted(
+        str(rel)
+        for rel in files_a | files_b
+        if rel not in files_a
+        or rel not in files_b
+        or (a / rel).read_bytes() != (b / rel).read_bytes()
+    )
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=Path, help="src directory of the parent tree")
+    parser.add_argument("change_src", type=Path, help="src directory of the changed tree")
+    parser.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")
+    args = parser.parse_args(argv)
+    parent, change = args.parent_src.resolve(), args.change_src.resolve()
+    for src in (parent, change):
+        if not (src / "satplan" / "__init__.py").is_file():
+            parser.error(f"no satplan package under {src}")
+
+    sys.path[:0] = [str(parent), str(BENCHMARK)]
+    from workloads import WORKLOADS, write_inputs
+
+    failed = False
+    with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
+        for name in WORKLOADS:
+            work = Path(tmp) / name
+            config, _, _ = write_inputs(name, args.seed, work)
+            code_a = run_tree(parent, config, work / "parent")
+            code_b = run_tree(change, config, work / "change")
+            diffs = differing_files(work / "parent", work / "change")
+            if code_a != code_b:
+                print(f"{name}: satplan run exited with {code_a} (parent), {code_b} (change)")
+            for rel in diffs:
+                print(f"{name}: {rel} differs")
+            failed |= bool(diffs) or code_a != code_b
+            count = sum(1 for p in (work / "parent").rglob("*") if p.is_file())
+            print(f"{name}: {count} files compared, {len(diffs)} differ")
+    return int(failed)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
