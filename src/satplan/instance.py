@@ -83,7 +83,11 @@ def _validate_request(req: Request) -> None:
         raise InstanceSemanticError(f"request id must be a non-negative integer, got {req.id!r}")
     if req.kind not in (KIND_MONO, KIND_STEREO):
         raise InstanceSemanticError(f"request {req.id}: unknown kind {req.kind!r}")
-    if not isfinite(req.weight) or req.weight < 0:
+    try:
+        finite = isfinite(req.weight)
+    except OverflowError:  # an integer past the largest float
+        finite = False
+    if not finite or req.weight < 0:
         raise InstanceSemanticError(f"request {req.id}: weight must be finite and >= 0")
     cams = req.allowed_cameras
     if len(cams) != len(set(cams)):

@@ -37,7 +37,14 @@ qubits from bit ``lo`` up are one matmul of the state, reshaped so that
 they form one axis, with the 2^k x 2^k matrix RX(2 * beta)^(x k).  That
 is 2 matmuls at 10 qubits where a per-qubit loop makes 30 ufunc calls.
 Each matmul writes to the other of two buffers, so the result does not
-depend on which buffers hold the state.
+depend on which buffers hold the state.  Entry (i, j) of the matrix is
+c^(k-d) s^d (-i)^d, c = cos(beta), s = sin(beta), d = popcount(i ^ j), so
+it has k + 1 distinct values.  The evaluator keeps them per mixer op and
+group size, and rebuilds them only when that op's angle changed (by bit
+pattern) since they were built; each mixer writes its matrices from them
+with one ``take`` through an intp flip-count index into matrix buffers the
+evaluator owns.  The matmuls' reshaped views of the retained, work and
+phase buffers are made once, when the evaluator is built.
 
 Every op runs in place on buffers the evaluator owns: the retained state,
 a work state that each call refills from it and returns (valid until the
@@ -54,8 +61,9 @@ reported value never exceeds the value at the initial point.  Powell's
 search, with Brent's line search, runs here (``_powell``): a port of the
 one path of scipy 1.17.1's ``minimize(method="Powell")`` that
 ``optimize_layer`` takes, which evaluates the same points in the same
-order, repeated evaluations included.  Importing ``scipy.optimize`` for it
-cost about 0.5 s and 47 MB per process.
+order, repeated evaluations included.  Its line search runs on Python
+floats, whose IEEE arithmetic gives the values scipy's numpy scalars do.
+Importing ``scipy.optimize`` for it cost about 0.5 s and 47 MB per process.
 ``run_schedule`` implements layer-wise parameter fixing: the optimised 2*L
 parameters of the L-layer ansatz seed the (L+1)-layer search together with
 gamma = beta = 0 for the new layer.  That start is a stationary point of
@@ -69,6 +77,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -83,6 +92,7 @@ _GATHER_CHUNK = 1 << 13  # entries per cost-phase gather: 64 KiB of intp index
 # qubits per mixer matmul: 5 ran faster than 3, 4, 6 and 7 at 10 and 18 qubits
 _MIXER_GROUP = 5
 _QUARTER_TURNS = np.array([1.0, -1j, -1.0, 1j])  # (-i)^d by d mod 4
+_DOUBLE = struct.Struct("d")
 
 StateVector = np.ndarray
 
@@ -107,8 +117,9 @@ class QaoaParams:
 
     @classmethod
     def from_flat(cls, x: Sequence[float]) -> "QaoaParams":
-        half = len(x) // 2
-        return cls(tuple(x[:half]), tuple(x[half:]))
+        values = x.tolist() if isinstance(x, np.ndarray) else list(x)
+        half = len(values) // 2
+        return cls(tuple(values[:half]), tuple(values[half:]))
 
     def to_flat(self) -> np.ndarray:
         return np.array(self.gammas + self.betas, dtype=np.float64)
@@ -175,22 +186,52 @@ def uniform_state(num_qubits: int) -> StateVector:
 def _group_pattern(group: int) -> tuple[np.ndarray, ...]:
     """What a group of ``group`` qubits' mixer matrix is built from: per flip
     count d = 0..group, the exponents group - d of cos and d of sin and
-    (-i)^d; and d = popcount(i ^ j) for i, j < 2^group."""
+    (-i)^d; and the intp index d = popcount(i ^ j) for i, j < 2^group."""
     d = np.arange(group + 1)
     index = np.arange(1 << group, dtype=np.uint8)
     differ = index[:, None] ^ index[None, :]
-    flips = sum((differ >> bit) & 1 for bit in range(group))
+    flips = sum((differ >> bit) & 1 for bit in range(group)).astype(np.intp)
     pattern = group - d, d, _QUARTER_TURNS[d % 4], flips
     for array in pattern:  # shared by every call
         array.flags.writeable = False
     return pattern
 
 
-def _group_matrix(c: float, s: float, group: int) -> np.ndarray:
-    """RX(2*beta)^(x group) with c = cos(beta), s = sin(beta): entry (i, j) is
-    c^(group - d) * (-i*s)^d, d = popcount(i ^ j), a symmetric matrix."""
-    cos_exp, sin_exp, turns, flips = _group_pattern(group)
-    return (c**cos_exp * s**sin_exp * turns).take(flips)
+def _mixer_coefficients(beta: float, group: int) -> np.ndarray:
+    """c^(group - d) * (-i*s)^d for d = 0..group, c = cos(beta), s = sin(beta):
+    entry (i, j) of RX(2*beta)^(x group) is the one at d = popcount(i ^ j)."""
+    cos_exp, sin_exp, turns, _ = _group_pattern(group)
+    return math.cos(beta) ** cos_exp * math.sin(beta) ** sin_exp * turns
+
+
+def _mixer_groups(num_qubits: int) -> list[tuple[int, int]]:
+    """(bit offset lo, qubit count k) of each mixer matmul."""
+    return [(lo, min(_MIXER_GROUP, num_qubits - lo)) for lo in range(0, num_qubits, _MIXER_GROUP)]
+
+
+def _group_views(psi: StateVector) -> list[np.ndarray]:
+    """The view of ``psi`` each group's matmul reads or writes: shape
+    (-1, 2^k) at ``lo`` 0 and (-1, 2^k, 2^lo) above."""
+    if not psi.flags.c_contiguous:
+        raise ValueError("the mixer needs C-contiguous buffers")
+    return [
+        psi.reshape((-1, 1 << k) if lo == 0 else (-1, 1 << k, 1 << lo))
+        for lo, k in _mixer_groups(len(psi).bit_length() - 1)
+    ]
+
+
+def _mix(matrices: list[np.ndarray], psi: list[np.ndarray], scratch: list[np.ndarray]) -> bool:
+    """One matmul per group, ``psi`` @ U at ``lo`` 0 and U @ ``psi`` above,
+    each writing to the other of the two states' group views; true when the
+    result ends in ``scratch`` (an odd number of groups)."""
+    src, dst = psi, scratch
+    for g, matrix in enumerate(matrices):
+        if g == 0:
+            np.matmul(src[0], matrix, out=dst[0])
+        else:
+            np.matmul(matrix, src[g], out=dst[g])
+        src, dst = dst, src
+    return src is scratch
 
 
 def _apply_mixer(psi: StateVector, beta: float, scratch: StateVector) -> StateVector:
@@ -203,26 +244,20 @@ def _apply_mixer(psi: StateVector, beta: float, scratch: StateVector) -> StateVe
     place (copied back from ``scratch`` after an odd number of groups) and
     returned.
     """
-    if not (psi.flags.c_contiguous and scratch.flags.c_contiguous):
-        raise ValueError("the mixer needs C-contiguous buffers")
-    num_qubits = len(psi).bit_length() - 1
-    c, s = math.cos(beta), math.sin(beta)
-    matrices: dict[int, np.ndarray] = {}
-    src, dst = psi, scratch
-    for lo in range(0, num_qubits, _MIXER_GROUP):
-        k = min(_MIXER_GROUP, num_qubits - lo)
-        if k not in matrices:
-            matrices[k] = _group_matrix(c, s, k)
-        if lo == 0:
-            shape = (-1, 1 << k)
-            np.matmul(src.reshape(shape), matrices[k], out=dst.reshape(shape))
-        else:
-            shape = (-1, 1 << k, 1 << lo)
-            np.matmul(matrices[k], src.reshape(shape), out=dst.reshape(shape))
-        src, dst = dst, src
-    if src is not psi:
-        np.copyto(psi, src)
+    groups = _mixer_groups(len(psi).bit_length() - 1)
+    sizes = {k for _, k in groups}
+    matrices = {k: _mixer_coefficients(beta, k).take(_group_pattern(k)[3]) for k in sizes}
+    if _mix([matrices[k] for _, k in groups], _group_views(psi), _group_views(scratch)):
+        np.copyto(psi, scratch)
     return psi
+
+
+def _same_bits(x: float, y: float) -> bool:
+    """Whether floats ``x`` and ``y`` have the same bit pattern: 0.0 and -0.0
+    differ, and a NaN matches only the same NaN."""
+    if x == y:
+        return x != 0.0 or math.copysign(1.0, x) == math.copysign(1.0, y)
+    return x != x and y != y and _DOUBLE.pack(x) == _DOUBLE.pack(y)
 
 
 class _Evaluator:
@@ -240,11 +275,11 @@ class _Evaluator:
         self._levels = levels / self.scale
         self._index = inverse.astype(np.min_scalar_type(len(levels) - 1))
         self._phase = np.empty(len(table), dtype=np.complex128)
-        self._bits = np.empty(0, dtype=np.uint64)  # angles of the previous call
+        self._angles: list[float] = []  # interleaved angles of the previous call
         self._saved = uniform_state(self.num_qubits)
         self._saved_at = 0  # ops already applied to _saved
         self._work = np.empty_like(self._saved)
-        # np.take casts the index it is given to intp, so the gather goes
+        # ndarray.take casts the index it is given to intp, so the gather goes
         # through slices that bound that copy
         self._gather = [
             (self._index[lo : lo + _GATHER_CHUNK], self._phase[lo : lo + _GATHER_CHUNK])
@@ -254,37 +289,69 @@ class _Evaluator:
         # scratch state, and between calls the first half of its bytes holds
         # the expectation's |psi|^2
         self.probs = self._phase.view(np.float64)[: len(table)]
+        # the matmul views of the retained, work and scratch states
+        self._saved_views = _group_views(self._saved)
+        self._work_views = _group_views(self._work)
+        self._scratch_views = _group_views(self._phase)
+        # (group size, flip-count index, matrix buffer) per group size; each
+        # mixer op rewrites the buffers from that op's coefficients, which
+        # are rebuilt only when its angle changes
+        groups = _mixer_groups(self.num_qubits)
+        matrices = {k: np.empty((1 << k, 1 << k), dtype=np.complex128) for _, k in groups}
+        self._matrices = [(k, _group_pattern(k)[3], matrix) for k, matrix in matrices.items()]
+        self._group_matrices = [matrices[k] for _, k in groups]
+        self._coefficients: dict[int, tuple[float, list[np.ndarray]]] = {}  # by mixer op
 
     def state(self, params: QaoaParams) -> StateVector:
         """The ansatz state of ``params``: the evaluator's work state, valid
         until its next call."""
         angles = [a for layer in zip(params.gammas, params.betas) for a in layer]
-        bits = np.array(angles).view(np.uint64)
-        shared = min(len(bits), len(self._bits))
-        differ = np.flatnonzero(bits[:shared] != self._bits[:shared])
-        first = int(differ[0]) if len(differ) else shared
+        first = min(len(angles), len(self._angles))
+        for op, (new, old) in enumerate(zip(angles, self._angles)):
+            if not _same_bits(new, old):
+                first = op
+                break
         if first < self._saved_at:
             self._saved.fill(_uniform_amplitude(self.num_qubits))
             self._saved_at = 0
-        self._run(self._saved, angles, self._saved_at, first)
+        self._run(self._saved, self._saved_views, angles, self._saved_at, first)
         self._saved_at = first
-        self._bits = bits
+        self._angles = angles
         np.copyto(self._work, self._saved)
-        return self._run(self._work, angles, first, len(angles))
+        return self._run(self._work, self._work_views, angles, first, len(angles))
 
-    def _run(self, psi: StateVector, angles: list[float], start: int, stop: int) -> StateVector:
-        """Apply ops ``start`` to ``stop`` - 1 to ``psi`` in place."""
+    def _run(
+        self,
+        psi: StateVector,
+        views: list[np.ndarray],
+        angles: list[float],
+        start: int,
+        stop: int,
+    ) -> StateVector:
+        """Apply ops ``start`` to ``stop`` - 1 to ``psi``, whose group views
+        are ``views``, in place."""
         for op in range(start, stop):
             if op % 2 == 0:
                 phase = np.exp(-1j * angles[op] * self._levels)
                 # the inverse index is always in range; "clip" skips the
                 # checked path, which buffers the whole output
                 for index, out in self._gather:
-                    np.take(phase, index, out=out, mode="clip")
+                    phase.take(index, out=out, mode="clip")
                 psi *= self._phase
             else:
-                _apply_mixer(psi, angles[op], self._phase)
+                self._mixer(psi, views, op, angles[op])
         return psi
+
+    def _mixer(self, psi: StateVector, views: list[np.ndarray], op: int, beta: float) -> None:
+        """RX(2 * beta) on every qubit of ``psi`` in place, as ``_apply_mixer``."""
+        built = self._coefficients.get(op)
+        if built is None or not _same_bits(beta, built[0]):
+            built = beta, [_mixer_coefficients(beta, k) for k, _, _ in self._matrices]
+            self._coefficients[op] = built
+        for coefficients, (_, flips, matrix) in zip(built[1], self._matrices):
+            coefficients.take(flips, out=matrix, mode="clip")
+        if _mix(self._group_matrices, views, self._scratch_views):
+            np.copyto(psi, self._phase)
 
 
 def apply_ansatz(
@@ -395,7 +462,7 @@ def _bracket(f: Callable) -> tuple:
     """scipy's ``bracket(f, 0.0, 1.0)``: (xa, xb, xc, fa, fb, fc, valid),
     ``valid`` true when fb lies below fa and fc, one strictly, at strictly
     ordered finite points."""
-    xa, xb = np.asarray([0.0, 1.0])  # numpy scalars, as in scipy
+    xa, xb = 0.0, 1.0
     fa = f(xa)
     fb = f(xb)
     if fa < fb:
@@ -407,7 +474,7 @@ def _bracket(f: Callable) -> tuple:
         tmp1 = (xb - xa) * (fb - fc)
         tmp2 = (xb - xc) * (fb - fa)
         val = tmp2 - tmp1
-        denom = 2.0 * _TINY if np.abs(val) < _TINY else 2.0 * val
+        denom = 2.0 * _TINY if abs(val) < _TINY else 2.0 * val
         w = xb - ((xb - xc) * tmp2 - (xb - xa) * tmp1) / denom
         wlim = xb + _GROW_LIMIT * (xc - xb)
         if iterations > _BRACKET_ITERS:
@@ -439,7 +506,7 @@ def _bracket(f: Callable) -> tuple:
     valid = (
         ((fb < fc and fb <= fa) or (fb < fa and fb <= fc))
         and (xa < xb < xc or xc < xb < xa)
-        and np.isfinite(xa) and np.isfinite(xb) and np.isfinite(xc)
+        and math.isfinite(xa) and math.isfinite(xb) and math.isfinite(xc)
     )
     return xa, xb, xc, fa, fb, fc, valid
 
@@ -451,9 +518,9 @@ def _brent(f: Callable, tol: float) -> tuple:
     xa, xb, xc, fa, fb, fc, valid = _bracket(f)
     if not valid:
         xs, fs = [xa, xb, xc], [fa, fb, fc]
-        if np.any(np.isnan([xs, fs])):
-            return np.nan, np.nan
-        best = np.argmin(fs)
+        if any(math.isnan(v) for v in xs + fs):
+            return math.nan, math.nan
+        best = fs.index(min(fs))
         return xs[best], fs[best]
     x = w = v = xb
     fw = fv = fx = fb
@@ -461,12 +528,12 @@ def _brent(f: Callable, tol: float) -> tuple:
     deltax = 0.0
     # the first iteration takes the golden-section step, which sets rat
     for _ in range(_BRENT_ITERS):
-        tol1 = tol * np.abs(x) + _MINTOL
+        tol1 = tol * abs(x) + _MINTOL
         tol2 = 2.0 * tol1
         xmid = 0.5 * (a + b)
-        if np.abs(x - xmid) < (tol2 - 0.5 * (b - a)):
+        if abs(x - xmid) < (tol2 - 0.5 * (b - a)):
             break
-        if np.abs(deltax) <= tol1:
+        if abs(deltax) <= tol1:
             deltax = a - x if x >= xmid else b - x
             rat = _CGOLD * deltax
         else:  # a parabolic step, if it is useful
@@ -476,13 +543,13 @@ def _brent(f: Callable, tol: float) -> tuple:
             tmp2 = 2.0 * (tmp2 - tmp1)
             if tmp2 > 0.0:
                 p = -p
-            tmp2 = np.abs(tmp2)
+            tmp2 = abs(tmp2)
             dx_temp = deltax
             deltax = rat
             if (
                 p > tmp2 * (a - x)
                 and p < tmp2 * (b - x)
-                and np.abs(p) < np.abs(0.5 * tmp2 * dx_temp)
+                and abs(p) < abs(0.5 * tmp2 * dx_temp)
             ):
                 rat = p * 1.0 / tmp2
                 u = x + rat
@@ -491,7 +558,7 @@ def _brent(f: Callable, tol: float) -> tuple:
             else:
                 deltax = a - x if x >= xmid else b - x
                 rat = _CGOLD * deltax
-        if np.abs(rat) < tol1:  # move by at least tol1
+        if abs(rat) < tol1:  # move by at least tol1
             u = x + tol1 if rat >= 0 else x - tol1
         else:
             u = x + rat
@@ -528,7 +595,7 @@ def _powell(
         if evals >= max_evals:
             raise _OutOfEvals
         evals += 1
-        return func(np.copy(x))
+        return func(x)
 
     def line_search(p: np.ndarray, xi: np.ndarray, fval: float) -> tuple:
         """(value, point, step) of Brent's minimum along ``xi`` from ``p``."""
@@ -553,10 +620,10 @@ def _powell(
                 if (fx2 - fval) > delta:
                     delta = fx2 - fval
                     bigind = i
-            bnd = tol * (np.abs(fx) + np.abs(fval)) + 1e-20
+            bnd = tol * (abs(fx) + abs(fval)) + 1e-20
             if 2.0 * (fx - fval) <= bnd or evals >= max_evals:
                 return
-            if np.isnan(fx) and np.isnan(fval):  # in a NaN region
+            if math.isnan(fx) and math.isnan(fval):  # in a NaN region
                 return
             # the extrapolated point, and the direction of the whole sweep
             direc1 = x - x1

@@ -3,7 +3,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from compare_outputs import differing_files  # noqa: E402
+from compare_outputs import differing_files, first_differing_line  # noqa: E402
 
 
 def test_differing_files_lists_changed_missing_and_extra_files(tmp_path):
@@ -18,3 +18,16 @@ def test_differing_files_lists_changed_missing_and_extra_files(tmp_path):
     (b / "only_b.csv").write_text("x\n")
     assert differing_files(a, b) == ["only_b.csv", "samples/changed.json", "samples/only_a.json"]
     assert differing_files(a, a) == []
+
+
+def test_first_differing_line_names_the_line_in_each_tree(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("x,y\n1,2\n3,4\n")
+    b.write_text("x,y\n1,2\n3,5\n")
+    assert first_differing_line(a, b) == (3, "3,4", "3,5")
+    b.write_text("x,y\n1,2\n3,4\n5,6\n")
+    assert first_differing_line(a, b) == (4, "<end of file>", "5,6")
+    assert first_differing_line(b, a) == (4, "5,6", "<end of file>")
+    assert first_differing_line(a, a) is None
+    b.write_bytes(b"\xff\xfe")  # not UTF-8: no line to show
+    assert first_differing_line(a, b) is None

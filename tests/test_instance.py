@@ -94,6 +94,11 @@ def test_semantic_errors(mutate):
         parse_instance(json.dumps(doc))
 
 
+def test_a_weight_past_the_largest_float_is_a_semantic_error():
+    with pytest.raises(InstanceSemanticError, match="weight must be finite and >= 0"):
+        Request(id=0, kind="mono", weight=10**400, allowed_cameras=(1,))
+
+
 def test_camera_ids_are_checked_by_the_request():
     doc = json.loads(MINIMAL)
     doc["requests"][0]["allowed_cameras"] = [5]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from satplan import (
+    Assignment,
     Instance,
     Request,
     RunMetrics,
@@ -12,6 +13,7 @@ from satplan import (
     VarRef,
     aggregate,
     approximation_ratio,
+    check_feasible,
     encode,
     run_metrics,
     sample_sa,
@@ -93,6 +95,24 @@ def test_run_metrics_single_infeasible_read(pair_instance):
     samples = _sample_set([("11", 1.0, 1)])
     m = run_metrics(pair_instance, 3.0, samples)
     assert m.expected_ar == m.best_ar == m.feasible_fraction == 0.0
+
+
+def test_run_metrics_capacity_test_does_not_wrap():
+    # two loads of 2^62 sum to 2^63, which wraps to -2^63 in int64
+    big = Instance(
+        name="wrap",
+        requests=tuple(
+            Request(id=i, kind="mono", weight=1.0, allowed_cameras=(1,),
+                    capacity_by_camera={1: 2**62})
+            for i in range(2)
+        ),
+        disk_capacity=2**62,
+    )
+    assert not check_feasible(big, Assignment.from_bits(big, [1, 1])).feasible
+    m = run_metrics(big, 1.0, _sample_set([("11", 0.0, 3), ("10", 0.0, 1)]))
+    assert m.feasible_fraction == 0.25
+    assert m.best_ar == 1.0
+    assert m.expected_ar == 0.25
 
 
 def test_run_metrics_rejects_empty(pair_instance):

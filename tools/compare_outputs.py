@@ -8,7 +8,8 @@ PARENT_SRC), then ``satplan run`` runs that config once from each tree, in a
 fresh interpreter with ``PYTHONPATH`` set to the tree.  Every file of the two
 output directories (report.json, results.csv, the plot CSVs and every sample
 file) is compared byte for byte.  Each differing, missing or extra file is
-listed; the exit code is 1 on any difference or failed run, else 0.
+listed, a differing text file with its first differing line from each tree;
+the exit code is 1 on any difference or failed run, else 0.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import tempfile
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
+_SHOWN = 200  # characters printed of each differing line
 
 
 def run_tree(src: Path, config: Path, out: Path) -> int:
@@ -43,6 +45,23 @@ def differing_files(a: Path, b: Path) -> list[str]:
         or rel not in files_b
         or (a / rel).read_bytes() != (b / rel).read_bytes()
     )
+
+
+def first_differing_line(a: Path, b: Path) -> tuple[int, str, str] | None:
+    """(1-based line number, line in ``a``, line in ``b``) of the first line
+    where text files ``a`` and ``b`` differ, "<end of file>" standing in for
+    the line of the shorter file; None when either file is not UTF-8 text or
+    their lines are equal."""
+    try:
+        lines_a = a.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines_b = b.read_text(encoding="utf-8").splitlines(keepends=True)
+    except UnicodeDecodeError:
+        return None
+    end = ["<end of file>"]
+    for number, (line_a, line_b) in enumerate(zip(lines_a + end, lines_b + end), 1):
+        if line_a != line_b:
+            return number, line_a.rstrip("\n"), line_b.rstrip("\n")
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -71,6 +90,12 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{name}: satplan run exited with {code_a} (parent), {code_b} (change)")
             for rel in diffs:
                 print(f"{name}: {rel} differs")
+                a, b = work / "parent" / rel, work / "change" / rel
+                line = first_differing_line(a, b) if a.is_file() and b.is_file() else None
+                if line is not None:
+                    number, line_a, line_b = line
+                    print(f"  line {number} parent: {line_a[:_SHOWN]}")
+                    print(f"  line {number} change: {line_b[:_SHOWN]}")
             failed |= bool(diffs) or code_a != code_b
             count = sum(1 for p in (work / "parent").rglob("*") if p.is_file())
             print(f"{name}: {count} files compared, {len(diffs)} differ")
