@@ -16,6 +16,7 @@ relies on, so two parses of the same file always agree on the index map.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import isfinite
@@ -28,6 +29,7 @@ STEREO_CAMERA = 4
 
 KIND_MONO = "mono"
 KIND_STEREO = "stereo"
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class InstanceError(ValueError):
@@ -147,6 +149,17 @@ class Instance:
             if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
                 raise InstanceSemanticError(
                     f"instance {self.name!r}: disk_capacity must be a non-negative integer"
+                )
+            # the QUBO holds the capacity and loads as floats, and the scorer
+            # sums a sample's loads in int64
+            loads = [load for req in self.requests for load in req.capacity_by_camera.values()]
+            if max([cap, *loads]) > sys.float_info.max:
+                raise InstanceSemanticError(
+                    f"instance {self.name!r}: a disk capacity or load exceeds the largest float"
+                )
+            if sum(loads) > _INT64_MAX:
+                raise InstanceSemanticError(
+                    f"instance {self.name!r}: loads sum past 2^63 - 1, the scorer's int64 limit"
                 )
         for group, arity in ((self.binary_forbidden, 2), (self.ternary_forbidden, 3)):
             for refs in group:

@@ -14,15 +14,12 @@ which is the honest choice at five runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from statistics import mean, stdev
 
 import numpy as np
 
 from .anneal import SampleSet
 from .instance import Instance
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -69,12 +66,9 @@ def _score(inst: Instance, f_max: float, bits: np.ndarray) -> tuple[np.ndarray, 
             cols = np.array([[index[ref] for ref in refs] for refs in group]).T
             feasible &= ~np.logical_and.reduce(bits[:, cols], axis=1).any(axis=1)
     if inst.disk_capacity is not None:
-        caps = [inst.capacity_of(ref) for ref in variables]
-        if sum(caps) <= _INT64_MAX:  # no row's load can wrap
-            feasible &= bits @ np.array(caps, dtype=np.int64) <= inst.disk_capacity
-        else:  # loads past int64, summed as Python integers
-            loads = [sum(compress(caps, row)) for row in bits.tolist()]
-            feasible &= np.array([load <= inst.disk_capacity for load in loads], dtype=bool)
+        # Instance bounds the loads' sum by int64, so no row's load wraps
+        caps = np.array([inst.capacity_of(ref) for ref in variables], dtype=np.int64)
+        feasible &= bits @ caps <= inst.disk_capacity
 
     order = sorted(range(len(variables)), key=variables.__getitem__)
     weights = np.array([inst.weight_of(variables[i].request_id) for i in order])

@@ -39,12 +39,11 @@ is 2 matmuls at 10 qubits where a per-qubit loop makes 30 ufunc calls.
 Each matmul writes to the other of two buffers, so the result does not
 depend on which buffers hold the state.  Entry (i, j) of the matrix is
 c^(k-d) s^d (-i)^d, c = cos(beta), s = sin(beta), d = popcount(i ^ j), so
-it has k + 1 distinct values.  The evaluator keeps them per mixer op and
-group size, and rebuilds them only when that op's angle changed (by bit
-pattern) since they were built; each mixer writes its matrices from them
-with one ``take`` through an intp flip-count index into matrix buffers the
-evaluator owns.  The matmuls' reshaped views of the retained, work and
-phase buffers are made once, when the evaluator is built.
+it has k + 1 distinct values.  Each mixer computes them per group size
+and writes its matrices from them with one ``take`` through an intp
+flip-count index into matrix buffers the evaluator owns.  The matmuls'
+reshaped views of the retained, work and phase buffers are made once, when
+the evaluator is built.
 
 Every op runs in place on buffers the evaluator owns: the retained state,
 a work state that each call refills from it and returns (valid until the
@@ -294,13 +293,11 @@ class _Evaluator:
         self._work_views = _group_views(self._work)
         self._scratch_views = _group_views(self._phase)
         # (group size, flip-count index, matrix buffer) per group size; each
-        # mixer op rewrites the buffers from that op's coefficients, which
-        # are rebuilt only when its angle changes
+        # mixer op rewrites the buffers from its own angle's coefficients
         groups = _mixer_groups(self.num_qubits)
         matrices = {k: np.empty((1 << k, 1 << k), dtype=np.complex128) for _, k in groups}
         self._matrices = [(k, _group_pattern(k)[3], matrix) for k, matrix in matrices.items()]
         self._group_matrices = [matrices[k] for _, k in groups]
-        self._coefficients: dict[int, tuple[float, list[np.ndarray]]] = {}  # by mixer op
 
     def state(self, params: QaoaParams) -> StateVector:
         """The ansatz state of ``params``: the evaluator's work state, valid
@@ -339,17 +336,13 @@ class _Evaluator:
                     phase.take(index, out=out, mode="clip")
                 psi *= self._phase
             else:
-                self._mixer(psi, views, op, angles[op])
+                self._mixer(psi, views, angles[op])
         return psi
 
-    def _mixer(self, psi: StateVector, views: list[np.ndarray], op: int, beta: float) -> None:
+    def _mixer(self, psi: StateVector, views: list[np.ndarray], beta: float) -> None:
         """RX(2 * beta) on every qubit of ``psi`` in place, as ``_apply_mixer``."""
-        built = self._coefficients.get(op)
-        if built is None or not _same_bits(beta, built[0]):
-            built = beta, [_mixer_coefficients(beta, k) for k, _, _ in self._matrices]
-            self._coefficients[op] = built
-        for coefficients, (_, flips, matrix) in zip(built[1], self._matrices):
-            coefficients.take(flips, out=matrix, mode="clip")
+        for k, flips, matrix in self._matrices:
+            _mixer_coefficients(beta, k).take(flips, out=matrix, mode="clip")
         if _mix(self._group_matrices, views, self._scratch_views):
             np.copyto(psi, self._phase)
 

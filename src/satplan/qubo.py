@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
@@ -452,10 +451,9 @@ def encode(inst: Instance, m: float | None = None) -> Qubo:
                 stacklevel=2,
             )
         else:
+            # Instance keeps C and the loads within floats, and the slack
+            # digits are at most C
             cap = inst.disk_capacity
-            # the slack digits are at most C, so C and the loads bound every integer
-            if max(cap, *(a for _, a in loaded)) > sys.float_info.max:
-                raise ValueError("a disk capacity or load exceeds the largest float")
             loaded = [(v, float(a)) for v, a in loaded]
             for d in range(1, capacity_slack_count(cap) + 1):
                 loaded.append((n + len(slack_refs), float(2 ** (d - 1))))

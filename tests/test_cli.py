@@ -147,7 +147,7 @@ def test_integers_past_the_largest_float_exit_2(tmp_path, capsys, field, error, 
     assert not out.exists()
 
 
-def test_solve_scores_loads_past_int64(tmp_path):
+def test_solve_rejects_loads_past_int64(tmp_path, capsys):
     # a load of 2^63 is one past int64 but below the largest float
     request = {"id": 0, "kind": "mono", "weight": 2, "allowed_cameras": [1, 2],
                "capacity_by_camera": {"1": 2**63}}
@@ -156,9 +156,11 @@ def test_solve_scores_loads_past_int64(tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out.json"
-    assert main(["solve", str(path), "--solver", "exact", "-o", str(out)]) == 0
-    metrics = json.loads(out.read_text())["metrics"]
-    assert metrics["best_ar"] == metrics["feasible_fraction"] == 1.0
+    assert main(["solve", str(path), "--solver", "exact", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "loads sum past 2^63 - 1" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_solve_one_cell(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from satplan import (
     Assignment,
     Instance,
+    InstanceSemanticError,
     Request,
     RunMetrics,
     SampleSet,
@@ -97,22 +98,29 @@ def test_run_metrics_single_infeasible_read(pair_instance):
     assert m.expected_ar == m.best_ar == m.feasible_fraction == 0.0
 
 
-def test_run_metrics_capacity_test_does_not_wrap():
-    # two loads of 2^62 sum to 2^63, which wraps to -2^63 in int64
-    big = Instance(
+def _loaded_pair(loads: tuple[int, int]) -> Instance:
+    return Instance(
         name="wrap",
         requests=tuple(
             Request(id=i, kind="mono", weight=1.0, allowed_cameras=(1,),
-                    capacity_by_camera={1: 2**62})
-            for i in range(2)
+                    capacity_by_camera={1: load})
+            for i, load in enumerate(loads)
         ),
         disk_capacity=2**62,
     )
+
+
+def test_run_metrics_capacity_test_does_not_wrap():
+    # loads summing to 2^63 - 1, the largest the model accepts, stay in int64
+    big = _loaded_pair((2**62, 2**62 - 1))
     assert not check_feasible(big, Assignment.from_bits(big, [1, 1])).feasible
     m = run_metrics(big, 1.0, _sample_set([("11", 0.0, 3), ("10", 0.0, 1)]))
     assert m.feasible_fraction == 0.25
     assert m.best_ar == 1.0
     assert m.expected_ar == 0.25
+    # two loads of 2^62 sum to 2^63, which would wrap to -2^63 in int64
+    with pytest.raises(InstanceSemanticError, match="loads sum past 2"):
+        _loaded_pair((2**62, 2**62))
 
 
 def test_run_metrics_rejects_empty(pair_instance):

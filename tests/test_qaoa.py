@@ -327,39 +327,6 @@ def test_resumed_evaluations_match_reference_bit_for_bit(monkeypatch, signed_zer
         prev_bits, kept = bits, first
 
 
-def test_mixer_coefficients_are_rebuilt_only_when_their_angle_changes(monkeypatch):
-    table = random_integer_qubo(np.random.default_rng(83), 7).energy_table()
-    built = []
-    coefficients = qaoa._mixer_coefficients
-    monkeypatch.setattr(
-        qaoa, "_mixer_coefficients", lambda *args: built.append(args) or coefficients(*args)
-    )
-    evaluator = qaoa._Evaluator(table)
-    # (gammas, betas, betas whose coefficients must be rebuilt); 7 qubits
-    # make a 5-qubit and a 2-qubit group, so each rebuild builds both
-    steps = [
-        ((0.3, 0.7, 1.1), (0.4, 0.9, 1.3), (0.4, 0.9, 1.3)),  # every op is new
-        ((0.3, 0.8, 1.1), (0.4, 0.9, 1.3), ()),  # a gamma moves
-        ((0.3, 0.8, 1.1), (0.4, 0.5, 1.3), (0.5,)),  # beta 2 moves
-        ((0.3, 0.8, 1.1), (0.4, 0.0, 1.3), (0.0,)),
-        ((0.3, 0.8, 1.1), (0.4, -0.0, 1.3), (-0.0,)),  # equal, but other bits
-        ((0.3, 0.8, 1.1), (0.4, -0.0, 1.3), ()),  # a repeat
-        ((0.2, 0.8, 1.1), (0.4, -0.0, 1.3), ()),  # op 0 moves: every mixer replays
-        ((0.2, 0.8), (0.4, -0.0), ()),  # fewer layers
-        ((0.2, 0.8, 1.1), (0.4, -0.0, 1.3), ()),  # layer 3 keeps its coefficients
-        ((0.2, 0.8, 1.1), (0.4, 0.0, 1.3), (0.0,)),
-    ]
-    def by_bits(calls):
-        return sorted((int(np.float64(beta).view(np.uint64)), k) for beta, k in calls)
-
-    for gammas, betas, rebuilt in steps:
-        built.clear()
-        params = QaoaParams(gammas, betas)
-        psi = apply_ansatz(table, params, evaluator)
-        assert by_bits(built) == by_bits((beta, k) for beta in rebuilt for k in (2, 5))
-        assert_bitwise_equal(psi, apply_ansatz(table, params))
-
-
 def test_evaluator_runs_in_its_own_buffers():
     nq = 16
     table = random_integer_qubo(np.random.default_rng(67), nq).energy_table()
