@@ -46,7 +46,7 @@ print(f"{instance.name}: {qubo.num_variables} variables, F_max={f_max},"
 # ---------------------------------------------------------------------------
 # Five seeded runs of 2000 reads, the protocol used by the benchmark.
 # ---------------------------------------------------------------------------
-# 100 sweeps, one restart; beta from ln 2 / (largest flip cost) to
+# 100 sweeps, one chain per read; beta from ln 2 / (largest flip cost) to
 # ln 1e4 / (smallest nonzero coefficient) of this QUBO
 schedule = AnnealSchedule()
 per_run = []

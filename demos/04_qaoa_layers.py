@@ -10,7 +10,6 @@ Run:  python3 demos/04_qaoa_layers.py  (about 3 seconds)
 
 from satplan import (
     Instance,
-    OptimizerConfig,
     Request,
     VarRef,
     encode,
@@ -43,7 +42,6 @@ layers = run_schedule(
     qubo.energy_table(),
     max_layers=8,
     n_inits=5,
-    cfg=OptimizerConfig(tolerance=1e-6),
     seed=7,
     reads=2000,
     ranker=ranker,

@@ -8,8 +8,8 @@ reproducible with :meth:`satplan.qubo.Qubo.energy`.
 
 Settings.  :func:`anneal_settings` owns every choice the kernel makes
 about a QUBO: its beta range, its precision, and whether it factors out
-the capacity load.  The schedule sets only the number of sweeps and of
-restarts.
+the capacity load.  The schedule sets only the number of sweeps; each read
+is one chain.
 
 Temperature range.  The ramp is always set from the QUBO's own energy
 scale, like dwave-neal's default range.  The flip cost of variable ``i``
@@ -40,7 +40,7 @@ Kernel layout.  ``sgn = 1 - 2x`` (+1 or -1) and the local fields are kept
 as contiguous ``(variables, reads)`` arrays, so one variable's values over
 all reads form one row.  Each sweep draws its ``(variables, reads)`` block
 of uniforms in one call, which is the same stream, in the same order, as
-one ``rng.random(reads)`` per variable, in either dtype.  Each restart
+one ``rng.random(reads)`` per variable, in either dtype.  Each call
 builds a plan once: per variable, views of its field, sign and threshold
 rows, its load scale, and the rows its flips update (below), so a step
 indexes no array.
@@ -100,7 +100,7 @@ from 10.3-18.6 to 1.7-2.1, and the six ``sample_sa`` calls took a median
 processes, median of 3 calls each; shared 2-core Intel Xeon, numpy
 2.4.6), with the same samples.
 
-Set-up without BLAS.  Each restart sums its initial fields and loads
+Set-up without BLAS.  Each call sums its initial fields and loads
 from zero as accepted flips update them: for i in index order, the
 products ``S_ij x_i`` go to field rows j and ``a_i x_i`` to the load,
 grouped by value; the diagonal is added last.  A matmul of the states gave
@@ -148,17 +148,17 @@ COLD_ACCEPT = 1e-4  # acceptance of the smallest nonzero coefficient at beta_end
 
 @dataclass(frozen=True)
 class AnnealSchedule:
-    """``sweeps`` inverse temperatures per restart, on the geometric ramp
-    :func:`anneal_settings` derives from the QUBO annealed."""
+    """``sweeps`` inverse temperatures per read, on the geometric ramp
+    :func:`anneal_settings` derives from the QUBO annealed.  Each read is
+    one chain."""
 
     sweeps: int = 100
-    restarts_per_read: int = 1
+    # not a field: one chain per read, a constant that flip-count tracing reads
+    restarts_per_read = 1
 
     def __post_init__(self) -> None:
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
-        if self.restarts_per_read < 1:
-            raise ValueError("restarts_per_read must be >= 1")
 
 
 def _field_bound(q: Qubo) -> float:
@@ -327,67 +327,56 @@ def sample_sa(
     accept = np.empty(reads, dtype=bool)
     dx = np.empty(reads, dtype)
     product = np.empty(reads, dtype)
-    best_states: np.ndarray | None = None
-    best_energies: np.ndarray | None = None
-    for _ in range(sched.restarts_per_read):
-        states = rng.integers(0, 2, size=(reads, nv), dtype=np.uint8)
-        fields = np.zeros((nv, reads), dtype)
-        total_load = np.zeros(reads, dtype)  # L, one per read
-        sgn = np.ascontiguousarray(states.T, dtype=dtype)  # x until set-up ends
-        # per variable: its rows of fields, sgn and thresholds, its load
-        # scale, and the rows its flips update, under each coupling value
-        targets = [*fields, total_load]
-        plan = [
-            (fields[i], sgn[i], thresholds[i], scales[i],
-             [(w_ij, [targets[j] for j in cols]) for w_ij, cols in groups[i]])
-            for i in range(nv)
-        ]
-        # the initial fields and loads, summed over the variables in index
-        # order as the flips will update them (see the module docstring)
-        for _, x_i, _, _, coupled in plan:
+    states = rng.integers(0, 2, size=(reads, nv), dtype=np.uint8)
+    fields = np.zeros((nv, reads), dtype)
+    total_load = np.zeros(reads, dtype)  # L, one per read
+    sgn = np.ascontiguousarray(states.T, dtype=dtype)  # x until set-up ends
+    # per variable: its rows of fields, sgn and thresholds, its load
+    # scale, and the rows its flips update, under each coupling value
+    targets = [*fields, total_load]
+    plan = [
+        (fields[i], sgn[i], thresholds[i], scales[i],
+         [(w_ij, [targets[j] for j in cols]) for w_ij, cols in groups[i]])
+        for i in range(nv)
+    ]
+    # the initial fields and loads, summed over the variables in index
+    # order as the flips will update them (see the module docstring)
+    for _, x_i, _, _, coupled in plan:
+        for w_ij, rows in coupled:
+            np.multiply(x_i, w_ij, out=product)
+            for row in rows:
+                row += product
+    fields += diag[:, None]
+    sgn *= -2.0
+    sgn += 1.0
+    for beta in betas:
+        rng.random(out=thresholds, dtype=dtype)
+        # t = -ln(u) / beta; u = 0 gives t = +inf, an accept.  In
+        # float64 a beta below about 1e-307 can take t past the largest
+        # float, which accepts every finite delta, as the exact t would
+        with np.errstate(divide="ignore", over="ignore"):
+            np.log(thresholds, out=thresholds)
+            thresholds *= -1.0 / beta
+        for field_i, sgn_i, t_i, c_i, coupled in plan:
+            if c_i:  # delta = sgn_i * (fields_i + 2M a_i L)
+                np.multiply(total_load, c_i, out=delta)
+                delta += field_i
+                delta *= sgn_i
+            else:
+                np.multiply(sgn_i, field_i, out=delta)
+            np.less(delta, t_i, out=accept)
+            if not np.count_nonzero(accept):
+                continue
+            # x_i changes by sgn_i = 1 - 2 x_i on flipped reads, by +-0 elsewhere
+            np.multiply(sgn_i, accept, out=dx)
+            sgn_i -= dx
+            sgn_i -= dx
             for w_ij, rows in coupled:
-                np.multiply(x_i, w_ij, out=product)
+                np.multiply(dx, w_ij, out=product)
                 for row in rows:
                     row += product
-        fields += diag[:, None]
-        sgn *= -2.0
-        sgn += 1.0
-        for beta in betas:
-            rng.random(out=thresholds, dtype=dtype)
-            # t = -ln(u) / beta; u = 0 gives t = +inf, an accept.  In
-            # float64 a beta below about 1e-307 can take t past the largest
-            # float, which accepts every finite delta, as the exact t would
-            with np.errstate(divide="ignore", over="ignore"):
-                np.log(thresholds, out=thresholds)
-                thresholds *= -1.0 / beta
-            for field_i, sgn_i, t_i, c_i, coupled in plan:
-                if c_i:  # delta = sgn_i * (fields_i + 2M a_i L)
-                    np.multiply(total_load, c_i, out=delta)
-                    delta += field_i
-                    delta *= sgn_i
-                else:
-                    np.multiply(sgn_i, field_i, out=delta)
-                np.less(delta, t_i, out=accept)
-                if not np.count_nonzero(accept):
-                    continue
-                # x_i changes by sgn_i = 1 - 2 x_i on flipped reads, by +-0 elsewhere
-                np.multiply(sgn_i, accept, out=dx)
-                sgn_i -= dx
-                sgn_i -= dx
-                for w_ij, rows in coupled:
-                    np.multiply(dx, w_ij, out=product)
-                    for row in rows:
-                        row += product
-        states = np.ascontiguousarray((sgn < 0.0).T, dtype=np.uint8)  # x = 1 where sgn = -1
-        energies = q.energies(states)
-        if best_states is None:
-            best_states, best_energies = states, energies
-        else:
-            improved = energies < best_energies
-            best_states[improved] = states[improved]
-            best_energies[improved] = energies[improved]
-
-    return SampleSet.from_states(best_states, best_energies, "sa", seed)
+    states = np.ascontiguousarray((sgn < 0.0).T, dtype=np.uint8)  # x = 1 where sgn = -1
+    return SampleSet.from_states(states, q.energies(states), "sa", seed)
 
 
 def _lexicographic_first(candidates: np.ndarray, bits: int) -> int:

@@ -58,10 +58,12 @@ Parameter optimisation is local and derivative-free (Powell's
 direction-set method) with the best evaluation tracked explicitly, so the
 reported value never exceeds the value at the initial point.  Powell's
 search, with Brent's line search, runs here (``_powell``): a port of the
-one path of scipy 1.17.1's ``minimize(method="Powell")`` that
+one path of scipy 1.17.1's ``minimize(method="Powell", tol=1e-6)`` that
 ``optimize_layer`` takes, which evaluates the same points in the same
-order, repeated evaluations included.  Its line search runs on Python
-floats, whose IEEE arithmetic gives the values scipy's numpy scalars do.
+order, repeated evaluations included.  The tolerance is fixed at 1e-6;
+only the evaluation budget (``OptimizerConfig.max_evals``) is a setting.
+Its line search runs on Python floats, whose IEEE arithmetic gives the
+values scipy's numpy scalars do.
 Importing ``scipy.optimize`` for it cost about 0.5 s and 47 MB per process.
 ``run_schedule`` implements layer-wise parameter fixing: the optimised 2*L
 parameters of the L-layer ansatz seed the (L+1)-layer search together with
@@ -111,8 +113,9 @@ class QaoaParams:
     def layers(self) -> int:
         return len(self.gammas)
 
-    def extended(self, gamma: float = 0.0, beta: float = 0.0) -> "QaoaParams":
-        return QaoaParams(self.gammas + (gamma,), self.betas + (beta,))
+    def extended(self) -> "QaoaParams":
+        """These angles with a zero-angle layer appended."""
+        return QaoaParams(self.gammas + (0.0,), self.betas + (0.0,))
 
     @classmethod
     def from_flat(cls, x: Sequence[float]) -> "QaoaParams":
@@ -126,13 +129,10 @@ class QaoaParams:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    tolerance: float = 1e-6
     max_evals: int = 1000
 
     def __post_init__(self) -> None:
-        tol, evals = self.tolerance, self.max_evals
-        if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 < tol < math.inf:
-            raise ValueError(f"tolerance must be a positive finite number, got {tol!r}")
+        evals = self.max_evals
         if not isinstance(evals, int) or isinstance(evals, bool) or evals < 1:
             raise ValueError(f"max_evals must be an integer >= 1, got {evals!r}")
 
@@ -233,24 +233,6 @@ def _mix(matrices: list[np.ndarray], psi: list[np.ndarray], scratch: list[np.nda
     return src is scratch
 
 
-def _apply_mixer(psi: StateVector, beta: float, scratch: StateVector) -> StateVector:
-    """RX(2*beta) on every qubit, ``_MIXER_GROUP`` qubits per matmul.
-
-    The group at bit offset ``lo`` is one matmul with its 2^k x 2^k matrix:
-    ``psi.reshape(-1, 2^k) @ U`` at ``lo`` 0, ``U @ psi.reshape(-1, 2^k, 2^lo)``
-    above.  Each matmul writes to the other of ``psi`` and ``scratch``, a
-    C-contiguous array of the state's size and dtype; ``psi`` is updated in
-    place (copied back from ``scratch`` after an odd number of groups) and
-    returned.
-    """
-    groups = _mixer_groups(len(psi).bit_length() - 1)
-    sizes = {k for _, k in groups}
-    matrices = {k: _mixer_coefficients(beta, k).take(_group_pattern(k)[3]) for k in sizes}
-    if _mix([matrices[k] for _, k in groups], _group_views(psi), _group_views(scratch)):
-        np.copyto(psi, scratch)
-    return psi
-
-
 def _same_bits(x: float, y: float) -> bool:
     """Whether floats ``x`` and ``y`` have the same bit pattern: 0.0 and -0.0
     differ, and a NaN matches only the same NaN."""
@@ -340,7 +322,8 @@ class _Evaluator:
         return psi
 
     def _mixer(self, psi: StateVector, views: list[np.ndarray], beta: float) -> None:
-        """RX(2 * beta) on every qubit of ``psi`` in place, as ``_apply_mixer``."""
+        """RX(2 * beta) on every qubit of ``psi`` in place, ``_MIXER_GROUP``
+        qubits per matmul; ``views`` are ``psi``'s group views."""
         for k, flips, matrix in self._matrices:
             _mixer_coefficients(beta, k).take(flips, out=matrix, mode="clip")
         if _mix(self._group_matrices, views, self._scratch_views):
@@ -445,6 +428,7 @@ _TINY = 1e-21  # the bracket's smallest parabola denominator
 _GROW_LIMIT = 110.0
 _BRACKET_ITERS = 1000
 _BRENT_ITERS = 500
+_POWELL_TOL = 1e-6  # scipy's ``tol``: Brent's relative tolerance is 100 times it
 
 
 class _OutOfEvals(Exception):
@@ -669,7 +653,7 @@ def optimize_layer(
             best_x = np.array(x)
         return val
 
-    _powell(objective, init.to_flat(), cfg.tolerance, cfg.max_evals)
+    _powell(objective, init.to_flat(), _POWELL_TOL, cfg.max_evals)
     return QaoaParams.from_flat(best_x), float(best_val)
 
 
@@ -727,7 +711,7 @@ def run_schedule(
     _, params, value, samples = best_candidate
     results = [LayerResult(layer=1, params=params, expectation=value, samples=samples)]
     for layer in range(2, max_layers + 1):
-        init = results[-1].params.extended(0.0, 0.0)
+        init = results[-1].params.extended()
         params, value = optimize_layer(energy_table, init, cfg, evaluator)
         psi = apply_ansatz(energy_table, params, evaluator)
         samples = sample_state(psi, reads, sample_seeds[n_inits + layer - 2], energy_table)

@@ -32,7 +32,7 @@ from satplan import (
 )
 from satplan.anneal import anneal_settings
 from satplan.exact import DEFAULT_NODE_BUDGET
-from satplan.qaoa import _apply_mixer, _check_size
+from satplan.qaoa import _Evaluator, _check_size, _group_views
 
 CAMERA_SUBSETS = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
 
@@ -409,40 +409,29 @@ def reference_sample_sa(
     w = q.interaction_matrix().astype(dtype)
     betas = np.geomspace(beta_start, beta_end, sched.sweeps).tolist()
 
-    best_states: np.ndarray | None = None
-    best_energies: np.ndarray | None = None
-    for _ in range(sched.restarts_per_read):
-        states = rng.integers(0, 2, size=(reads, nv), dtype=np.uint8)
-        x = states.astype(dtype)
-        fields = diag[None, :] + x @ w  # flip cost of var i is (1 - 2 x_i) * field_i
-        for beta in betas:
-            for i in range(nv):
-                delta = (1.0 - 2.0 * x[:, i]) * fields[:, i]
-                u = rng.random(reads, dtype=dtype)
-                # log(0) = -inf: t = +inf accepts; a t past the largest
-                # float accepts every finite delta
-                with np.errstate(divide="ignore", over="ignore"):
-                    t = np.log(u) * (-1.0 / beta)
-                accept = delta < t
-                if accept.any():
-                    step = np.where(accept, 1.0 - 2.0 * x[:, i], 0.0)
-                    x[:, i] += step
-                    fields += step[:, None] * w[i][None, :]
-        if precision == "float32" or factored:
-            # where the annealer relies on exact fields, the updated fields
-            # equal the sums recomputed in float64 from the final states
-            exact = q.linear_terms() + x.astype(np.float64) @ q.interaction_matrix()
-            assert np.array_equal(fields.astype(np.float64), exact)
-        states = x.astype(np.uint8)
-        energies = q.energies(states)
-        if best_states is None:
-            best_states, best_energies = states, energies
-        else:
-            improved = energies < best_energies
-            best_states[improved] = states[improved]
-            best_energies[improved] = energies[improved]
-
-    return SampleSet.from_states(best_states, best_energies, "sa", seed)
+    states = rng.integers(0, 2, size=(reads, nv), dtype=np.uint8)
+    x = states.astype(dtype)
+    fields = diag[None, :] + x @ w  # flip cost of var i is (1 - 2 x_i) * field_i
+    for beta in betas:
+        for i in range(nv):
+            delta = (1.0 - 2.0 * x[:, i]) * fields[:, i]
+            u = rng.random(reads, dtype=dtype)
+            # log(0) = -inf: t = +inf accepts; a t past the largest
+            # float accepts every finite delta
+            with np.errstate(divide="ignore", over="ignore"):
+                t = np.log(u) * (-1.0 / beta)
+            accept = delta < t
+            if accept.any():
+                step = np.where(accept, 1.0 - 2.0 * x[:, i], 0.0)
+                x[:, i] += step
+                fields += step[:, None] * w[i][None, :]
+    if precision == "float32" or factored:
+        # where the annealer relies on exact fields, the updated fields
+        # equal the sums recomputed in float64 from the final states
+        exact = q.linear_terms() + x.astype(np.float64) @ q.interaction_matrix()
+        assert np.array_equal(fields.astype(np.float64), exact)
+    states = x.astype(np.uint8)
+    return SampleSet.from_states(states, q.energies(states), "sa", seed)
 
 
 @dataclass
@@ -566,7 +555,7 @@ def reference_apply_ansatz(
 ) -> np.ndarray:
     """The ansatz as a fresh layer loop: one exp(-1j * gamma * table / scale)
     per entry, scale = max|table| (1 for an all-zero table), then the
-    library's grouped mixer on a fresh scratch array.  ``apply_ansatz`` must
+    library's grouped mixer (``grouped_mixer``).  ``apply_ansatz`` must
     return exactly the same state, bit for bit, so this pins its phase
     lookup, its in-place buffers and its resume rule; the mixer's own maths
     is checked against ``expm`` and ``reference_per_qubit_mixer``.
@@ -581,5 +570,13 @@ def reference_apply_ansatz(
     psi = uniform_state(nq)
     for gamma, beta in zip(params.gammas, params.betas):
         psi *= np.exp(-1j * gamma * (energy_table / scale))
-        psi = _apply_mixer(psi, beta, np.empty_like(psi))
+        grouped_mixer(psi, beta)
+    return psi
+
+
+def grouped_mixer(psi: np.ndarray, beta: float) -> np.ndarray:
+    """The library's mixer, RX(2 * beta) on every qubit: the grouped matmuls
+    of a fresh ``_Evaluator``'s ``_mixer``, applied to ``psi`` in place and
+    returned."""
+    _Evaluator(np.zeros(len(psi)))._mixer(psi, _group_views(psi), beta)
     return psi

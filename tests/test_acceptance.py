@@ -13,7 +13,6 @@ import pytest
 
 from satplan import (
     Instance,
-    OptimizerConfig,
     QaoaParams,
     ReductionSpec,
     Request,
@@ -187,7 +186,6 @@ def test_criterion_7_qaoa_desk_scale():
                 qubo.energy_table(),
                 max_layers=10,
                 n_inits=5,
-                cfg=OptimizerConfig(tolerance=1e-6),
                 seed=1000 + seed,
                 reads=2000,
                 ranker=ranker,

@@ -192,8 +192,9 @@ def test_exhaustive_size_guard():
 def test_schedule_validation():
     with pytest.raises(ValueError):
         AnnealSchedule(sweeps=0)
-    with pytest.raises(ValueError):
-        AnnealSchedule(restarts_per_read=0)
+    # each read is one chain: restarts are not a setting
+    with pytest.raises(TypeError):
+        AnnealSchedule(restarts_per_read=2)
 
 
 def _scale(q: Qubo) -> tuple[float, float]:
@@ -254,15 +255,6 @@ def test_non_finite_derived_beta_raises(q):
         _range(q)
     with pytest.raises(ValueError):
         sample_sa(q, reads=4, seed=0)
-
-
-def test_restarts_keep_best_per_read():
-    rng = np.random.default_rng(17)
-    inst = random_instance(rng, n_requests=4, n_pairs=1, n_triples=1, name="restart")
-    q = encode(inst)
-    one = sample_sa(q, reads=50, sched=AnnealSchedule(sweeps=20, restarts_per_read=1), seed=9)
-    three = sample_sa(q, reads=50, sched=AnnealSchedule(sweeps=20, restarts_per_read=3), seed=9)
-    assert three.best().energy <= one.best().energy
 
 
 def test_sample_set_requires_consistent_counts():
@@ -410,9 +402,6 @@ REFERENCE_CASES = {
     "capacity-clique": (lambda: _encoded(6, True, 7), 300, AnnealSchedule(sweeps=80)),
     "sparse": (lambda: _encoded(3, False, 8), 300, AnnealSchedule(sweeps=80)),
     "free-variable": (lambda: _FREE, 200, AnnealSchedule(sweeps=40)),
-    "restarts": (
-        lambda: _encoded(11, True, 4), 150, AnnealSchedule(sweeps=40, restarts_per_read=3),
-    ),
     "one-read": (lambda: _encoded(5, True, 5), 1, AnnealSchedule(sweeps=200)),
     "one-variable": (
         lambda: Qubo({(0, 0): 0.5}), 100, AnnealSchedule(sweeps=60),
@@ -420,7 +409,7 @@ REFERENCE_CASES = {
     # no variables: every read is the empty state at the offset, whose
     # sign the sample set keeps
     "zero-variables": (
-        lambda: Qubo({}, offset=-0.0), 7, AnnealSchedule(sweeps=5, restarts_per_read=2),
+        lambda: Qubo({}, offset=-0.0), 7, AnnealSchedule(sweeps=5),
     ),
     # M = 1e6: betas from about 8e-9 to 9.2, with the load factored out
     # in float64

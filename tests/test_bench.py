@@ -94,6 +94,23 @@ def test_sa_runs_record_their_schedule(instance_file, tmp_path):
         )
 
 
+def test_traced_flip_attempts_count_one_chain_per_read(instance_file, tmp_path, monkeypatch):
+    """The benchmark's tracer counts reads x sweeps x variables flip
+    attempts per ``sample_sa`` call: each read is one chain."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmark"))
+    import tracing
+
+    cfg = ExperimentConfig(instances=[instance_file], solvers=["exact", "sa"], reads=20, runs=2)
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        _, code = run_pipeline(cfg, tmp_path / "out")
+    assert code == 0
+    metrics = tracing.layer_metrics(tracer)
+    calls, variables = metrics["anneal.sa_calls"], encode(tiny_instance()).num_variables
+    assert calls == 2
+    assert metrics["anneal.flip_attempts"] == calls * 20 * AnnealSchedule().sweeps * variables
+
+
 def test_aggregate_rows_with_ci(instance_file, tmp_path):
     cfg = ExperimentConfig(
         instances=[instance_file], solvers=["exact"], reads=10, runs=5, master_seed=1

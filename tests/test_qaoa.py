@@ -23,11 +23,11 @@ from satplan import (
     solve_exhaustive,
     uniform_state,
 )
-from satplan.qaoa import _apply_mixer
 from test_ising import random_integer_qubo
 from helpers import (
     acceptance_source,
     assert_bitwise_equal,
+    grouped_mixer,
     random_instance,
     reference_apply_ansatz,
     reference_per_qubit_mixer,
@@ -108,7 +108,7 @@ def test_mixer_half_turn_flips_basis_states():
     k = int(rng.integers(0, 1 << n))
     psi = np.zeros(1 << n, dtype=np.complex128)
     psi[k] = 1.0
-    flipped = _apply_mixer(psi, np.pi / 2, np.empty_like(psi))
+    flipped = grouped_mixer(psi, np.pi / 2)
     probs = np.abs(flipped) ** 2
     complement = k ^ ((1 << n) - 1)
     assert probs[complement] == pytest.approx(1.0, abs=1e-12)
@@ -144,7 +144,7 @@ def test_mixer_matches_matrix_exponential(num_qubits):
     for beta in _mixer_angles(rng):
         psi = _random_state(rng, num_qubits)
         want = expm(-1j * beta * h) @ psi
-        got = _apply_mixer(psi.copy(), beta, np.empty_like(psi))
+        got = grouped_mixer(psi.copy(), beta)
         assert np.abs(got - want).max() <= 1e-12
         assert abs(np.linalg.norm(got) - 1.0) <= 1e-12
 
@@ -155,12 +155,12 @@ def test_mixer_matches_per_qubit_loop(num_qubits):
     for beta in _mixer_angles(rng):
         psi = _random_state(rng, num_qubits)
         want = reference_per_qubit_mixer(psi.copy(), num_qubits, beta)
-        got = _apply_mixer(psi.copy(), beta, np.empty_like(psi))
+        got = grouped_mixer(psi.copy(), beta)
         assert np.abs(got - want).max() <= 1e-12
         assert abs(np.linalg.norm(got) - 1.0) <= 1e-12
     for beta in (0.0, -0.0):
         uniform = uniform_state(num_qubits)
-        assert np.array_equal(_apply_mixer(uniform.copy(), beta, np.empty_like(uniform)), uniform)
+        assert np.array_equal(grouped_mixer(uniform.copy(), beta), uniform)
 
 
 def test_mixer_bits_do_not_depend_on_blas_threads():
@@ -169,12 +169,12 @@ def test_mixer_bits_do_not_depend_on_blas_threads():
     script = (
         "import hashlib, sys\n"
         "import numpy as np\n"
-        "from satplan.qaoa import _apply_mixer\n"
+        "from satplan.qaoa import _Evaluator, _group_views\n"
         "rng = np.random.default_rng(5)\n"
         "psi = rng.normal(size=1 << 18) + 1j * rng.normal(size=1 << 18)\n"
-        "scratch = np.empty_like(psi)\n"
+        "evaluator, views = _Evaluator(np.zeros(len(psi))), _group_views(psi)\n"
         "for beta in (0.3, -1.1, 2.5):\n"
-        "    _apply_mixer(psi, beta, scratch)\n"
+        "    evaluator._mixer(psi, views, beta)\n"
         "sys.stdout.write(hashlib.sha256(psi.tobytes()).hexdigest())\n"
     )
     src = str(Path(qaoa.__file__).resolve().parents[1])
@@ -196,7 +196,7 @@ def test_gamma_is_in_units_of_the_largest_energy_magnitude():
     assert qaoa._Evaluator(np.zeros(8)).scale == 1.0
     mixers_only = uniform_state(3)
     for beta in params.betas:
-        _apply_mixer(mixers_only, beta, np.empty_like(mixers_only))
+        grouped_mixer(mixers_only, beta)
     assert np.array_equal(apply_ansatz(np.zeros(8), params), mixers_only)
     table = random_integer_qubo(rng, 5).energy_table()
     table[3] = -(np.abs(table).max() + 5.0)  # the largest magnitude is negative
@@ -288,7 +288,8 @@ def _resume_sequence(rng: np.random.Generator, layers: int) -> list[QaoaParams]:
     params = [QaoaParams.from_flat(x) for x in seq]
     last = params[-1]
     fewer = QaoaParams(last.gammas[:-1], last.betas[:-1]) if layers > 1 else last
-    params += [fewer, last.extended(0.5, -0.0), last, fewer.extended(0.0, 0.0)]
+    grown = QaoaParams(last.gammas + (0.5,), last.betas + (-0.0,))
+    params += [fewer, grown, last, fewer.extended()]
     return params
 
 
@@ -306,7 +307,13 @@ def test_resumed_evaluations_match_reference_bit_for_bit(monkeypatch, signed_zer
         table[:4] = (0.0, -0.0, 0.0, -0.0)
     mixers = []
     mixer = qaoa._Evaluator._mixer
-    monkeypatch.setattr(qaoa._Evaluator, "_mixer", lambda *args: mixers.append(1) or mixer(*args))
+
+    def counted(self, *args):
+        if self is evaluator:  # not the reference's own evaluators
+            mixers.append(1)
+        return mixer(self, *args)
+
+    monkeypatch.setattr(qaoa._Evaluator, "_mixer", counted)
     evaluator = qaoa._Evaluator(table)
     prev_bits, kept = np.empty(0, dtype=np.uint64), 0
     for params in _resume_sequence(rng, 3):
@@ -542,17 +549,14 @@ def test_param_validation():
         QaoaParams((), ())
     with pytest.raises(ValueError):
         QaoaParams((0.1,), (0.1, 0.2))
-    with pytest.raises(ValueError):
-        OptimizerConfig(tolerance=0.0)
-    bad = [
-        dict(tolerance=-1e-6), dict(tolerance=math.nan), dict(tolerance=math.inf),
-        dict(tolerance=True), dict(tolerance="1e-6"), dict(max_evals=0),
-        dict(max_evals=-3), dict(max_evals=2.5), dict(max_evals=True),
-    ]
+    # Powell's tolerance is fixed at 1e-6, not a setting
+    with pytest.raises(TypeError):
+        OptimizerConfig(tolerance=1e-6)
+    bad = [dict(max_evals=0), dict(max_evals=-3), dict(max_evals=2.5), dict(max_evals=True)]
     for kwargs in bad:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             OptimizerConfig(**kwargs)
-    assert OptimizerConfig(tolerance=1, max_evals=1).max_evals == 1
+    assert OptimizerConfig(max_evals=1).max_evals == 1
 
 
 # Powell's method runs in satplan.qaoa as a port of scipy 1.17.1's path.

@@ -27,8 +27,7 @@ _SHOWN = 200  # characters printed of each differing line
 
 def run_tree(src: Path, config: Path, out: Path) -> int:
     """Exit code of ``satplan run config -o out`` with the package from ``src``."""
-    env = {k: v for k, v in os.environ.items() if k != "SATPLAN_WORKERS"}
-    env["PYTHONPATH"] = str(src)
+    env = dict(os.environ, PYTHONPATH=str(src))
     cmd = [sys.executable, "-m", "satplan.cli", "run", str(config), "-o", str(out)]
     return subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL).returncode
 
