@@ -35,7 +35,6 @@ from .metrics import (
     AggregateMetrics,
     RunMetrics,
     aggregate,
-    approximation_ratio,
     run_metrics,
 )
 from .qaoa import (

@@ -204,9 +204,6 @@ class SampleEntry:
     energy: float
     count: int
 
-    def bit_array(self) -> np.ndarray:
-        return np.frombuffer(self.bits.encode("ascii"), dtype=np.uint8) - ord("0")
-
 
 @dataclass(frozen=True)
 class SampleSet:

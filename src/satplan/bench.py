@@ -236,6 +236,11 @@ def prepare(
     ``sources``), prove its reference optimum and encode it."""
     inst = resolve_instance(entry, sources)
     exact = solve_exact(inst, cfg.node_budget)
+    if exact.best_value <= 0 and not exact.proven_optimal:
+        raise ConfigError(
+            f"instance {inst.name!r}: node budget {cfg.node_budget} ran out before an "
+            "incumbent was found; AR undefined"
+        )
     if exact.best_value <= 0:
         raise ConfigError(f"instance {inst.name!r} has non-positive optimum; AR undefined")
     try:

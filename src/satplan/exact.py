@@ -81,10 +81,12 @@ class ExactResult:
 
 def objective(inst: Instance, a: Assignment) -> float:
     """Total value of the selection, one weight term per taken (request, camera)
-    pair, added one by one in ``a.taken`` order on every Python version."""
+    pair, added one by one in variable order (requests in file order), as
+    ``solve_exact`` adds them, so an optimum's value equals ``best_value``."""
     value = 0.0
-    for ref in a.taken:
-        value += inst.weight_of(ref.request_id)
+    for ref, bit in zip(inst.variables, a.to_bits(inst)):
+        if bit:
+            value += inst.weight_of(ref.request_id)
     return value
 
 

@@ -6,7 +6,7 @@ feasibility), decoding, and checking feasibility:
 feasible states score value / optimum, infeasible ones score 0.  One
 scorer does this for a whole sample set at once, with array tests over a
 (vectors, variables) bit matrix, which ``SampleSet.bit_matrix`` reads from
-a sample set; a single vector is a batch of one.
+a sample set.
 Aggregates over repeated runs use Student-t 95% confidence half-widths,
 which is the honest choice at five runs.
 """
@@ -39,19 +39,14 @@ class AggregateMetrics:
     runs: int
 
 
-def _check_optimum(f_max: float) -> None:
-    if f_max <= 0:
-        raise ValueError("approximation ratio is undefined for f_max <= 0")
-
-
 def _score(inst: Instance, f_max: float, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(feasible, AR) of each row of a boolean (vectors, variables) matrix of
     decision bits; infeasible rows score 0.
 
     The checks are those of ``check_feasible``, one array test per family.
-    A row's value adds its weights one by one in ``Assignment.taken`` order
-    (sorted variable references), as ``objective`` does, so both give the
-    same float.
+    A row's value adds its weights one by one in variable order (requests in
+    file order), as ``solve_exact`` and ``objective`` do, so a proven
+    optimum scores exactly 1.
     """
     variables = inst.variables
     if bits.shape[1] != len(variables):
@@ -70,27 +65,17 @@ def _score(inst: Instance, f_max: float, bits: np.ndarray) -> tuple[np.ndarray, 
         caps = np.array([inst.capacity_of(ref) for ref in variables], dtype=np.int64)
         feasible &= bits @ caps <= inst.disk_capacity
 
-    order = sorted(range(len(variables)), key=variables.__getitem__)
-    weights = np.array([inst.weight_of(variables[i].request_id) for i in order])
-    if order:
-        value = np.cumsum(bits[:, order] * weights, axis=1)[:, -1]
-    else:
-        value = np.zeros(len(bits))
+    weights = np.array([inst.weight_of(ref.request_id) for ref in variables])
+    value = np.cumsum(bits * weights, axis=1)[:, -1]
     return feasible, np.where(feasible, value / f_max, 0.0)
-
-
-def approximation_ratio(inst: Instance, f_max: float, bits) -> float:
-    """Score of one sampled bit vector against the proven optimum."""
-    _check_optimum(f_max)
-    row = np.asarray(bits[: len(inst.variables)]).astype(bool).reshape(1, -1)
-    return float(_score(inst, f_max, row)[1][0])
 
 
 def run_metrics(inst: Instance, f_max: float, samples: SampleSet) -> RunMetrics:
     """Count-weighted expected AR, best sampled AR, and feasible fraction."""
     if not samples.entries:
         raise ValueError("empty sample set")
-    _check_optimum(f_max)
+    if f_max <= 0:
+        raise ValueError("approximation ratio is undefined for f_max <= 0")
     feasible, ars = _score(inst, f_max, samples.bit_matrix(len(inst.variables)))
     counts = np.array([entry.count for entry in samples.entries])
     weighted_ar = 0.0

@@ -7,7 +7,7 @@ code with the library paths they check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -119,6 +119,33 @@ def random_instance(
     )
 
 
+def shuffled_requests(rng: np.random.Generator, inst: Instance) -> Instance:
+    """``inst`` with its requests in a random file order, so that request ids
+    no longer rise in variable order."""
+    order = rng.permutation(len(inst.requests))
+    return replace(inst, requests=tuple(inst.requests[i] for i in order))
+
+
+def probe_instance() -> Instance:
+    """Three unconstrained requests whose ids 1, 2, 0 are out of file order.
+    Their weights sum to 0.9999999999999999 in file order, 0.2 + 0.7 + 0.1,
+    and to 1.0 in id order, so a scorer that adds them in id order while the
+    branch-and-bound adds them in file order rates the optimum above 1."""
+    return Instance(
+        name="probe",
+        requests=tuple(
+            Request(id=rid, kind="mono", weight=weight, allowed_cameras=(1,))
+            for rid, weight in ((1, 0.2), (2, 0.7), (0, 0.1))
+        ),
+    )
+
+
+def bit_rows(entries, n: int) -> np.ndarray:
+    """The first ``n`` bits of each sample entry, read by ``SampleSet.bit_matrix``."""
+    entries = tuple(entries)
+    return SampleSet(entries, sum(e.count for e in entries), "test", 0).bit_matrix(n)
+
+
 def encode_checked(inst: Instance, m: float | None = None) -> Qubo:
     """``encode(inst, m)``, asserting the warning it gives when the instance
     has a disk capacity that no variable uses (the capacity penalty is left
@@ -203,8 +230,8 @@ def reference_run_metrics(inst: Instance, f_max: float, samples: SampleSet) -> R
     weighted_ar = 0.0
     feasible_reads = 0
     best = 0.0
-    for entry in samples.entries:
-        feasible, ar = reference_ar(inst, f_max, entry.bit_array()[: len(inst.variables)])
+    for entry, bits in zip(samples.entries, samples.bit_matrix(len(inst.variables))):
+        feasible, ar = reference_ar(inst, f_max, bits)
         weighted_ar += entry.count * ar
         if feasible:
             feasible_reads += entry.count

@@ -61,8 +61,8 @@ def test_energy_bookkeeping_is_exact():
     )
     q = encode(inst)
     result = sample_sa(q, reads=200, sched=AnnealSchedule(sweeps=30), seed=11)
-    for entry in result.entries:
-        assert entry.energy == q.energy(entry.bit_array())
+    for entry, bits in zip(result.entries, result.bit_matrix(q.num_variables)):
+        assert entry.energy == q.energy(bits)
 
 
 def test_counts_sum_to_reads():

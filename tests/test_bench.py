@@ -16,7 +16,7 @@ from satplan import (
     save_instance,
     solve_exact,
 )
-from helpers import encode_checked, random_instance
+from helpers import bit_rows, encode_checked, probe_instance, random_instance
 from satplan.anneal import anneal_settings
 from satplan.bench import (
     ConfigError,
@@ -61,6 +61,24 @@ def test_exhaustive_pipeline_scores_one(instance_file, tmp_path):
     assert cell["aggregate"] is None  # single run: no CI
     csv_text = (tmp_path / "out" / "results.csv").read_text()
     assert "aggregate" not in csv_text
+
+
+def test_proven_optimum_scores_exactly_one_with_ids_out_of_file_order(tmp_path):
+    # the scorer adds the weights in the search's order: 0.9999999999999999
+    # over itself is 1.0, not 1.0 / 0.9999999999999999
+    path = tmp_path / "probe.json"
+    save_instance(probe_instance(), path)
+    solvers = ["exact", "exhaustive", "sa"]
+    cfg = ExperimentConfig(instances=[str(path)], solvers=solvers, reads=50, runs=2)
+    report, code = run_pipeline(cfg, tmp_path / "out")
+    assert code == 0
+    record = report["instances"][0]
+    assert record["f_max"] == 0.9999999999999999 and record["proven_optimal"]
+    for solver in solvers:
+        cell = record["solvers"][solver]
+        assert cell["aggregate"]["mean_expected_ar"] == cell["aggregate"]["mean_best_ar"] == 1.0
+        for run in cell["runs"]:
+            assert run["expected_ar"] == run["best_ar"] == 1.0
 
 
 def test_pipeline_is_deterministic(instance_file, tmp_path):
@@ -374,8 +392,9 @@ def test_sample_energies_are_qubo_energies(solver):
     sample_sets = doc["layers"] if solver == "qaoa" else [doc]
     assert len(sample_sets) == (2 if solver == "qaoa" else 1)
     for sample_set in sample_sets:
-        for entry in (SampleEntry(**e) for e in sample_set["entries"]):
-            assert entry.energy == qubo.energy(entry.bit_array())
+        entries = [SampleEntry(**e) for e in sample_set["entries"]]
+        for entry, bits in zip(entries, bit_rows(entries, qubo.num_variables)):
+            assert entry.energy == qubo.energy(bits)
 
 
 @pytest.mark.parametrize("trial", range(6))
@@ -395,7 +414,8 @@ def test_exact_cell_stores_a_qubo_ground_state(trial):
         metrics, doc, _ = run_cell(inst, qubo, f_max, solver, 0, cfg)
         (entry,) = doc["entries"]
         assert entry["count"] == doc["reads"] == 30
-        assert entry["energy"] == qubo.energy(SampleEntry(**entry).bit_array())
+        (bits,) = bit_rows([SampleEntry(**entry)], qubo.num_variables)
+        assert entry["energy"] == qubo.energy(bits)
         assert metrics.best_ar == metrics.expected_ar == 1.0
         energies[solver] = entry["energy"]
     assert energies["exact"] == energies["exhaustive"] == -f_max

@@ -10,6 +10,7 @@ import satplan
 from satplan import Instance, Request, VarRef, load_instance, save_instance
 from satplan.bench import cell_seed
 from satplan.cli import main
+from helpers import probe_instance
 
 
 def write_source(tmp_path):
@@ -227,6 +228,36 @@ def test_solve_non_positive_optimum_exits_2(tmp_path, capsys):
     assert code == 1
     assert "non-positive optimum" in report["instances"][0]["error"]
     assert err == f"error: {report['instances'][0]['error']}\n"
+
+
+def test_node_budget_out_before_an_incumbent_is_named(tmp_path, capsys, monkeypatch):
+    # two nodes end the search before its first leaf; the optimum is positive
+    path = tmp_path / "probe.json"
+    save_instance(probe_instance(), path)
+    config = {"instances": [str(path)], "solvers": ["sa"], "node_budget": 2}
+    code, report = run_report(tmp_path, config)
+    assert code == 1
+    assert report["instances"][0]["error"] == (
+        "instance 'probe': node budget 2 ran out before an incumbent was found; AR undefined"
+    )
+    capsys.readouterr()
+    # solve has no budget flag: its search gets the same two nodes
+    search = satplan.bench.solve_exact
+    monkeypatch.setattr(satplan.bench, "solve_exact", lambda inst, budget: search(inst, 2))
+    assert main(["solve", str(path), "--solver", "sa"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: instance 'probe': node budget ")
+    assert err.endswith(" ran out before an incumbent was found; AR undefined\n")
+
+
+def test_solve_exact_on_ids_out_of_file_order_scores_one(tmp_path):
+    path = tmp_path / "probe.json"
+    save_instance(probe_instance(), path)
+    out = tmp_path / "cell.json"
+    assert main(["solve", str(path), "--solver", "exact", "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["f_max"] == 0.9999999999999999
+    assert doc["metrics"]["expected_ar"] == doc["metrics"]["best_ar"] == 1.0
 
 
 @pytest.mark.parametrize("solver", ["exact", "sa", "qaoa", "exhaustive"])

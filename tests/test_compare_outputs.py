@@ -1,9 +1,12 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from compare_outputs import differing_files, first_differing_line  # noqa: E402
+import compare_outputs  # noqa: E402
+from compare_outputs import compare_workload, differing_files, first_differing_line  # noqa: E402
 
 
 def test_differing_files_lists_changed_missing_and_extra_files(tmp_path):
@@ -31,3 +34,29 @@ def test_first_differing_line_names_the_line_in_each_tree(tmp_path):
     assert first_differing_line(a, a) is None
     b.write_bytes(b"\xff\xfe")  # not UTF-8: no line to show
     assert first_differing_line(a, b) is None
+
+
+@pytest.mark.parametrize(
+    "parent_run, change_run, failed",
+    [
+        ((0, True), (0, True), False),
+        ((1, False), (1, False), True),  # both crash: no file to compare
+        ((0, False), (0, False), True),  # both exit 0 but write no report
+        ((1, True), (1, True), True),  # equal outputs of a partial failure
+        ((0, True), (2, False), True),
+    ],
+)
+def test_a_failed_run_fails_the_comparison(tmp_path, monkeypatch, parent_run, change_run, failed):
+    outcomes = {"parent_src": parent_run, "change_src": change_run}
+
+    def run_tree(src, config, out):
+        code, writes_report = outcomes[src.name]
+        out.mkdir(parents=True)
+        if writes_report:
+            (out / "report.json").write_text("{}\n")
+        return code
+
+    monkeypatch.setattr(compare_outputs, "run_tree", run_tree)
+    config, work = tmp_path / "config.json", tmp_path / "work"
+    parent, change = tmp_path / "parent_src", tmp_path / "change_src"
+    assert compare_workload("w", config, work, parent, change) is failed

@@ -13,7 +13,7 @@ from satplan import (
     objective,
     solve_exact,
 )
-from helpers import brute_force_best, random_instance, reference_solve_exact
+from helpers import brute_force_best, random_instance, reference_solve_exact, shuffled_requests
 
 
 def _mono(rid, weight=1.0, cams=(1,), caps=None):
@@ -115,6 +115,9 @@ def test_solve_triple_takes_two_of_three():
 
 def test_solver_matches_brute_force_enumeration():
     rng = np.random.default_rng(41)
+    # a separate stream draws the tenths and the shuffles, so the instances
+    # drawn from ``rng`` stay the same
+    order_rng = np.random.default_rng(42)
     for trial in range(30):
         inst = random_instance(
             rng,
@@ -126,13 +129,17 @@ def test_solver_matches_brute_force_enumeration():
         )
         if len(inst.variables) > 12:
             continue
-        result = solve_exact(inst)
-        oracle_value, _ = brute_force_best(inst)
-        assert result.proven_optimal
-        assert result.best_value == oracle_value
-        report = check_feasible(inst, result.best_assignment)
-        assert report.feasible
-        assert objective(inst, result.best_assignment) == result.best_value
+        # and a copy with tenths weights whose ids are out of file order,
+        # where a sum's last bits depend on the order the weights are added in
+        shuffled = shuffled_requests(order_rng, _weighted(order_rng, inst, _tenths))
+        for case in (inst, shuffled):
+            result = solve_exact(case)
+            oracle_value, _ = brute_force_best(case)
+            assert result.proven_optimal
+            assert result.best_value == oracle_value
+            report = check_feasible(case, result.best_assignment)
+            assert report.feasible
+            assert objective(case, result.best_assignment) == result.best_value
 
 
 def test_budget_exhaustion_returns_incumbent():

@@ -13,15 +13,15 @@ from satplan import (
     SampleSet,
     VarRef,
     aggregate,
-    approximation_ratio,
     check_feasible,
     encode,
+    objective,
     run_metrics,
     sample_sa,
     solve_exact,
 )
 from satplan.anneal import SampleEntry
-from helpers import random_instance, reference_ar, reference_run_metrics
+from helpers import random_instance, reference_ar, reference_run_metrics, shuffled_requests
 
 
 def _metrics(expected, best=None):
@@ -46,26 +46,6 @@ def pair_instance():
     )
 
 
-def test_ar_examples(pair_instance):
-    f_max = solve_exact(pair_instance).best_value
-    assert f_max == 3.0
-    assert approximation_ratio(pair_instance, f_max, [0, 1]) == 1.0
-    assert approximation_ratio(pair_instance, f_max, [1, 1]) == 0.0  # forbidden pair
-    assert approximation_ratio(pair_instance, f_max, [0, 0]) == 0.0  # empty but feasible
-    assert approximation_ratio(pair_instance, f_max, [1, 0]) == 2.0 / 3.0
-
-
-def test_ar_ignores_slack_bits(pair_instance):
-    f_max = 3.0
-    for slack in ([0], [1]):
-        assert approximation_ratio(pair_instance, f_max, [0, 1] + slack) == 1.0
-
-
-def test_ar_undefined_for_degenerate_optimum(pair_instance):
-    with pytest.raises(ValueError):
-        approximation_ratio(pair_instance, 0.0, [0, 1])
-
-
 def _sample_set(entries):
     total = sum(c for _, _, c in entries)
     return SampleSet(
@@ -74,6 +54,32 @@ def _sample_set(entries):
         sampler_tag="test",
         seed=0,
     )
+
+
+def _one_read(inst, f_max, bits: str) -> RunMetrics:
+    """Metrics of a sample set holding the single read ``bits``."""
+    return run_metrics(inst, f_max, _sample_set([(bits, 0.0, 1)]))
+
+
+def test_ar_examples(pair_instance):
+    f_max = solve_exact(pair_instance).best_value
+    assert f_max == 3.0
+    assert _one_read(pair_instance, f_max, "01").expected_ar == 1.0
+    assert _one_read(pair_instance, f_max, "11").expected_ar == 0.0  # forbidden pair
+    assert _one_read(pair_instance, f_max, "00").expected_ar == 0.0  # empty but feasible
+    assert _one_read(pair_instance, f_max, "10").expected_ar == 2.0 / 3.0
+
+
+def test_ar_ignores_slack_bits(pair_instance):
+    f_max = 3.0
+    for slack in "01":
+        assert _one_read(pair_instance, f_max, "01" + slack).expected_ar == 1.0
+
+
+def test_ar_undefined_for_degenerate_optimum(pair_instance):
+    for f_max in (0.0, -1.0):
+        with pytest.raises(ValueError, match="f_max <= 0"):
+            _one_read(pair_instance, f_max, "01")
 
 
 def test_run_metrics_all_optimal(pair_instance):
@@ -158,7 +164,7 @@ def test_run_metrics_is_the_count_weighted_approximation_ratio():
         keys = sorted({"".join(map(str, row)) for row in rows})
         samples = _sample_set([(key, 0.0, int(c)) for key, c in zip(keys, counts)])
         m = run_metrics(inst, f_max, samples)
-        ratios = [approximation_ratio(inst, f_max, e.bit_array()) for e in samples.entries]
+        ratios = [_one_read(inst, f_max, e.bits).expected_ar for e in samples.entries]
         weighted = 0.0
         for entry, ar in zip(samples.entries, ratios):
             weighted += entry.count * ar
@@ -176,9 +182,32 @@ _WEIGHTS = {
 }
 
 
+def _check_scorer(rng, inst, f_max, q, optimum=None):
+    """``run_metrics`` over random samples, and over each sample alone, equals
+    the per-entry oracle; ``optimum`` decision bits, if given, score 1."""
+    rows = (rng.random((60, q.num_variables)) < 0.35).astype(np.uint8)
+    keys = {"".join(map(str, row)) for row in rows}
+    if optimum is not None:
+        keys.add("".join(map(str, optimum)) + "0" * q.s)
+    keys = sorted(keys)
+    counts = rng.integers(1, 20, size=len(keys))
+    samples = _sample_set([(key, 0.0, int(c)) for key, c in zip(keys, counts)])
+    m = run_metrics(inst, f_max, samples)
+    assert m == reference_run_metrics(inst, f_max, samples)
+    if optimum is not None:
+        assert m.best_ar == 1.0
+    for entry, bits in zip(samples.entries, samples.bit_matrix(q.n)):
+        feasible, expected = reference_ar(inst, f_max, bits)
+        one = _one_read(inst, f_max, entry.bits)
+        assert (one.expected_ar, one.feasible_fraction) == (expected, float(feasible))
+
+
 @pytest.mark.parametrize("weights", sorted(_WEIGHTS))
 def test_batched_scorer_matches_per_entry_oracle(weights):
     rng = np.random.default_rng([sorted(_WEIGHTS).index(weights), 53])
+    # a separate stream shuffles the request order, so the instances drawn
+    # from ``rng`` stay the same
+    order_rng = np.random.default_rng([sorted(_WEIGHTS).index(weights), 59])
     scored = 0
     for trial in range(12):
         inst = random_instance(
@@ -193,25 +222,21 @@ def test_batched_scorer_matches_per_entry_oracle(weights):
         f_max = solve_exact(inst).best_value
         if f_max <= 0:
             continue
-        q = encode(inst)
-        rows = (rng.random((60, q.num_variables)) < 0.35).astype(np.uint8)
-        keys = sorted({"".join(map(str, row)) for row in rows})
-        counts = rng.integers(1, 20, size=len(keys))
-        samples = _sample_set([(key, 0.0, int(c)) for key, c in zip(keys, counts)])
-        assert run_metrics(inst, f_max, samples) == reference_run_metrics(inst, f_max, samples)
-        for entry in samples.entries:
-            bits = entry.bit_array()
-            expected = reference_ar(inst, f_max, bits[: q.n])[1]
-            assert approximation_ratio(inst, f_max, bits) == expected
+        _check_scorer(rng, inst, f_max, encode(inst))
+        # ids out of file order: the scorer, ``objective`` and the search
+        # add the weights in one order, so the proven optimum scores 1
+        shuffled = shuffled_requests(order_rng, inst)
+        exact = solve_exact(shuffled)
+        assert objective(shuffled, exact.best_assignment) == exact.best_value
+        optimum = exact.best_assignment.to_bits(shuffled)
+        _check_scorer(order_rng, shuffled, exact.best_value, encode(shuffled), optimum)
         scored += 1
     assert scored >= 6
 
 
 def test_scorer_rejects_wrong_bit_counts(pair_instance):
     with pytest.raises(ValueError):
-        approximation_ratio(pair_instance, 3.0, [0])
-    with pytest.raises(ValueError):
-        run_metrics(pair_instance, 3.0, _sample_set([("0", 0.0, 1)]))
+        _one_read(pair_instance, 3.0, "0")
     with pytest.raises(ValueError):
         run_metrics(pair_instance, 3.0, _sample_set([("01", 0.0, 1), ("1", 0.0, 1)]))
 

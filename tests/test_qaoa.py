@@ -218,8 +218,9 @@ def test_expectations_and_samples_stay_in_qubo_energies():
         psi = apply_ansatz(table, result.params)
         assert result.expectation == expectation(table, psi)
         assert result.expectation == float(np.abs(psi) ** 2 @ table)
-        for entry in result.samples.entries:
-            assert entry.energy == q.energy(entry.bit_array())
+        samples = result.samples
+        for entry, bits in zip(samples.entries, samples.bit_matrix(q.num_variables)):
+            assert entry.energy == q.energy(bits)
 
 
 def _angle_sets(rng: np.random.Generator, layers: int) -> list[QaoaParams]:

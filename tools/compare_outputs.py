@@ -8,8 +8,9 @@ PARENT_SRC), then ``satplan run`` runs that config once from each tree, in a
 fresh interpreter with ``PYTHONPATH`` set to the tree.  Every file of the two
 output directories (report.json, results.csv, the plot CSVs and every sample
 file) is compared byte for byte.  Each differing, missing or extra file is
-listed, a differing text file with its first differing line from each tree;
-the exit code is 1 on any difference or failed run, else 0.
+listed, a differing text file with its first differing line from each tree.
+A run fails when it exits non-zero or writes no report.json.  The exit code
+is 1 on any difference or failed run, on either side, else 0.
 """
 
 from __future__ import annotations
@@ -63,6 +64,34 @@ def first_differing_line(a: Path, b: Path) -> tuple[int, str, str] | None:
     return None
 
 
+def compare_workload(name: str, config: Path, work: Path, parent: Path, change: Path) -> bool:
+    """Run ``config`` from the ``parent`` and ``change`` source trees into
+    ``work``/parent and ``work``/change and print each failed run and each
+    differing file; True when a run failed or a file differs."""
+    failed = False
+    for side, src in (("parent", parent), ("change", change)):
+        code = run_tree(src, config, work / side)
+        if code != 0:
+            print(f"{name}: satplan run from the {side} tree exited with {code}")
+        elif not (work / side / "report.json").is_file():
+            print(f"{name}: satplan run from the {side} tree wrote no report.json")
+        else:
+            continue
+        failed = True
+    diffs = differing_files(work / "parent", work / "change")
+    for rel in diffs:
+        print(f"{name}: {rel} differs")
+        a, b = work / "parent" / rel, work / "change" / rel
+        line = first_differing_line(a, b) if a.is_file() and b.is_file() else None
+        if line is not None:
+            number, line_a, line_b = line
+            print(f"  line {number} parent: {line_a[:_SHOWN]}")
+            print(f"  line {number} change: {line_b[:_SHOWN]}")
+    count = sum(1 for p in (work / "parent").rglob("*") if p.is_file())
+    print(f"{name}: {count} files compared, {len(diffs)} differ")
+    return failed or bool(diffs)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", type=Path, help="src directory of the parent tree")
@@ -82,22 +111,7 @@ def main(argv: list[str] | None = None) -> int:
         for name in WORKLOADS:
             work = Path(tmp) / name
             config, _, _ = write_inputs(name, args.seed, work)
-            code_a = run_tree(parent, config, work / "parent")
-            code_b = run_tree(change, config, work / "change")
-            diffs = differing_files(work / "parent", work / "change")
-            if code_a != code_b:
-                print(f"{name}: satplan run exited with {code_a} (parent), {code_b} (change)")
-            for rel in diffs:
-                print(f"{name}: {rel} differs")
-                a, b = work / "parent" / rel, work / "change" / rel
-                line = first_differing_line(a, b) if a.is_file() and b.is_file() else None
-                if line is not None:
-                    number, line_a, line_b = line
-                    print(f"  line {number} parent: {line_a[:_SHOWN]}")
-                    print(f"  line {number} change: {line_b[:_SHOWN]}")
-            failed |= bool(diffs) or code_a != code_b
-            count = sum(1 for p in (work / "parent").rglob("*") if p.is_file())
-            print(f"{name}: {count} files compared, {len(diffs)} differ")
+            failed |= compare_workload(name, config, work, parent, change)
     return int(failed)
 
 
