@@ -9,6 +9,7 @@ Run:  python3 demos/02_qubo_encoding.py
 import numpy as np
 
 from satplan import (
+    Assignment,
     Instance,
     Request,
     VarRef,
@@ -36,21 +37,21 @@ instance = Instance(
 qubo = encode(instance)
 print(f"{instance.name}: n={qubo.n} decision variables, s={qubo.s} slacks,"
       f" {qubo.num_terms()} stored terms, penalty M={qubo.penalty_m}")
-for k, slack in enumerate(qubo.registry.slack_vars):
+for k, slack in enumerate(qubo.slack_vars):
     print(f"  slack x{qubo.n + k}: {slack}")
 
 # The minimum penalty over slack settings is the violation cost of a
 # selection: 0 when feasible, at least M when any constraint fires.
 feasible_bits = [0, 0, 0, 1, 0, 0]   # request 1 only
 overload_bits = [0, 0, 0, 1, 1, 0]   # requests 1 and 2: load 5 > C=3
-print("\nmin-slack penalty, feasible pick:  ", min_slack_penalty(qubo, feasible_bits))
-print("min-slack penalty, disk overload:  ", min_slack_penalty(qubo, overload_bits))
+print("\nmin-slack penalty, feasible pick:  ", min_slack_penalty(instance, qubo, feasible_bits))
+print("min-slack penalty, disk overload:  ", min_slack_penalty(instance, qubo, overload_bits))
 
 # ---------------------------------------------------------------------------
 # Exhaustive minimisation of the QUBO reproduces the exact optimum.
 # ---------------------------------------------------------------------------
 bits, energy = solve_exhaustive(qubo)
-decoded = qubo.decode(bits)
+decoded = Assignment.from_bits(instance, bits[: qubo.n])
 reference = solve_exact(instance)
 print(f"\nexhaustive QUBO minimum: energy={energy}, decoded={decoded.camera_map()}")
 print(f"branch-and-bound optimum: F_max={reference.best_value}")

@@ -53,7 +53,6 @@ from .qubo import (
     IsingModel,
     Qubo,
     TernaryPairSlack,
-    VarRegistry,
     capacity_slack_count,
     complete_slacks,
     encode,

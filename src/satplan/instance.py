@@ -311,11 +311,15 @@ def _parse_request(obj, pos: int) -> Request:
         _expect(isinstance(raw, dict), f"{where}: capacity_by_camera must be an object")
         for key, val in raw.items():
             try:
-                caps[int(key)] = val
+                cam = int(key)
             except ValueError:
-                raise InstanceSchemaError(
-                    f"{where}: capacity_by_camera keys must be camera ids, got {key!r}"
-                ) from None
+                cam = None
+            # only the canonical spelling, so no two keys name one camera
+            _expect(
+                cam is not None and str(cam) == key,
+                f"{where}: capacity_by_camera keys must be camera ids, got {key!r}",
+            )
+            caps[cam] = val
     return Request(
         id=obj["id"],
         kind=obj["kind"],

@@ -45,7 +45,7 @@ from typing import Iterator, Mapping, Union
 
 import numpy as np
 
-from .instance import Assignment, Instance, VarRef
+from .instance import Instance, VarRef
 
 MAX_TABLE_VARIABLES = 26  # a 2^N energy table: 512 MiB of float64 at 26
 
@@ -68,32 +68,11 @@ class CapacityBitSlack:
 SlackRef = Union[TernaryPairSlack, CapacityBitSlack]
 
 
-@dataclass(frozen=True)
-class VarRegistry:
-    decision_vars: tuple[VarRef, ...]
-    slack_vars: tuple[SlackRef, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.decision_vars)
-
-    @property
-    def s(self) -> int:
-        return len(self.slack_vars)
-
-    @property
-    def num_variables(self) -> int:
-        return self.n + self.s
-
-
 def capacity_slack_count(capacity: int) -> int:
     """Fewest binary digits D with 2^D - 1 >= capacity."""
     if capacity < 0:
         raise ValueError("capacity must be >= 0")
-    d = 0
-    while (1 << d) - 1 < capacity:
-        d += 1
-    return d
+    return capacity.bit_length()
 
 
 def _frozen_terms(coefficients: Mapping[tuple[int, int], float]):
@@ -127,6 +106,10 @@ def _pair_axes(table: np.ndarray, i: int, j: int) -> np.ndarray:
 class Qubo:
     """Immutable quadratic form over decision + slack bits.
 
+    The last ``s`` of the ``num_variables`` bits are the slacks, described
+    by ``slack_vars``; the first ``n`` are the decision bits, which the
+    QUBO does not name: ``encode`` lays them out as ``inst.variables``.
+    ``num_variables`` defaults to one past the largest coefficient index.
     ``encode`` records the load vector of a capacity penalty as
     ``capacity_load``; it changes no energy.  ``flip_bounds[i]`` is
     ``|c_ii| + sum_j |c_ij|``, the largest flip cost of variable i.
@@ -138,9 +121,8 @@ class Qubo:
         *,
         offset: float = 0.0,
         penalty_m: float = 1.0,
-        registry: VarRegistry | None = None,
-        objective_diag: np.ndarray | None = None,
         num_variables: int | None = None,
+        slack_vars: tuple[SlackRef, ...] = (),
         capacity_load: np.ndarray | None = None,
     ):
         if not 0 < penalty_m < math.inf:
@@ -150,21 +132,18 @@ class Qubo:
         self._rows, self._cols, self._vals = _frozen_terms(coefficients)
         if not np.all(np.isfinite(self._vals)):
             raise ValueError("coefficients must be finite")
-        if registry is not None:
-            nv = registry.num_variables
-        elif num_variables is not None:
+        if num_variables is not None:
             nv = num_variables
         else:
             nv = int(self._cols.max()) + 1 if len(self._cols) else 0
         if len(self._cols) and int(self._cols.max()) >= nv:
             raise ValueError("coefficient index out of range")
-        self.registry = registry
+        if len(slack_vars) > nv:
+            raise ValueError(f"{len(slack_vars)} slack variables exceed {nv} variables")
+        self.slack_vars = tuple(slack_vars)
         self.offset = float(offset)
         self.penalty_m = float(penalty_m)
         self._nv = nv
-        if objective_diag is None:
-            objective_diag = np.zeros(nv)
-        self._objective_diag = np.asarray(objective_diag, dtype=np.float64)
         self.capacity_load: np.ndarray | None = None
         if capacity_load is not None:
             load = self.capacity_load = np.asarray(capacity_load, dtype=np.float64)
@@ -189,11 +168,11 @@ class Qubo:
 
     @property
     def n(self) -> int:
-        return self.registry.n if self.registry is not None else self._nv
+        return self._nv - len(self.slack_vars)
 
     @property
     def s(self) -> int:
-        return self.registry.s if self.registry is not None else 0
+        return len(self.slack_vars)
 
     def terms(self) -> Iterator[tuple[int, int, float]]:
         """Stored terms, row-major, i <= j, diagonal = linear coefficients."""
@@ -279,18 +258,6 @@ class Qubo:
         return e
 
     # -- conversions ---------------------------------------------------
-
-    def decode(self, bits) -> Assignment:
-        """Drop slack bits and map the first n components back to (request, camera) picks."""
-        if self.registry is None:
-            raise ValueError("this QUBO has no variable registry to decode against")
-        b = np.asarray(bits)
-        if b.shape != (self._nv,):
-            raise ValueError(f"expected {self._nv} bits, got shape {b.shape}")
-        taken = tuple(
-            ref for ref, bit in zip(self.registry.decision_vars, b[: self.n]) if bit
-        )
-        return Assignment(taken)
 
     def to_ising(self) -> "IsingModel":
         """Equivalent +/-1-spin model via z_i = 1 - 2 x_i; energies match exactly."""
@@ -475,16 +442,12 @@ def encode(inst: Instance, m: float | None = None) -> Qubo:
     if not math.isfinite(abs(offset) + sum(abs(v) for v in coeffs.values())):
         raise ValueError(f"penalty magnitude {big_m!r} takes energies past the largest float")
 
-    registry = VarRegistry(decision_vars=order, slack_vars=tuple(slack_refs))
-    objective_diag = np.zeros(registry.num_variables)
-    for v, ref in enumerate(order):
-        objective_diag[v] = -inst.weight_of(ref.request_id)
     return Qubo(
         coeffs,
         offset=offset,
         penalty_m=big_m,
-        registry=registry,
-        objective_diag=objective_diag,
+        num_variables=n + len(slack_refs),
+        slack_vars=tuple(slack_refs),
         capacity_load=capacity_load,
     )
 
@@ -503,7 +466,7 @@ def complete_slacks(inst: Instance, q: Qubo, decision_bits) -> np.ndarray:
     if inst.disk_capacity is not None:
         load = sum(inst.capacity_of(ref) for ref, x in zip(inst.variables, dec) if x)
         spare = max(inst.disk_capacity - load, 0)
-    for k, slack in enumerate(q.registry.slack_vars, start=q.n):
+    for k, slack in enumerate(q.slack_vars, start=q.n):
         if isinstance(slack, TernaryPairSlack):
             bits[k] = dec[index[slack.q]] & dec[index[slack.r]]
         else:
@@ -511,12 +474,14 @@ def complete_slacks(inst: Instance, q: Qubo, decision_bits) -> np.ndarray:
     return bits
 
 
-def min_slack_penalty(q: Qubo, decision_bits) -> float:
-    """Minimum total penalty over all slack completions of the decision bits.
+def min_slack_penalty(inst: Instance, q: Qubo, decision_bits) -> float:
+    """Minimum total penalty over all slack completions of the decision bits
+    of ``inst`` under ``q``, its encoding.
 
-    Test oracle: subtracts the objective contribution, so a feasible
-    selection scores exactly 0 and any violation scores at least the
-    penalty magnitude.  Refuses more than 24 slack bits.
+    Test oracle: subtracts the objective, the request weights of the
+    selected variables, so a feasible selection scores exactly 0 and any
+    violation scores at least the penalty magnitude.  Refuses more than 24
+    slack bits.
     """
     n, s = q.n, q.s
     dec = np.asarray(decision_bits, dtype=np.uint8)
@@ -531,5 +496,6 @@ def min_slack_penalty(q: Qubo, decision_bits) -> float:
     for k in range(s):
         bits[:, n + k] = (slack_idx >> np.uint32(k)) & np.uint32(1)
     energies = q.energies(bits)
-    objective_part = float(q._objective_diag[:n] @ dec)
+    weights = np.array([-inst.weight_of(ref.request_id) for ref in inst.variables], np.float64)
+    objective_part = float(weights @ dec)
     return float(energies.min() - objective_part)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from satplan import (
+    Assignment,
     Instance,
     QaoaParams,
     ReductionSpec,
@@ -94,7 +95,7 @@ def test_criterion_2_encoding_correctness():
         assert any(inst.ternary_forbidden for inst, _ in instances)
         for inst, qubo in instances:
             bits, _ = solve_exhaustive(qubo)
-            assignment = qubo.decode(bits)
+            assignment = Assignment.from_bits(inst, bits[: qubo.n])
             assert check_feasible(inst, assignment).feasible
             value = sum(inst.weight_of(ref.request_id) for ref in assignment.taken)
             assert value == solve_exact(inst).best_value

@@ -335,7 +335,8 @@ def _scaled(q: Qubo, s: float) -> Qubo:
     same load: its derived betas are those of ``q`` over ``s``."""
     return Qubo(
         {(i, j): v * s for i, j, v in q.terms()}, offset=q.offset * s,
-        penalty_m=q.penalty_m * s, registry=q.registry, capacity_load=q.capacity_load,
+        penalty_m=q.penalty_m * s, num_variables=q.num_variables, slack_vars=q.slack_vars,
+        capacity_load=q.capacity_load,
     )
 
 
@@ -498,7 +499,8 @@ def test_capacity_load_changes_no_sample_and_no_dense_view():
         assert anneal_settings(q)[3]
         dense = Qubo(
             {(i, j): v for i, j, v in q.terms()},
-            offset=q.offset, penalty_m=q.penalty_m, registry=q.registry,
+            offset=q.offset, penalty_m=q.penalty_m, num_variables=q.num_variables,
+            slack_vars=q.slack_vars,
         )
         assert dense.capacity_load is None
         assert q.to_json() == dense.to_json()

@@ -59,6 +59,10 @@ def test_malformed_json_is_a_syntax_error():
         lambda d: d["requests"][0].__setitem__("kind", "pano"),
         lambda d: d["requests"][0].__setitem__("kind", 7),
         lambda d: d.__setitem__("disk_capacity", 2.5),
+        # a camera id spelled other than canonically: "01" would read back as
+        # "1", and "+1" would silently overwrite the value under "1"
+        lambda d: d["requests"][0].__setitem__("capacity_by_camera", {"01": 1}),
+        lambda d: d["requests"][0].__setitem__("capacity_by_camera", {"1": 1, "+1": 2}),
     ],
 )
 def test_schema_errors(mutate):

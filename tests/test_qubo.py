@@ -102,9 +102,9 @@ def test_ternary_penalty_structure():
     q = encode(inst)
     m = q.penalty_m
     assert q.s == 1
-    assert isinstance(q.registry.slack_vars[0], TernaryPairSlack)
-    assert q.registry.slack_vars[0].q == VarRef(1, 1)
-    assert q.registry.slack_vars[0].r == VarRef(2, 1)
+    assert isinstance(q.slack_vars[0], TernaryPairSlack)
+    assert q.slack_vars[0].q == VarRef(1, 1)
+    assert q.slack_vars[0].r == VarRef(2, 1)
     terms = _terms(q)
     assert terms[(0, 3)] == m
     assert terms[(1, 2)] == m
@@ -141,7 +141,7 @@ def test_capacity_slack_digits():
         disk_capacity=5,
     )
     q = encode(inst)
-    digits = [s for s in q.registry.slack_vars if isinstance(s, CapacityBitSlack)]
+    digits = [s for s in q.slack_vars if isinstance(s, CapacityBitSlack)]
     assert [s.d for s in digits] == [1, 2, 3]
     # binary expansion coefficients 1, 2, 4 show up against the budget term
     terms = _terms(q)
@@ -154,7 +154,7 @@ def test_capacity_slack_digits():
 
 
 def test_capacity_slack_count_rule():
-    for cap in range(0, 200):
+    for cap in [*range(0, 200), 2**1000]:
         d = capacity_slack_count(cap)
         assert 2**d - 1 >= cap
         assert d == 0 or 2 ** (d - 1) - 1 < cap
@@ -216,6 +216,7 @@ def test_field_bound_covers_integer_qubos_only(q, bound):
         ({(0, 0): 1.0}, dict(penalty_m=np.inf), "penalty_m"),
         ({(0, 0): 1.0}, dict(capacity_load=[np.nan]), "capacity load"),
         ({(0, 0): 1.0}, dict(capacity_load=[np.inf]), "capacity load"),
+        ({(0, 0): 1.0}, dict(slack_vars=(CapacityBitSlack(1),) * 2), "slack"),
     ],
 )
 def test_non_finite_qubo_is_rejected(coefficients, kwargs, match):
@@ -394,8 +395,8 @@ def test_min_slack_penalty_examples():
         ternary_forbidden=frozenset({triple}),
     )
     q = encode(inst)
-    assert min_slack_penalty(q, [1, 1, 0]) == 0.0  # feasible: two of three
-    assert min_slack_penalty(q, [1, 1, 1]) == q.penalty_m  # the cubic fires
+    assert min_slack_penalty(inst, q, [1, 1, 0]) == 0.0  # feasible: two of three
+    assert min_slack_penalty(inst, q, [1, 1, 1]) == q.penalty_m  # the cubic fires
 
     cap_inst = Instance(
         name="mspc",
@@ -403,8 +404,8 @@ def test_min_slack_penalty_examples():
         disk_capacity=3,
     )
     qc = encode(cap_inst)
-    assert min_slack_penalty(qc, [0, 1]) == 0.0  # load 3 == C
-    assert min_slack_penalty(qc, [1, 1]) >= qc.penalty_m  # load 5 > C
+    assert min_slack_penalty(cap_inst, qc, [0, 1]) == 0.0  # load 3 == C
+    assert min_slack_penalty(cap_inst, qc, [1, 1]) >= qc.penalty_m  # load 5 > C
 
 
 def test_complete_slacks_minimise_the_penalty():
@@ -430,7 +431,7 @@ def test_complete_slacks_minimise_the_penalty():
             objective = -sum(
                 inst.weight_of(ref.request_id) for ref, x in zip(inst.variables, dec) if x
             )
-            assert q.energy(bits) - objective == min_slack_penalty(q, dec)
+            assert q.energy(bits) - objective == min_slack_penalty(inst, q, dec)
             checked += 1
     assert checked == 200
 
@@ -444,7 +445,7 @@ def test_complete_slacks_examples():
         disk_capacity=6,
     )
     q = encode(inst)
-    assert q.registry.slack_vars == (
+    assert q.slack_vars == (
         TernaryPairSlack(VarRef(1, 1), VarRef(2, 1)),
         CapacityBitSlack(1), CapacityBitSlack(2), CapacityBitSlack(3),
     )
@@ -475,7 +476,7 @@ def test_capacity_equivalence_over_all_decision_vectors():
         for state in range(1 << n):
             bits = [(state >> i) & 1 for i in range(n)]
             load = sum(inst.capacity_of(ref) * b for ref, b in zip(inst.variables, bits))
-            penalty = min_slack_penalty(q, bits)
+            penalty = min_slack_penalty(inst, q, bits)
             if load <= inst.disk_capacity:
                 assert penalty == 0.0
             else:
@@ -501,7 +502,7 @@ def test_global_optimum_correspondence():
         table = q.energy_table()
         winner = int(np.argmin(table))
         bits = np.array([(winner >> i) & 1 for i in range(q.num_variables)], dtype=np.uint8)
-        assignment = q.decode(bits)
+        assignment = Assignment.from_bits(inst, bits[: q.n])
         assert check_feasible(inst, assignment).feasible
         f_max = solve_exact(inst).best_value
         assert sum(inst.weight_of(ref.request_id) for ref in assignment.taken) == f_max
@@ -560,28 +561,6 @@ def test_slack_count_formula():
         ):
             expected += capacity_slack_count(inst.disk_capacity)
         assert q.s == expected
-
-
-def test_decode_examples():
-    inst = Instance(
-        name="d",
-        requests=(_mono(3, cams=(1, 2)),),
-    )
-    q = encode(inst)
-    assert q.decode([0, 0]).taken == ()
-    assert q.decode([0, 1]).camera_map() == {3: 2}
-
-
-def test_decode_flatten_identity():
-    rng = np.random.default_rng(71)
-    for trial in range(20):
-        inst = random_instance(rng, n_requests=int(rng.integers(1, 6)), name=f"df{trial}")
-        q = encode(inst)
-        n = q.n
-        bits = rng.integers(0, 2, size=n, dtype=np.uint8)
-        a = Assignment.from_bits(inst, bits)
-        full = np.concatenate([a.to_bits(inst), np.zeros(q.s, dtype=np.uint8)])
-        assert q.decode(full) == a
 
 
 def test_export_json_shape():
