@@ -38,12 +38,33 @@ flip bound is below 2^23, so ``beta_start >= ln 2 / 2^23``.
 
 Kernel layout.  ``sgn = 1 - 2x`` (+1 or -1) and the local fields are kept
 as contiguous ``(variables, reads)`` arrays, so one variable's values over
-all reads form one row.  Each sweep draws its ``(variables, reads)`` block
-of uniforms in one call, which is the same stream, in the same order, as
-one ``rng.random(reads)`` per variable, in either dtype.  Each call
-builds a plan once: per variable, views of its field, sign and threshold
-rows, its load scale, and the rows its flips update (below), so a step
-indexes no array.
+all reads form one row.  Each sweep's ``(variables, reads)`` block of
+uniforms is drawn in one call, which is the same stream, in the same
+order, as one ``rng.random(reads)`` per variable, in either dtype; a
+producer thread draws it one sweep ahead, in sweep order (below).  Each
+call builds a plan once per threshold block: per variable, views of its
+field, sign and threshold rows, its load scale, and the rows its flips
+update (below), so a step indexes no array.
+
+Threshold thread.  Turning a sweep's uniforms into thresholds depends on
+nothing the sweep changes, and its three numpy calls (draw, log, scale)
+release the GIL.  So each ``sample_sa`` call starts a producer thread that
+fills one of two threshold blocks while the main thread runs the sweep that
+reads the other; two ``queue.SimpleQueue`` hand block indices back and
+forth, one for blocks to fill and one for blocks filled.  Only the producer
+draws from the generator after the initial states, one block per sweep in
+sweep order, so every sample is the same as from one thread.  An exception
+in the producer goes through the queue and is raised by the main thread;
+the main loop's ``finally`` stops the producer and joins it, so no thread
+outlives the call.  The cost is one more block (184 KB at 23 variables and
+2000 reads in float32).  On the six seed-0 ``sa-capacity`` benchmark QUBOs
+the six calls took 0.175-0.179 s against 0.226-0.241 s when the sweep drew
+its own thresholds (two processes each, three rounds of the six calls), and
+the two seed-0 ``reference-sparse`` calls 0.057-0.064 s against
+0.092-0.099 s (shared 2-core Intel Xeon, numpy 2.4.6).  Pinned to one CPU
+the six ``sa-capacity`` calls took 0.230-0.233 s against 0.227-0.232 s.
+A ``threading.Semaphore`` handoff, and blocks of several sweeps, paid less
+(see ROADMAP.md).
 
 Precision and test.  Where the fields are exact, fields, loads, flip
 vectors and their products are the same integers in float32 as in
@@ -55,9 +76,10 @@ distribution: in float32 u is a multiple of 2^-24, so acceptance
 probabilities are resolved to 2^-24 (2^-53 in float64).  ``delta <= 0``
 always flips, since ``t > 0``.  ``u = 0`` (probability 2^-24 per draw in
 float32) gives ``ln(0) = -inf`` and ``t = +inf``, an accept, with the
-division warning silenced; so does a float64 beta small enough (below
-about 1e-307, from coefficients near 1e307) to take a threshold past the
-largest float, which every finite delta is below anyway.  Within the
+division warning silenced in the producer thread; so does a float64
+beta small enough (below about 1e-307, from coefficients near 1e307) to
+take a threshold past the largest float, which every finite delta is
+below anyway.  Within the
 certified beta range, ``-ln(u)`` from 6e-8 to 16.7 gives float32
 thresholds from about 6e-9 to 2e8: positive, finite, normal numbers.
 Energies are recomputed in float64 from the final states.
@@ -130,6 +152,8 @@ from __future__ import annotations
 
 import json
 import math
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,8 +181,9 @@ class AnnealSchedule:
     restarts_per_read = 1
 
     def __post_init__(self) -> None:
-        if self.sweeps < 1:
-            raise ValueError("sweeps must be >= 1")
+        sweeps = self.sweeps
+        if not isinstance(sweeps, int) or isinstance(sweeps, bool) or sweeps < 1:
+            raise ValueError(f"sweeps must be an integer >= 1, got {sweeps!r}")
 
 
 def _field_bound(q: Qubo) -> float:
@@ -289,6 +314,30 @@ def _coupling_groups(row: np.ndarray) -> list[tuple[float, list[int]]]:
     return list(groups.items())
 
 
+def _fill_thresholds(rng, blocks, betas, free, full) -> None:
+    """Producer thread of :func:`sample_sa`: for each beta in turn, take a
+    free block index from ``free``, fill that block with the sweep's
+    thresholds ``t = -ln(u) / beta`` and put the index on ``full``.  It
+    stops at a ``None`` index, and hands any exception to ``full``."""
+    try:
+        # t = -ln(u) / beta; u = 0 gives t = +inf, an accept.  In float64
+        # a beta below about 1e-307 can take t past the largest float,
+        # which accepts every finite delta, as the exact t would.  The
+        # error state is per thread, so it is set here
+        with np.errstate(divide="ignore", over="ignore"):
+            for beta in betas:
+                k = free.get()
+                if k is None:
+                    return
+                t = blocks[k]
+                rng.random(out=t, dtype=t.dtype)
+                np.log(t, out=t)
+                t *= -1.0 / beta
+                full.put(k)
+    except BaseException as exc:  # re-raised by sample_sa
+        full.put(exc)
+
+
 def sample_sa(
     q: Qubo,
     reads: int,
@@ -319,7 +368,6 @@ def sample_sa(
     groups = [_coupling_groups(row) for row in np.column_stack([remainder, load])]
     scales = scale.tolist()
 
-    thresholds = np.empty((nv, reads), dtype)
     delta = np.empty(reads, dtype)
     accept = np.empty(reads, dtype=bool)
     dx = np.empty(reads, dtype)
@@ -328,50 +376,73 @@ def sample_sa(
     fields = np.zeros((nv, reads), dtype)
     total_load = np.zeros(reads, dtype)  # L, one per read
     sgn = np.ascontiguousarray(states.T, dtype=dtype)  # x until set-up ends
-    # per variable: its rows of fields, sgn and thresholds, its load
-    # scale, and the rows its flips update, under each coupling value
+    # two blocks of thresholds: the producer fills one while a sweep reads
+    # the other (see the module docstring)
+    blocks = (np.empty((nv, reads), dtype), np.empty((nv, reads), dtype))
+    # per block, per variable: its rows of fields, sgn and thresholds, its
+    # load scale (None without a load), and the rows its flips update,
+    # under each coupling value
+    scalar = dtype.type
     targets = [*fields, total_load]
-    plan = [
-        (fields[i], sgn[i], thresholds[i], scales[i],
-         [(w_ij, [targets[j] for j in cols]) for w_ij, cols in groups[i]])
+    coupled = [
+        [(scalar(w_ij), [targets[j] for j in cols]) for w_ij, cols in groups[i]]
         for i in range(nv)
+    ]
+    plans = [
+        [
+            (fields[i], sgn[i], thresholds[i], scalar(c_i) if c_i else None, coupled[i])
+            for i, c_i in enumerate(scales)
+        ]
+        for thresholds in blocks
     ]
     # the initial fields and loads, summed over the variables in index
     # order as the flips will update them (see the module docstring)
-    for _, x_i, _, _, coupled in plan:
-        for w_ij, rows in coupled:
+    for _, x_i, _, _, coupled_i in plans[0]:
+        for w_ij, rows in coupled_i:
             np.multiply(x_i, w_ij, out=product)
             for row in rows:
                 row += product
     fields += diag[:, None]
     sgn *= -2.0
     sgn += 1.0
-    for beta in betas:
-        rng.random(out=thresholds, dtype=dtype)
-        # t = -ln(u) / beta; u = 0 gives t = +inf, an accept.  In
-        # float64 a beta below about 1e-307 can take t past the largest
-        # float, which accepts every finite delta, as the exact t would
-        with np.errstate(divide="ignore", over="ignore"):
-            np.log(thresholds, out=thresholds)
-            thresholds *= -1.0 / beta
-        for field_i, sgn_i, t_i, c_i, coupled in plan:
-            if c_i:  # delta = sgn_i * (fields_i + 2M a_i L)
-                np.multiply(total_load, c_i, out=delta)
-                delta += field_i
-                delta *= sgn_i
-            else:
-                np.multiply(sgn_i, field_i, out=delta)
-            np.less(delta, t_i, out=accept)
-            if not np.count_nonzero(accept):
-                continue
-            # x_i changes by sgn_i = 1 - 2 x_i on flipped reads, by +-0 elsewhere
-            np.multiply(sgn_i, accept, out=dx)
-            sgn_i -= dx
-            sgn_i -= dx
-            for w_ij, rows in coupled:
-                np.multiply(dx, w_ij, out=product)
-                for row in rows:
-                    row += product
+    free, full = queue.SimpleQueue(), queue.SimpleQueue()
+    for k in range(len(blocks)):
+        free.put(k)
+    producer = threading.Thread(
+        target=_fill_thresholds,
+        args=(rng, blocks, betas, free, full),
+        name="sa-thresholds",
+        daemon=True,
+    )
+    producer.start()
+    multiply, less, count_nonzero = np.multiply, np.less, np.count_nonzero
+    try:
+        for _ in betas:
+            k = full.get()
+            if isinstance(k, BaseException):
+                raise k
+            for field_i, sgn_i, t_i, c_i, coupled_i in plans[k]:
+                if c_i is not None:  # delta = sgn_i * (fields_i + 2M a_i L)
+                    multiply(total_load, c_i, delta)
+                    delta += field_i
+                    delta *= sgn_i
+                else:
+                    multiply(sgn_i, field_i, delta)
+                less(delta, t_i, accept)
+                if not count_nonzero(accept):
+                    continue
+                # x_i changes by sgn_i = 1 - 2 x_i on flipped reads, by +-0 elsewhere
+                multiply(sgn_i, accept, dx)
+                sgn_i -= dx
+                sgn_i -= dx
+                for w_ij, rows in coupled_i:
+                    multiply(dx, w_ij, product)
+                    for row in rows:
+                        row += product
+            free.put(k)
+    finally:
+        free.put(None)  # stops a producer still waiting for a block
+        producer.join()
     states = np.ascontiguousarray((sgn < 0.0).T, dtype=np.uint8)  # x = 1 where sgn = -1
     return SampleSet.from_states(states, q.energies(states), "sa", seed)
 

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -192,6 +193,11 @@ def test_exhaustive_size_guard():
 def test_schedule_validation():
     with pytest.raises(ValueError):
         AnnealSchedule(sweeps=0)
+    # a sweep count that is not an int failed later inside np.geomspace,
+    # and True annealed one sweep
+    for sweeps in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="sweeps must be an integer"):
+            AnnealSchedule(sweeps=sweeps)
     # each read is one chain: restarts are not a setting
     with pytest.raises(TypeError):
         AnnealSchedule(restarts_per_read=2)
@@ -450,6 +456,63 @@ def test_sample_sa_matches_reference_loop(case, seed):
     got, ref = sample_sa(q, reads, sched, seed), reference_sample_sa(q, reads, sched, seed)
     assert got == ref
     assert got.to_json() == ref.to_json()  # == takes -0.0 for 0.0
+
+
+
+class _Injected(Exception):
+    pass
+
+
+def _raise_on_call(fn, n):
+    """``fn``, except that its ``n``-th call raises ``_Injected``."""
+
+    def wrapper(*args, **kwargs):
+        wrapper.calls += 1
+        if wrapper.calls == n:
+            raise _Injected(n)
+        return fn(*args, **kwargs)
+
+    wrapper.calls = 0
+    return wrapper
+
+
+_LIFECYCLE_CASE = (lambda: _encoded(6, True, 7), 50, AnnealSchedule(sweeps=10))
+
+
+def test_sample_sa_leaves_no_thread_behind():
+    build, reads, sched = _LIFECYCLE_CASE
+    before = threading.enumerate()
+    sample_sa(build(), reads, sched, seed=1)
+    assert threading.enumerate() == before
+
+
+# the thresholds of sweep 1, and of sweep 4 while the main thread anneals
+@pytest.mark.parametrize("n", [1, 4])
+def test_a_failure_in_the_threshold_thread_reaches_the_caller(n, monkeypatch):
+    build, reads, sched = _LIFECYCLE_CASE
+    q = build()
+    before = threading.enumerate()
+    log = _raise_on_call(np.log, n)
+    monkeypatch.setattr(np, "log", log)
+    with pytest.raises(_Injected) as raised:
+        sample_sa(q, reads, sched, seed=1)
+    assert raised.value.args == (n,)
+    assert log.calls == n  # no later sweep's thresholds were drawn
+    assert threading.enumerate() == before
+
+
+# a failure in the sweep loop, in its first sweep and in a later one
+@pytest.mark.parametrize("n", [1, 40])
+def test_a_failure_in_the_sweep_loop_stops_the_threshold_thread(n, monkeypatch):
+    build, reads, sched = _LIFECYCLE_CASE
+    q = build()
+    before = threading.enumerate()
+    count_nonzero = _raise_on_call(np.count_nonzero, n)
+    monkeypatch.setattr(np, "count_nonzero", count_nonzero)
+    with pytest.raises(_Injected):
+        sample_sa(q, reads, sched, seed=1)
+    assert count_nonzero.calls == n
+    assert threading.enumerate() == before
 
 
 def test_capacity_case_is_densely_coupled():
