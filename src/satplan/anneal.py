@@ -136,16 +136,59 @@ Exhaustive search.  :func:`solve_exhaustive` is the ground truth the
 heuristics are scored against.  It enumerates the 2^N states in blocks of
 2^16 (512 KiB of float64) that share their high bits, each one
 ``Qubo.energy_table(high, low_bits)`` and bit for bit that block's slice of
-the full table, so its memory is one block at any N.  A block's minima are
-filtered one bit at a time in numpy, keeping those with bit i clear where
-any has it, for i = 0, 1, ...; block winners compare by (energy, bits).
-The lexicographically smallest minimiser, variable 0 first, wins ties, as
-with a Python ``min`` over every tied state of the whole table.  Against
-that whole table, on random QUBOs (shared 2-core Intel Xeon, numpy 2.4.6):
-20 variables and 45 terms take 16 ms either way, with a traced peak of
-1.1 MiB against 9 MiB; 24 variables take 0.30 s against 0.48 s with 45
-terms and 2.4 s against 3.6 s with all 300, with a peak of 1.1 MiB against
-144 MiB; and 20 variables with every state tied take 0.02 s against 5.4 s.
+the full table.  A block's minima are filtered one bit at a time in numpy,
+keeping those with bit i clear where any has it, for i = 0, 1, ...; block
+winners compare by (energy, bits).  The lexicographically smallest
+minimiser, variable 0 first, wins ties, as with a Python ``min`` over every
+tied state of the whole table.
+
+Building a block term by term is the cost: on a low bit, a term's strided
+view has contiguous runs of only 2^i entries.  So with more than one block
+a first pass estimates every block's minimum, and only the blocks whose
+estimate could hold the table's minimum are built.  The estimate views a
+block as a ``(2^|c|, 2^|a|)`` array of its low bits' two halves, ``a`` low
+and ``c`` high, indexed ``[c, a]`` as the flat index is.  A table of the
+terms on low bits is built once: the terms inside a half as vectors, the
+terms joining the halves row by row, each row of c with bit k set being
+the row without it plus bit k's terms over ``a``.  Per block, the offset
+and the terms on two high bits give a constant, and each term ``(i, j)``
+with ``i < b <= j`` a coefficient of low bit i when bit ``j - b`` of the
+block is set; folded into one vector per half, ``e_c`` and ``e_a``, they
+give the estimate ``min(table + e_a[None, :] + e_c[:, None])``, two
+whole-block passes (an add and a row minimum) into one reused buffer.
+There is no per-term view and no BLAS call, which would wake OpenBLAS's
+second thread (see set-up above).  The pass holds two blocks, 1 MiB, and
+frees both before the exact pass, which holds one block and its tie-break.
+
+The bound.  Each estimate and each table entry is a float sum of the same
+leaves as the real energy: the offset, each term's ``v`` or a zero (a
+product with 0/1 bits is exact), and the zeros its accumulators start from.
+An entry has at most ``p = T + 2N + 4`` leaves for T terms, so at most p
+roundings lie on any leaf's path, and it lies within ``gamma_p * S`` of
+the real energy, where ``gamma_k = k u / (1 - k u)``, ``u = 2^-53`` and
+``S = |offset| + sum |v|`` (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., 2002, section 4.2), as long as no sum overflows,
+which ``S`` below half the largest float ensures.  Let ``e*`` be the
+least estimate, at state ``k*``; the table puts ``k*`` at most ``e* + 2
+gamma_p S``.  A block whose least estimate is above ``e* + 4 gamma_p S``
+puts every state above ``e* + 2 gamma_p S``, so above ``k*``: it holds no
+minimiser of the table, and leaving it out changes neither the minimum
+nor its tie-break nor the sign of the zero ``block.min()`` returns.  A
+block that holds a minimiser is always built.  The limit uses ``g =
+gamma_2p`` in place of ``gamma_p``, which leaves room for the rounding of
+``S``, ``g`` and the limit themselves (a margin that underflows bounds
+errors below the least subnormal, which are none).  An ``S`` of half the
+largest float or more, or a limit that is not finite, builds every block.
+
+On the four 20-variable exhaustive QUBOs of ``reference-sparse`` seeds 0-3
+(41-44 terms each), whose SPOT5 minima tie across blocks, 1 to 4 of the 16
+blocks are built, and the four calls take 23-30 ms against 77-82 ms when
+every block was built: about 2.4 ms for each estimate pass and 1.0-1.6 ms
+for each block built.  A 24-variable QUBO with 129 integer terms takes
+0.03 s against 0.76 s (shared 2-core Intel Xeon, numpy 2.4.6).  Against
+the whole table in one piece, every block built took 16 ms either way at
+20 variables and 45 terms, with a traced peak of 1.1 MiB against 9 MiB,
+and 0.30 s against 0.48 s at 24 variables, with 1.1 MiB against 144 MiB.
 """
 
 from __future__ import annotations
@@ -153,6 +196,7 @@ from __future__ import annotations
 import json
 import math
 import queue
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -160,8 +204,9 @@ import numpy as np
 
 from .qubo import Qubo
 
-# a bound on time, not memory: one block of 2**_EXHAUSTIVE_BLOCK_BITS energies
-# at a time, 2**24 take 0.3-2.4 s to enumerate (45 to 300 terms)
+# a bound on time, not memory: at most two blocks of 2**_EXHAUSTIVE_BLOCK_BITS
+# energies at a time; 2**24 took 0.3-2.4 s (45 to 300 terms) when every block
+# was built, and take 0.03 s at 129 integer terms whose minima few blocks hold
 MAX_EXHAUSTIVE_VARIABLES = 24
 _EXHAUSTIVE_BLOCK_BITS = 16  # 2**16 float64 energies: 512 KiB, a cache-sized block
 
@@ -233,7 +278,8 @@ class SampleEntry:
 @dataclass(frozen=True)
 class SampleSet:
     """Multiset of sampled bit vectors, lowest energy first.  It owns their
-    '0'/'1' format: :meth:`from_states` writes it, :meth:`bit_matrix` reads it."""
+    '0'/'1' format: :meth:`from_states` and :meth:`from_state` write it,
+    :meth:`bit_matrix` reads it."""
 
     entries: tuple[SampleEntry, ...]
     total_reads: int
@@ -276,6 +322,16 @@ class SampleSet:
             sampler_tag=sampler_tag,
             seed=seed,
         )
+
+    @classmethod
+    def from_state(
+        cls, bits: np.ndarray, energy: float, reads: int, sampler_tag: str, seed: int
+    ) -> "SampleSet":
+        """One state read ``reads`` times: what :meth:`from_states` makes of
+        ``reads`` copies of it, without the copies."""
+        text = "".join("1" if bit else "0" for bit in bits.tolist())
+        entry = SampleEntry(bits=text, energy=float(energy), count=reads)
+        return cls(entries=(entry,), total_reads=reads, sampler_tag=sampler_tag, seed=seed)
 
     def bit_matrix(self, n: int) -> np.ndarray:
         """Boolean (entries, n) matrix of each entry's first ``n`` bits."""
@@ -460,14 +516,74 @@ def _lexicographic_first(candidates: np.ndarray, bits: int) -> int:
     return int(candidates[0])
 
 
+def _bit_rows(bits: int) -> np.ndarray:
+    """(bits, 2^bits) float 0/1 rows: row i is bit i of each index."""
+    index = np.arange(1 << bits)
+    return ((index >> np.arange(bits)[:, None]) & 1).astype(np.float64)
+
+
+def _candidate_blocks(q: Qubo, low_bits: int) -> list[int]:
+    """The blocks of ``low_bits`` low bits that can hold a minimiser of
+    ``Qubo.energy_table``, in increasing order, from an estimate of each
+    block's minimum (the module docstring's first pass and its bound)."""
+    nv = q.num_variables
+    half = low_bits // 2  # block index k = c << half | a: a the low half, c the high
+    a_rows, c_rows = _bit_rows(half), _bit_rows(low_bits - half)
+    num_blocks = 1 << (nv - low_bits)
+    high_rows = _bit_rows(nv - low_bits).T  # (blocks, high bits)
+    low_a, low_c = np.zeros(a_rows.shape[1]), np.zeros(c_rows.shape[1])
+    cross = np.zeros((len(c_rows), len(low_a)))  # per c bit, its terms' a rows
+    const = np.full(num_blocks, q.offset)  # per block: offset and terms on two high bits
+    linear = np.zeros((num_blocks, low_bits))  # per block and low bit: its terms' coefficient
+    # sums past the largest float build every block (below), so they need no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, j, v in q.terms():
+            if i >= low_bits:
+                const += v * (high_rows[:, i - low_bits] * high_rows[:, j - low_bits])
+            elif j >= low_bits:
+                linear[:, i] += v * high_rows[:, j - low_bits]
+            elif j < half:
+                low_a += v * (a_rows[i] * a_rows[j])
+            elif i >= half:
+                low_c += v * (c_rows[i - half] * c_rows[j - half])
+            else:
+                cross[j - half] += v * a_rows[i]
+        # the block's low-bit terms as a (c, a) table, the flat block reshaped:
+        # the rows of c < 2^k with c bit k set are those rows plus cross[k]
+        table = np.empty((len(low_c), len(low_a)))
+        table[0] = low_a
+        for k, a_sums in enumerate(cross):
+            np.add(table[: 1 << k], a_sums, out=table[1 << k : 2 << k])
+        table += low_c[:, None]
+        buf = np.empty_like(table)
+        estimates = np.empty(num_blocks)
+        for high in range(num_blocks):
+            e_a = (linear[high, :half, None] * a_rows).sum(axis=0)
+            e_c = (linear[high, half:, None] * c_rows).sum(axis=0) + const[high]
+            np.add(table, e_a, out=buf)
+            row_minima = buf.min(axis=1)  # fl(x + e) is monotone in x: one add per row
+            row_minima += e_c
+            estimates[high] = row_minima.min()
+        del table, buf
+        m = 2 * (q.num_terms() + 2 * nv + 4)  # twice the leaves of any estimate or table entry
+        g = m * 2.0**-53 / (1 - m * 2.0**-53)
+        size = abs(q.offset) + float(np.abs(q.term_values()).sum())
+        limit = float(estimates.min()) + 4 * g * size
+    if not (size < sys.float_info.max / 2 and math.isfinite(limit)):
+        return list(range(num_blocks))
+    return np.flatnonzero(estimates <= limit).tolist()
+
+
 def solve_exhaustive(q: Qubo) -> tuple[np.ndarray, float]:
     """Global minimiser by full enumeration; ties go to the lexicographically
     smallest bit vector (variable 0 first).
 
     The states are enumerated in blocks of ``Qubo.energy_table(high,
-    low_bits)``, which share their high bits, so memory stays at one block
-    whatever N.  Each block's tie-break runs in numpy, and the block
-    winners are compared by (energy, bits).
+    low_bits)``, which share their high bits.  With more than one block, a
+    first pass estimates every block's minimum, and only the blocks whose
+    estimate could hold the table's minimum are built (module docstring).
+    Memory stays at two blocks whatever N.  Each block's tie-break runs in
+    numpy, and the block winners are compared by (energy, bits).
     """
     nv = q.num_variables
     if nv > MAX_EXHAUSTIVE_VARIABLES:
@@ -475,8 +591,9 @@ def solve_exhaustive(q: Qubo) -> tuple[np.ndarray, float]:
             f"exhaustive enumeration limited to {MAX_EXHAUSTIVE_VARIABLES} variables, got {nv}"
         )
     low_bits = min(nv, _EXHAUSTIVE_BLOCK_BITS)
+    blocks = [0] if nv == low_bits else _candidate_blocks(q, low_bits)
     best: tuple[float, tuple[int, ...]] | None = None
-    for high in range(1 << (nv - low_bits)):
+    for high in blocks:
         block = q.energy_table(high, low_bits)
         energy = float(block.min())
         if best is not None and energy > best[0]:

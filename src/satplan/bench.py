@@ -209,9 +209,7 @@ def run_cell(
             energy = qubo.energy(bits)
         else:
             raise ConfigError(f"unknown solver {solver!r}")
-        samples = SampleSet.from_states(
-            np.broadcast_to(bits, (reads, len(bits))), np.full(reads, energy), solver, seed
-        )
+        samples = SampleSet.from_state(bits, energy, reads, solver, seed)
     return run_metrics(inst, f_max, samples), samples.to_json_dict(), extra
 
 
@@ -223,6 +221,55 @@ def skip_reason(solver: str, qubo: Qubo) -> str | None:
     if solver == "exhaustive" and n > MAX_EXHAUSTIVE_VARIABLES:
         return f"{n} variables exceed the {MAX_EXHAUSTIVE_VARIABLES}-variable enumeration limit"
     return None
+
+
+_MARKER = re.compile(r'"\\u0000(\d+)"')  # json.dumps of the string "\0" + index
+
+
+def samples_json(doc: dict) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\n"``, byte for byte,
+    for a sample document: a sample set's, or QAOA's ``layers`` of them.
+
+    With ``indent`` set, ``json.dumps`` runs CPython's pure-Python encoder,
+    slow on thousands of entries.  So each ``entries`` list is set aside for
+    a marker string, ``json.dumps`` writes the rest, and each marker becomes
+    its list, one format string per entry.  An entry's bits are '0'/'1'
+    characters (``SampleSet``), which need no escape, and its energy, a
+    float, is printed as ``json.dumps`` prints one: its repr when finite,
+    else ``Infinity``, ``-Infinity`` or ``NaN``.
+    """
+    lists: list[list[dict]] = []
+
+    def set_aside(node):
+        if isinstance(node, list):
+            return [set_aside(item) for item in node]
+        if not isinstance(node, dict):
+            return node
+        out = {key: set_aside(value) for key, value in node.items() if key != "entries"}
+        if "entries" in node:
+            out["entries"] = f"\0{len(lists)}"
+            lists.append(node["entries"])
+        return out
+
+    def entries_text(match: re.Match) -> str:
+        entries = lists[int(match.group(1))]
+        if not entries:
+            return "[]"
+        text, start = match.string, match.start()
+        line = text[text.rfind("\n", 0, start) + 1 : start]
+        indent = " " * (len(line) - len(line.lstrip(" ")))
+        pad, inner = indent + "  ", indent + "    "
+        entry = (
+            f'{pad}{{\n{inner}"bits": "%s",\n{inner}"count": %d,\n{inner}"energy": %r\n{pad}}}'
+        )
+        body = ",\n".join([entry % (e["bits"], e["count"], e["energy"]) for e in entries])
+        if "inf" in body or "nan" in body:  # no key or bit string holds either
+            for word, value in (("inf", "Infinity"), ("-inf", "-Infinity"), ("nan", "NaN")):
+                body = body.replace(f": {word}\n", f": {value}\n")
+        return f"[\n{body}\n{indent}]"
+
+    skeleton = json.dumps(set_aside(doc), sort_keys=True, indent=2)
+    return _MARKER.sub(entries_text, skeleton) + "\n"
 
 
 def _safe_name(name: str) -> str:
@@ -306,7 +353,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> tuple[dict, int]:
                 )
                 metrics_list.append(metrics)
                 path = samples_dir / f"{stem}__{solver}__run{run}.json"
-                path.write_text(json.dumps(samples_doc, sort_keys=True, indent=2) + "\n")
+                path.write_text(samples_json(samples_doc))
             agg = aggregate(metrics_list) if len(metrics_list) >= 2 else None
             record["solvers"][solver] = {
                 "runs": run_docs,

@@ -106,15 +106,44 @@ def test_exhaustive_tie_breaks_lexicographically():
     assert bits.tolist() == [0, 1]  # (0,1) precedes (1,0)
 
 
-def _tie_rich_qubo(rng, n):
-    # every variable alone scores -1 and a coupling of 0 or 1 joins a pair,
-    # so many sets of variables tie at the minimum
-    coeffs = {(i, i): -1.0 for i in range(n)}
+def _tie_rich_qubo(rng, n, unit=1.0):
+    # every variable alone scores -unit and a coupling of 0 or unit joins a
+    # pair, so many sets of variables tie at the minimum; in tenths, the
+    # float sums of tied sets differ in their last bits
+    coeffs = {(i, i): -unit for i in range(n)}
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.5:
-                coeffs[(i, j)] = float(rng.integers(0, 2))
+                coeffs[(i, j)] = unit * float(rng.integers(0, 2))
     return Qubo(coeffs, offset=float(rng.choice([0.0, -0.0, 0.5])), num_variables=n)
+
+
+def _scaled_qubo(rng, n, coefficient):
+    # about 40% of the pairs and diagonal, so few minima tie
+    coeffs = {
+        (i, j): coefficient(rng) for i in range(n) for j in range(i, n) if rng.random() < 0.4
+    }
+    return Qubo(coeffs, offset=float(rng.choice([0.0, -0.0])), num_variables=n)
+
+
+def _reference_inputs(rng):
+    for n in [0, 1, 2, 5, 8, 12]:
+        for _ in range(3):
+            yield _tie_rich_qubo(rng, n)
+            yield _tie_rich_qubo(rng, n, unit=0.1)
+    for n in [5, 12]:
+        yield _scaled_qubo(rng, n, lambda r: float(r.integers(-20, 21)) / 10)
+        for k in range(-3, 4):
+            yield _scaled_qubo(rng, n, lambda r: float(r.normal()) * 10.0**k)
+    # variables 0 and 11 lie in different blocks, their energies one ulp apart
+    near = math.nextafter(-1.0, 0.0)
+    for first, last in [(-1.0, near), (near, -1.0)]:
+        yield Qubo({(0, 0): first, (11, 11): last}, offset=0.3, num_variables=12)
+    # sums past the largest float, and |offset| + sum |v| past half of it,
+    # take the path that builds every block
+    huge = {(i, i): -1e308 for i in range(4)}
+    yield Qubo({**huge, (0, 5): 1e308, (6, 6): 1.0}, num_variables=12)
+    yield Qubo({(0, 0): 5e307, (11, 11): -5e307, (5, 5): 1.0}, num_variables=12)
 
 
 @pytest.mark.parametrize("block_bits", [1, 3, 9])
@@ -122,9 +151,8 @@ def test_exhaustive_matches_the_full_table_reference(block_bits, monkeypatch):
     # small blocks put most ties across block boundaries
     monkeypatch.setattr(anneal, "_EXHAUSTIVE_BLOCK_BITS", block_bits)
     rng = np.random.default_rng(83)
-    for n in [0, 1, 2, 5, 8, 12]:
-        for _ in range(3):
-            q = _tie_rich_qubo(rng, n)
+    with np.errstate(over="ignore"):  # the 1e308 inputs sum past the largest float
+        for q in _reference_inputs(rng):
             bits, energy = solve_exhaustive(q)
             ref_bits, ref_energy = reference_solve_exhaustive(q)
             assert bits.dtype == np.uint8
@@ -164,24 +192,39 @@ def test_exhaustive_memory_is_one_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20  # the 2^20 table alone is 8 MiB
+    # two blocks (1 MiB) while the minima are estimated, one block and its
+    # tie-break after that; the 2^20 table alone is 8 MiB
+    assert peak < 2 * 2**20
 
 
-def test_exhaustive_enumerates_every_state_once_through_energy_table(monkeypatch):
-    # a tracer that counts the entries Qubo.energy_table returns must see
-    # one 2^N table's worth per exhaustive call
-    lengths = []
+def _built_blocks(monkeypatch, q):
+    """(the ``high`` of each block ``solve_exhaustive(q)`` builds, its result)."""
+    built = []
     table = Qubo.energy_table
 
-    def counted(self, *args, **kwargs):
-        result = table(self, *args, **kwargs)
-        lengths.append(len(result))
-        return result
+    def counted(self, high=0, low_bits=None):
+        built.append(high)
+        return table(self, high, low_bits)
 
-    monkeypatch.setattr(Qubo, "energy_table", counted)
-    solve_exhaustive(_tie_rich_qubo(np.random.default_rng(97), 20))
-    assert len(lengths) > 1
-    assert sum(lengths) == 2**20
+    with monkeypatch.context() as patch:
+        patch.setattr(Qubo, "energy_table", counted)
+        return built, solve_exhaustive(q)
+
+
+def test_exhaustive_builds_the_blocks_the_bound_admits(monkeypatch):
+    # integer energies plus the offset: the bound, far below 1, admits
+    # exactly the blocks that hold a minimum of the table
+    q = _tie_rich_qubo(np.random.default_rng(97), 20)
+    built, (bits, energy) = _built_blocks(monkeypatch, q)
+    ref_bits, ref_energy = reference_solve_exhaustive(q)
+    assert bits.tolist() == ref_bits.tolist() and energy == ref_energy
+    block_minima = q.energy_table().reshape(16, 2**16).min(axis=1)
+    assert built == np.flatnonzero(block_minima == ref_energy).tolist()
+    assert len(built) * 2**16 < 2**20
+    # with every state tied, every block can hold the winner
+    built, (bits, energy) = _built_blocks(monkeypatch, Qubo({}, offset=2.0, num_variables=20))
+    assert built == list(range(16))
+    assert bits.tolist() == [0] * 20 and energy == 2.0
 
 
 def test_exhaustive_size_guard():
@@ -311,6 +354,19 @@ def test_from_states_matches_reference_tally(case):
     # == takes -0.0 for 0.0; the JSON keeps the sign, and the types must match too
     assert new.to_json() == ref.to_json()
     assert all(type(e.energy) is float and type(e.count) is int for e in new.entries)
+
+
+def test_from_state_is_from_states_of_its_copies():
+    for bits, energy in [
+        (np.zeros(0, dtype=np.uint8), 1.0),
+        (np.array([1, 0, 1], dtype=np.uint8), -0.0),
+        (np.array([True, False, False, True]), 2.5),
+    ]:
+        for reads in (1, 7):
+            copies = np.broadcast_to(bits, (reads, len(bits)))
+            ref = SampleSet.from_states(copies, np.full(reads, energy), "exact", 5)
+            new = SampleSet.from_state(bits, energy, reads, "exact", 5)
+            assert new == ref and new.to_json() == ref.to_json()
 
 
 def test_finds_optimum_on_small_encoded_instance():

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from satplan.bench import (
     resolve_instance,
     run_cell,
     run_pipeline,
+    samples_json,
 )
 
 
@@ -395,6 +397,26 @@ def test_sample_energies_are_qubo_energies(solver):
         entries = [SampleEntry(**e) for e in sample_set["entries"]]
         for entry, bits in zip(entries, bit_rows(entries, qubo.num_variables)):
             assert entry.energy == qubo.energy(bits)
+
+
+def test_samples_json_is_json_dumps_with_indent():
+    inst = tenths_instance()
+    qubo = encode(inst)
+    f_max = solve_exact(inst).best_value
+    cfg = ExperimentConfig(instances=["-"], solvers=["sa"], reads=200, max_layers=2, n_inits=1)
+    docs = [run_cell(inst, qubo, f_max, s, 7, cfg)[1] for s in ("sa", "exact", "qaoa")]
+    energies = [-0.0, 0.0, 5e-324, 1e16, 0.1, math.inf, -math.inf, math.nan]
+    entries = [{"bits": "01" * i, "energy": e, "count": i} for i, e in enumerate(energies)]
+    sample_set = {"sampler": "sa", "seed": 1, "reads": 28, "entries": entries}
+    layer = {**sample_set, "layer": 1, "gammas": [0.5], "betas": [-0.0], "expectation": 1e300}
+    docs += [
+        sample_set,
+        {**sample_set, "entries": []},
+        {"layers": [layer, {**layer, "layer": 2, "entries": []}, {**layer, "layer": 3}]},
+        {"layers": []},
+    ]
+    for doc in docs:
+        assert samples_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("trial", range(6))
