@@ -564,7 +564,6 @@ def _candidate_blocks(q: Qubo, low_bits: int) -> list[int]:
             row_minima = buf.min(axis=1)  # fl(x + e) is monotone in x: one add per row
             row_minima += e_c
             estimates[high] = row_minima.min()
-        del table, buf
         m = 2 * (q.num_terms() + 2 * nv + 4)  # twice the leaves of any estimate or table entry
         g = m * 2.0**-53 / (1 - m * 2.0**-53)
         size = abs(q.offset) + float(np.abs(q.term_values()).sum())
