@@ -133,62 +133,62 @@ CPU per ``sample_sa`` call, and none with these sums, and a fresh
 second of wall time (the rest is numpy's import) at the same wall time.
 
 Exhaustive search.  :func:`solve_exhaustive` is the ground truth the
-heuristics are scored against.  It enumerates the 2^N states in blocks of
-2^16 (512 KiB of float64) that share their high bits, each one
-``Qubo.energy_table(high, low_bits)`` and bit for bit that block's slice of
-the full table.  A block's minima are filtered one bit at a time in numpy,
-keeping those with bit i clear where any has it, for i = 0, 1, ...; block
-winners compare by (energy, bits).  The lexicographically smallest
-minimiser, variable 0 first, wins ties, as with a Python ``min`` over every
-tied state of the whole table.
+heuristics are scored against: the least entry of the 2^N energy table,
+ties going to the lexicographically smallest minimiser, variable 0 first,
+as with a Python ``min`` over every tied state.  Tied states are filtered
+one bit at a time in numpy, keeping those with bit i clear where any has
+it, for i = 0, 1, ...  Up to 16 variables they are the minima of
+``Qubo.energy_table()``.
 
-Building a block term by term is the cost: on a low bit, a term's strided
-view has contiguous runs of only 2^i entries.  So with more than one block
-a first pass estimates every block's minimum, and only the blocks whose
-estimate could hold the table's minimum are built.  The estimate views a
-block as a ``(2^|c|, 2^|a|)`` array of its low bits' two halves, ``a`` low
-and ``c`` high, indexed ``[c, a]`` as the flat index is.  A table of the
-terms on low bits is built once: the terms inside a half as vectors, the
-terms joining the halves row by row, each row of c with bit k set being
-the row without it plus bit k's terms over ``a``.  Per block, the offset
-and the terms on two high bits give a constant, and each term ``(i, j)``
-with ``i < b <= j`` a coefficient of low bit i when bit ``j - b`` of the
-block is set; folded into one vector per half, ``e_c`` and ``e_a``, they
-give the estimate ``min(table + e_a[None, :] + e_c[:, None])``, two
-whole-block passes (an add and a row minimum) into one reused buffer.
-There is no per-term view and no BLAS call, which would wake OpenBLAS's
-second thread (see set-up above).  The pass holds two blocks, 1 MiB, and
-frees both before the exact pass, which holds one block and its tie-break.
+Above 16, building a table term by term is the cost (on a low bit, a
+term's strided view has contiguous runs of only 2^i entries), and nearly
+every state lies far above the minimum.  So one pass over the blocks of
+2^16 states that share their high bits estimates each state's energy, and
+only the states the estimate cannot rule out are checked exactly, by
+``Qubo.energies`` in chunks of 2^14 rows.  The estimate views a block as a
+``(2^|c|, 2^|a|)`` array of its low bits' two halves, ``a`` low and ``c``
+high, indexed ``[c, a]`` as the flat index is.  A table of the terms on low
+bits is built once: the terms inside a half as vectors, the terms joining
+the halves row by row, each row of c with bit k set being the row without
+it plus bit k's terms over ``a``.  Per block, the offset and the terms on
+two high bits give a constant, and each term ``(i, j)`` with ``i < b <= j``
+a coefficient of low bit i when bit ``j - b`` of the block is set; folded
+into one vector per half, ``e_c`` and ``e_a``, they give the estimate
+``table + e_a[None, :] + e_c[:, None]``.  Its least entry takes an add and
+a row minimum, as ``fl(x + e)`` is monotone in x; only a block whose least
+entry is within the limit below adds ``e_c`` to every entry.  There is no
+per-term view and no BLAS call, which would wake OpenBLAS's second thread
+(see set-up above).
 
 The bound.  Each estimate and each table entry is a float sum of the same
 leaves as the real energy: the offset, each term's ``v`` or a zero (a
 product with 0/1 bits is exact), and the zeros its accumulators start from.
-An entry has at most ``p = T + 2N + 4`` leaves for T terms, so at most p
-roundings lie on any leaf's path, and it lies within ``gamma_p * S`` of
-the real energy, where ``gamma_k = k u / (1 - k u)``, ``u = 2^-53`` and
-``S = |offset| + sum |v|`` (Higham, Accuracy and Stability of Numerical
-Algorithms, 2nd ed., 2002, section 4.2), as long as no sum overflows,
-which ``S`` below half the largest float ensures.  Let ``e*`` be the
-least estimate, at state ``k*``; the table puts ``k*`` at most ``e* + 2
-gamma_p S``.  A block whose least estimate is above ``e* + 4 gamma_p S``
-puts every state above ``e* + 2 gamma_p S``, so above ``k*``: it holds no
-minimiser of the table, and leaving it out changes neither the minimum
-nor its tie-break nor the sign of the zero ``block.min()`` returns.  A
-block that holds a minimiser is always built.  The limit uses ``g =
-gamma_2p`` in place of ``gamma_p``, which leaves room for the rounding of
-``S``, ``g`` and the limit themselves (a margin that underflows bounds
-errors below the least subnormal, which are none).  An ``S`` of half the
-largest float or more, or a limit that is not finite, builds every block.
+An entry has at most ``p = T + 2N + 4`` leaves for T terms, so it lies
+within ``gamma_p * S`` of the real energy, where ``gamma_k = k u / (1 - k
+u)``, ``u = 2^-53`` and ``S = |offset| + sum |v|`` (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., 2002, section 4.2), as long as
+no sum overflows, which ``S`` below half the largest float ensures.  Let L
+be the least estimate so far, at state k, and s* a minimiser of the table;
+with estimates D and entries E, ``D(s*) <= E(s*) + 2 gamma_p S <= E(k) + 2
+gamma_p S <= L + 4 gamma_p S``.  So checking the states whose estimate is
+not above ``L + 4 gamma_p S`` (a NaN estimate stays in) checks every
+minimiser.  ``Qubo.energies`` gives each state its table entry bit for
+bit, and no table holds zeros of both signs, so the least checked energy
+is the table's ``min()``, sign of zero included, and the tie-break is the
+whole table's.  The margin uses ``gamma_2p``, which leaves room for its own
+rounding (a margin that underflows bounds errors below the least
+subnormal, which are none); an ``S`` of half the largest float or more, or
+a margin that is not finite, checks every state.
 
 On the four 20-variable exhaustive QUBOs of ``reference-sparse`` seeds 0-3
-(41-44 terms each), whose SPOT5 minima tie across blocks, 1 to 4 of the 16
-blocks are built, and the four calls take 23-30 ms against 77-82 ms when
-every block was built: about 2.4 ms for each estimate pass and 1.0-1.6 ms
-for each block built.  A 24-variable QUBO with 129 integer terms takes
-0.03 s against 0.76 s (shared 2-core Intel Xeon, numpy 2.4.6).  Against
-the whole table in one piece, every block built took 16 ms either way at
-20 variables and 45 terms, with a traced peak of 1.1 MiB against 9 MiB,
-and 0.30 s against 0.48 s at 24 variables, with 1.1 MiB against 144 MiB.
+(41-44 terms), whose SPOT5 minima tie across blocks, 50, 60, 30 and 75
+states are checked, in 2.3-3.4 ms a call against 2.8-7.4 ms when whole
+blocks were built; 129 integer terms at 24 variables take 29-30 ms against
+24-26 ms.  Where every state ties, every state is checked, 3-4 times
+slower: 0.75-0.87 s against 0.21-0.26 s with no terms at 24 variables, and
+2.9-3.4 s against 0.9-1.0 s for 129 terms of +-1e-12 under an offset of
+1e6 (shared 2-core Intel Xeon, numpy 2.4.6).  The traced peak is 1.2 MiB
+at 20 variables, and 2.8 MiB at 24 with every state checked.
 """
 
 from __future__ import annotations
@@ -204,11 +204,12 @@ import numpy as np
 
 from .qubo import Qubo
 
-# a bound on time, not memory: at most two blocks of 2**_EXHAUSTIVE_BLOCK_BITS
-# energies at a time; 2**24 took 0.3-2.4 s (45 to 300 terms) when every block
-# was built, and take 0.03 s at 129 integer terms whose minima few blocks hold
+# a bound on time, not memory, which stays near two blocks of estimates:
+# 2**24 states take 0.03 s at 129 integer terms, whose estimates rule out
+# all but a few states, and 0.8-3.4 s when every state ties
 MAX_EXHAUSTIVE_VARIABLES = 24
-_EXHAUSTIVE_BLOCK_BITS = 16  # 2**16 float64 energies: 512 KiB, a cache-sized block
+_EXHAUSTIVE_BLOCK_BITS = 16  # 2**16 float64 estimates: 512 KiB, a cache-sized block
+_EXHAUSTIVE_CHUNK_ROWS = 2**14  # checked states per Qubo.energies call: 384 KiB of bits at 24
 
 
 HOT_ACCEPT = 0.5  # acceptance of the largest possible flip cost at beta_start
@@ -522,11 +523,22 @@ def _bit_rows(bits: int) -> np.ndarray:
     return ((index >> np.arange(bits)[:, None]) & 1).astype(np.float64)
 
 
-def _candidate_blocks(q: Qubo, low_bits: int) -> list[int]:
-    """The blocks of ``low_bits`` low bits that can hold a minimiser of
-    ``Qubo.energy_table``, in increasing order, from an estimate of each
-    block's minimum (the module docstring's first pass and its bound)."""
+def solve_exhaustive(q: Qubo) -> tuple[np.ndarray, float]:
+    """Global minimiser by full enumeration; ties go to the lexicographically
+    smallest bit vector (variable 0 first).  Above ``_EXHAUSTIVE_BLOCK_BITS``
+    variables, only the states an estimate cannot rule out are evaluated,
+    with ``Qubo.energies`` (module docstring)."""
     nv = q.num_variables
+    if nv > MAX_EXHAUSTIVE_VARIABLES:
+        raise ValueError(
+            f"exhaustive enumeration limited to {MAX_EXHAUSTIVE_VARIABLES} variables, got {nv}"
+        )
+    low_bits = _EXHAUSTIVE_BLOCK_BITS
+    if nv <= low_bits:
+        table = q.energy_table()
+        energy = table.min()
+        k = _lexicographic_first(np.flatnonzero(table == energy), nv)
+        return np.array([(k >> i) & 1 for i in range(nv)], dtype=np.uint8), float(energy)
     half = low_bits // 2  # block index k = c << half | a: a the low half, c the high
     a_rows, c_rows = _bit_rows(half), _bit_rows(low_bits - half)
     num_blocks = 1 << (nv - low_bits)
@@ -535,7 +547,7 @@ def _candidate_blocks(q: Qubo, low_bits: int) -> list[int]:
     cross = np.zeros((len(c_rows), len(low_a)))  # per c bit, its terms' a rows
     const = np.full(num_blocks, q.offset)  # per block: offset and terms on two high bits
     linear = np.zeros((num_blocks, low_bits))  # per block and low bit: its terms' coefficient
-    # sums past the largest float build every block (below), so they need no warning
+    # sums past the largest float check every state (below), so they need no warning
     with np.errstate(over="ignore", invalid="ignore"):
         for i, j, v in q.terms():
             if i >= low_bits:
@@ -555,53 +567,41 @@ def _candidate_blocks(q: Qubo, low_bits: int) -> list[int]:
         for k, a_sums in enumerate(cross):
             np.add(table[: 1 << k], a_sums, out=table[1 << k : 2 << k])
         table += low_c[:, None]
-        buf = np.empty_like(table)
-        estimates = np.empty(num_blocks)
-        for high in range(num_blocks):
-            e_a = (linear[high, :half, None] * a_rows).sum(axis=0)
-            e_c = (linear[high, half:, None] * c_rows).sum(axis=0) + const[high]
-            np.add(table, e_a, out=buf)
-            row_minima = buf.min(axis=1)  # fl(x + e) is monotone in x: one add per row
-            row_minima += e_c
-            estimates[high] = row_minima.min()
         m = 2 * (q.num_terms() + 2 * nv + 4)  # twice the leaves of any estimate or table entry
         g = m * 2.0**-53 / (1 - m * 2.0**-53)
         size = abs(q.offset) + float(np.abs(q.term_values()).sum())
-        limit = float(estimates.min()) + 4 * g * size
-    if not (size < sys.float_info.max / 2 and math.isfinite(limit)):
-        return list(range(num_blocks))
-    return np.flatnonzero(estimates <= limit).tolist()
-
-
-def solve_exhaustive(q: Qubo) -> tuple[np.ndarray, float]:
-    """Global minimiser by full enumeration; ties go to the lexicographically
-    smallest bit vector (variable 0 first).
-
-    The states are enumerated in blocks of ``Qubo.energy_table(high,
-    low_bits)``, which share their high bits.  With more than one block, a
-    first pass estimates every block's minimum, and only the blocks whose
-    estimate could hold the table's minimum are built (module docstring).
-    Memory stays at two blocks whatever N.  Each block's tie-break runs in
-    numpy, and the block winners are compared by (energy, bits).
-    """
-    nv = q.num_variables
-    if nv > MAX_EXHAUSTIVE_VARIABLES:
-        raise ValueError(
-            f"exhaustive enumeration limited to {MAX_EXHAUSTIVE_VARIABLES} variables, got {nv}"
-        )
-    low_bits = min(nv, _EXHAUSTIVE_BLOCK_BITS)
-    blocks = [0] if nv == low_bits else _candidate_blocks(q, low_bits)
-    best: tuple[float, tuple[int, ...]] | None = None
-    for high in blocks:
-        block = q.energy_table(high, low_bits)
-        energy = float(block.min())
-        if best is not None and energy > best[0]:
-            continue
-        candidates = np.flatnonzero(block == energy)
-        del block  # the tie-break's temporaries take its place
-        k = high << low_bits | _lexicographic_first(candidates, low_bits)
-        winner = (energy, tuple((k >> i) & 1 for i in range(nv)))
-        if best is None or winner < best:
-            best = winner
-    energy, bits = best
-    return np.array(bits, dtype=np.uint8), energy
+        margin = 4 * g * size
+    if not (size < sys.float_info.max / 2 and math.isfinite(margin)):
+        margin = math.inf
+    estimate = np.empty_like(table)
+    least = math.inf  # the least estimate so far
+    best: tuple[float, int] | None = None  # the exact minimum so far and its winner
+    for high in range(num_blocks):
+        with np.errstate(over="ignore", invalid="ignore"):
+            e_a = (linear[high, :half, None] * a_rows).sum(axis=0)
+            e_c = (linear[high, half:, None] * c_rows).sum(axis=0) + const[high]
+            np.add(table, e_a, out=estimate)
+            row_minima = estimate.min(axis=1)  # fl(x + e) is monotone in x: one add per row
+            row_minima += e_c
+            block_least = float(row_minima.min())
+            least = min(least, block_least)
+            limit = least + margin
+            if block_least > limit:
+                continue
+            estimate += e_c[:, None]
+            kept = np.flatnonzero(~(estimate > limit))  # a NaN estimate stays in
+        kept |= high << low_bits
+        for start in range(0, len(kept), _EXHAUSTIVE_CHUNK_ROWS):
+            chunk = kept[start : start + _EXHAUSTIVE_CHUNK_ROWS]
+            bits = np.empty((nv, len(chunk)), dtype=np.uint8)  # one row per variable
+            for i in range(nv):
+                np.bitwise_and(chunk >> i, 1, out=bits[i], casting="unsafe")
+            energies = q.energies(bits.T)
+            energy = float(energies.min())
+            if best is None or energy <= best[0]:
+                ties = chunk[energies == energy]
+                if best is not None and energy == best[0]:
+                    ties = np.append(ties, best[1])
+                best = (energy, _lexicographic_first(ties, nv))
+    energy, k = best
+    return np.array([(k >> i) & 1 for i in range(nv)], dtype=np.uint8), energy

@@ -8,8 +8,7 @@ which corresponds to the symmetric matrix with Q_ii = c[i, i] and
 Q_ij = Q_ji = c[i, j] / 2.  Basis states are indexed little-endian: variable
 ``i`` is bit ``(k >> i) & 1`` of state ``k``.  ``Qubo`` evaluates rows of
 bit vectors (``energies``; ``energy`` is a row of one) and the 2^N table
-(``energy_table``), whole or in blocks of states that share their high
-bits; ``IsingModel`` evaluates the whole table alone.  Every
+(``energy_table``); ``IsingModel`` evaluates the table alone.  Every
 evaluator adds terms in one fixed row-major order, so identical inputs give
 bit-identical floats.  A table adds each term in place, through a strided
 view of the entries whose bits it needs, so building one takes no memory
@@ -222,36 +221,27 @@ class Qubo:
                 e += v * (b[:, i] * b[:, j])
         return e
 
-    def energy_table(self, high: int = 0, low_bits: int | None = None) -> np.ndarray:
-        """Energies of all 2^N basis states, indexed little-endian; or, given
-        ``low_bits`` b, the block of 2^b states ``(high << b) | k`` whose
-        bits b and up spell ``high``, indexed by k.
+    def energy_table(self) -> np.ndarray:
+        """Energies of all 2^N basis states, indexed little-endian.
 
         Each term is added in place, through a strided view, to the entries
         whose bits it needs, so the table is the only 2^N allocation.  The
         sums are those of :meth:`energies`, term by term, minus its ``v * 0``
         additions.  Those change only the sign of a zero: ``+0.0`` turns a
         ``-0.0`` into ``+0.0``, so the table starts from ``offset + 0.0``
-        when any coefficient is positive.  A block walks the same terms in
-        the same order: a term on a high bit is added, only if that bit is
-        set, as a view on its low bit or as a scalar.  So every block is bit
-        for bit its slice of the full table.
+        when any coefficient is positive.  So every entry is, bit for bit,
+        the :meth:`energies` of its state.  No table holds zeros of both
+        signs: a float sum is ``-0.0`` only when every addend is, so a
+        ``-0.0`` entry takes a ``-0.0`` offset and no positive coefficient,
+        and every other entry then adds negative coefficients to it.
         """
         nv = self._nv
-        b = nv if low_bits is None else low_bits
-        if not 0 <= b <= nv or not 0 <= high < 1 << (nv - b):
-            raise ValueError(f"no block {high} of {low_bits} low bits over {nv} variables")
-        if b > MAX_TABLE_VARIABLES:
-            raise ValueError(f"energy table over {b} variables is too large")
+        if nv > MAX_TABLE_VARIABLES:
+            raise ValueError(f"energy table over {nv} variables is too large")
         start = self.offset + 0.0 if np.any(self._vals > 0.0) else self.offset
-        e = np.full(1 << b, start)
+        e = np.full(1 << nv, start)
         for i, j, v in zip(self._rows.tolist(), self._cols.tolist(), self._vals):
-            if j >= b and not high >> (j - b) & 1:
-                continue
-            if i >= b:
-                if high >> (i - b) & 1:
-                    e += v
-            elif i == j or j >= b:
+            if i == j:
                 _bit_axes(e, i)[:, 1, :] += v
             else:
                 _pair_axes(e, i, j)[:, 1, :, 1, :] += v

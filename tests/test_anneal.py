@@ -140,16 +140,32 @@ def _reference_inputs(rng):
     for first, last in [(-1.0, near), (near, -1.0)]:
         yield Qubo({(0, 0): first, (11, 11): last}, offset=0.3, num_variables=12)
     # sums past the largest float, and |offset| + sum |v| past half of it,
-    # take the path that builds every block
+    # check every state
     huge = {(i, i): -1e308 for i in range(4)}
     yield Qubo({**huge, (0, 5): 1e308, (6, 6): 1.0}, num_variables=12)
     yield Qubo({(0, 0): 5e307, (11, 11): -5e307, (5, 5): 1.0}, num_variables=12)
+    # every state rounds to the offset, so every state ties and is checked
+    tiny = {(i, j): float(rng.choice([-1e-12, 1e-12])) for i in range(12) for j in range(i, 12)}
+    yield Qubo(tiny, offset=1e6, num_variables=12)
+    # tenths whose two least energies, -9.1 and the float above it, swap
+    # places in the estimates at every block size tested: the least estimate
+    # is not the minimiser's, which only the bound's margin keeps checked
+    near = np.random.default_rng(526)
+    tenths = {
+        (i, j): float(near.integers(-20, 21)) / 10
+        for i in range(12)
+        for j in range(i, 12)
+        if near.random() < 0.4
+    }
+    yield Qubo(tenths, offset=0.3, num_variables=12)
 
 
 @pytest.mark.parametrize("block_bits", [1, 3, 9])
 def test_exhaustive_matches_the_full_table_reference(block_bits, monkeypatch):
-    # small blocks put most ties across block boundaries
+    # small blocks put most ties across block boundaries, and small chunks
+    # most ties across the chunks of a block
     monkeypatch.setattr(anneal, "_EXHAUSTIVE_BLOCK_BITS", block_bits)
+    monkeypatch.setattr(anneal, "_EXHAUSTIVE_CHUNK_ROWS", 5)
     rng = np.random.default_rng(83)
     with np.errstate(over="ignore"):  # the 1e308 inputs sum past the largest float
         for q in _reference_inputs(rng):
@@ -192,38 +208,39 @@ def test_exhaustive_memory_is_one_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # two blocks (1 MiB) while the minima are estimated, one block and its
-    # tie-break after that; the 2^20 table alone is 8 MiB
+    # the block of low-bit terms and one block of estimates (1 MiB), and
+    # the few states checked; the 2^20 table alone is 8 MiB
     assert peak < 2 * 2**20
 
 
-def _built_blocks(monkeypatch, q):
-    """(the ``high`` of each block ``solve_exhaustive(q)`` builds, its result)."""
-    built = []
-    table = Qubo.energy_table
+def _checked_states(monkeypatch, q):
+    """(the states ``solve_exhaustive(q)`` passes to ``Qubo.energies``, its result)."""
+    checked = []
+    energies = Qubo.energies
 
-    def counted(self, high=0, low_bits=None):
-        built.append(high)
-        return table(self, high, low_bits)
+    def counted(self, bits):
+        checked.extend((np.asarray(bits) << np.arange(bits.shape[1])).sum(axis=1).tolist())
+        return energies(self, bits)
 
     with monkeypatch.context() as patch:
-        patch.setattr(Qubo, "energy_table", counted)
-        return built, solve_exhaustive(q)
+        patch.setattr(Qubo, "energies", counted)
+        return checked, solve_exhaustive(q)
 
 
-def test_exhaustive_builds_the_blocks_the_bound_admits(monkeypatch):
-    # integer energies plus the offset: the bound, far below 1, admits
-    # exactly the blocks that hold a minimum of the table
+def test_exhaustive_checks_the_states_the_bound_admits(monkeypatch):
+    # integer energies plus the offset: every minimiser of the table is
+    # checked, and few other states are
     q = _tie_rich_qubo(np.random.default_rng(97), 20)
-    built, (bits, energy) = _built_blocks(monkeypatch, q)
+    checked, (bits, energy) = _checked_states(monkeypatch, q)
     ref_bits, ref_energy = reference_solve_exhaustive(q)
     assert bits.tolist() == ref_bits.tolist() and energy == ref_energy
-    block_minima = q.energy_table().reshape(16, 2**16).min(axis=1)
-    assert built == np.flatnonzero(block_minima == ref_energy).tolist()
-    assert len(built) * 2**16 < 2**20
-    # with every state tied, every block can hold the winner
-    built, (bits, energy) = _built_blocks(monkeypatch, Qubo({}, offset=2.0, num_variables=20))
-    assert built == list(range(16))
+    minimisers = np.flatnonzero(q.energy_table() == ref_energy)
+    assert len(minimisers) == 54
+    assert set(minimisers.tolist()) <= set(checked)
+    assert len(checked) < 1000
+    # with every state tied, every state is checked
+    checked, (bits, energy) = _checked_states(monkeypatch, Qubo({}, offset=2.0, num_variables=20))
+    assert sorted(checked) == list(range(2**20))
     assert bits.tolist() == [0] * 20 and energy == 2.0
 
 
