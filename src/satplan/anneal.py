@@ -41,30 +41,25 @@ as contiguous ``(variables, reads)`` arrays, so one variable's values over
 all reads form one row.  Each sweep's ``(variables, reads)`` block of
 uniforms is drawn in one call, which is the same stream, in the same
 order, as one ``rng.random(reads)`` per variable, in either dtype; a
-producer thread draws it one sweep ahead, in sweep order (below).  Each
-call builds a plan once per threshold block: per variable, views of its
-field, sign and threshold rows, its load scale, and the rows its flips
-update (below), so a step indexes no array.
+worker thread draws it one sweep ahead, in sweep order (below).  Each
+call builds a plan once per block: per variable, views of its field, sign
+and threshold rows, its load scale, and the rows its flips update
+(below), so a step indexes no array.  Coupling values and load scales are
+0-d arrays, which numpy multiplies by a row faster than numpy scalars.
 
-Threshold thread.  Turning a sweep's uniforms into thresholds depends on
-nothing the sweep changes, and its three numpy calls (draw, log, scale)
-release the GIL.  So each ``sample_sa`` call starts a producer thread that
-fills one of two threshold blocks while the main thread runs the sweep that
-reads the other; two ``queue.SimpleQueue`` hand block indices back and
-forth, one for blocks to fill and one for blocks filled.  Only the producer
-draws from the generator after the initial states, one block per sweep in
-sweep order, so every sample is the same as from one thread.  An exception
-in the producer goes through the queue and is raised by the main thread;
-the main loop's ``finally`` stops the producer and joins it, so no thread
+Uniform worker.  A sweep's uniforms depend on nothing the sweep changes,
+and ``Generator.random`` releases the GIL while it fills a block.  So each
+``sample_sa`` call runs a one-worker ``ThreadPoolExecutor`` that draws the
+next sweep's block while the main thread runs the current sweep, which
+first turns its own block into thresholds in place (below).  Only the
+worker draws from the generator after the initial states, one block per
+sweep in sweep order, so every sample is the same as from one thread.
+Waiting on a draw re-raises the worker's exception, and leaving the
+``with`` block, on return or on any raise, joins the worker, so no thread
 outlives the call.  The cost is one more block (184 KB at 23 variables and
-2000 reads in float32).  On the six seed-0 ``sa-capacity`` benchmark QUBOs
-the six calls took 0.175-0.179 s against 0.226-0.241 s when the sweep drew
-its own thresholds (two processes each, three rounds of the six calls), and
-the two seed-0 ``reference-sparse`` calls 0.057-0.064 s against
-0.092-0.099 s (shared 2-core Intel Xeon, numpy 2.4.6).  Pinned to one CPU
-the six ``sa-capacity`` calls took 0.230-0.233 s against 0.227-0.232 s.
-A ``threading.Semaphore`` handoff, and blocks of several sweeps, paid less
-(see ROADMAP.md).
+2000 reads in float32).  Timings against drawing in the sweep loop, and
+against a producer thread that also took the log and the scale, are in
+CHANGES.md.
 
 Precision and test.  Where the fields are exact, fields, loads, flip
 vectors and their products are the same integers in float32 as in
@@ -76,10 +71,9 @@ distribution: in float32 u is a multiple of 2^-24, so acceptance
 probabilities are resolved to 2^-24 (2^-53 in float64).  ``delta <= 0``
 always flips, since ``t > 0``.  ``u = 0`` (probability 2^-24 per draw in
 float32) gives ``ln(0) = -inf`` and ``t = +inf``, an accept, with the
-division warning silenced in the producer thread; so does a float64
-beta small enough (below about 1e-307, from coefficients near 1e307) to
-take a threshold past the largest float, which every finite delta is
-below anyway.  Within the
+division warning silenced; so does a float64 beta small enough (below
+about 1e-307, from coefficients near 1e307) to take a threshold past the
+largest float, which every finite delta is below anyway.  Within the
 certified beta range, ``-ln(u)`` from 6e-8 to 16.7 gives float32
 thresholds from about 6e-9 to 2e8: positive, finite, normal numbers.
 Energies are recomputed in float64 from the final states.
@@ -96,12 +90,9 @@ one product, as in a plain loop, and a flipped read gets the same
 ``w_ij * +-0 = +-0``, which leaves a nonzero field as it is and can only
 change the sign of a zero field; a zero field gives ``delta = +-0``,
 accepted either way, so no decision changes.  A zero coupling would add
-only +-0 too, so its row is left out.  On the six seed-0 ``sa-capacity``
-benchmark QUBOs (below) the six ``sample_sa`` calls took a median 0.68 s
-(quartiles 0.64-0.87 s) against 0.90 s (0.83-1.27 s) for one gather of
-the coupled rows, a ``(rows, reads)`` product and a scatter per accepted
-step, with the same samples (10 alternating pairs of processes, median of
-3 calls each, faster in 10 of 10; shared 2-core Intel Xeon, numpy 2.4.6).
+only +-0 too, so its row is left out.  This beat one gather of the
+coupled rows, a ``(rows, reads)`` product and a scatter per accepted step,
+with the same samples (timings in CHANGES.md).
 
 Capacity load.  The squared capacity penalty M (a . x + slack - C)^2
 couples every pair of loaded variables with ``2M a_i a_j``, so on its own
@@ -116,21 +107,15 @@ row i itself when i is loaded, and L as one more row whose coupling is
 ``a_i``.  Without a factored load the kernel anneals W, as S = W.  Every
 sum in either layout is exact, so both compute equal fields, take the
 same decisions and give the same samples.  On the six seed-0
-``sa-capacity`` benchmark QUBOs (23 variables each) the mean degree fell
-from 10.3-18.6 to 1.7-2.1, and the six ``sample_sa`` calls took a median
-0.64 s against 1.10 s with the dense couplings (10 alternating pairs of
-processes, median of 3 calls each; shared 2-core Intel Xeon, numpy
-2.4.6), with the same samples.
+``sa-capacity`` benchmark QUBOs (23 variables each) the mean degree falls
+from 10.3-18.6 to 1.7-2.1 (timings in CHANGES.md).
 
 Set-up without BLAS.  Each call sums its initial fields and loads
 from zero as accepted flips update them: for i in index order, the
 products ``S_ij x_i`` go to field rows j and ``a_i x_i`` to the load,
 grouped by value; the diagonal is added last.  A matmul of the states gave
-the same samples, but it woke OpenBLAS's second thread, which then spun: on
-the six seed-0 ``sa-capacity`` benchmark QUBOs it burnt 0.10-0.13 s of
-CPU per ``sample_sa`` call, and none with these sums, and a fresh
-``satplan run`` of that config went from 1.9 to 1.2-1.3 s of CPU per
-second of wall time (the rest is numpy's import) at the same wall time.
+the same samples, but it woke OpenBLAS's second thread, which then spun
+and burnt CPU at no gain in wall time (see CHANGES.md).
 
 Exhaustive search.  :func:`solve_exhaustive` is the ground truth the
 heuristics are scored against: the least entry of the 2^N energy table,
@@ -180,24 +165,19 @@ rounding (a margin that underflows bounds errors below the least
 subnormal, which are none); an ``S`` of half the largest float or more, or
 a margin that is not finite, checks every state.
 
-On the four 20-variable exhaustive QUBOs of ``reference-sparse`` seeds 0-3
-(41-44 terms), whose SPOT5 minima tie across blocks, 50, 60, 30 and 75
-states are checked, in 2.3-3.4 ms a call against 2.8-7.4 ms when whole
-blocks were built; 129 integer terms at 24 variables take 29-30 ms against
-24-26 ms.  Where every state ties, every state is checked, 3-4 times
-slower: 0.75-0.87 s against 0.21-0.26 s with no terms at 24 variables, and
-2.9-3.4 s against 0.9-1.0 s for 129 terms of +-1e-12 under an offset of
-1e6 (shared 2-core Intel Xeon, numpy 2.4.6).  The traced peak is 1.2 MiB
-at 20 variables, and 2.8 MiB at 24 with every state checked.
+The states kept from every block are checked together, in full chunks but
+the last, so the number of ``Qubo.energies`` calls is the kept states over
+the chunk size, rounded up, however they spread over the blocks; fewer
+than a chunk's states wait between blocks.  Where every state ties, every
+state is checked, about 3 times slower than building each block's table
+(timings in CHANGES.md).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import queue
 import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,11 +291,14 @@ class SampleSet:
         unique_energies = np.asarray(energies, dtype=np.float64)[::-1][first]
         # unique keys come sorted, so a stable sort on energy breaks ties by bits
         order = np.argsort(unique_energies, kind="stable")
-        # one entry at a time: no column-wide list or str copy on top of the
-        # sampler's arrays, which are still alive here
+        # whole columns to Python objects: no numpy scalar per entry
         entries = tuple(
-            SampleEntry(bits=key.decode("ascii"), energy=float(e), count=int(c))
-            for key, e, c in zip(unique[order], unique_energies[order], counts[order])
+            map(
+                SampleEntry,
+                unique[order].astype("U").tolist(),
+                unique_energies[order].tolist(),
+                counts[order].tolist(),
+            )
         )
         return cls(
             entries=entries,
@@ -371,30 +354,6 @@ def _coupling_groups(row: np.ndarray) -> list[tuple[float, list[int]]]:
     return list(groups.items())
 
 
-def _fill_thresholds(rng, blocks, betas, free, full) -> None:
-    """Producer thread of :func:`sample_sa`: for each beta in turn, take a
-    free block index from ``free``, fill that block with the sweep's
-    thresholds ``t = -ln(u) / beta`` and put the index on ``full``.  It
-    stops at a ``None`` index, and hands any exception to ``full``."""
-    try:
-        # t = -ln(u) / beta; u = 0 gives t = +inf, an accept.  In float64
-        # a beta below about 1e-307 can take t past the largest float,
-        # which accepts every finite delta, as the exact t would.  The
-        # error state is per thread, so it is set here
-        with np.errstate(divide="ignore", over="ignore"):
-            for beta in betas:
-                k = free.get()
-                if k is None:
-                    return
-                t = blocks[k]
-                rng.random(out=t, dtype=t.dtype)
-                np.log(t, out=t)
-                t *= -1.0 / beta
-                full.put(k)
-    except BaseException as exc:  # re-raised by sample_sa
-        full.put(exc)
-
-
 def sample_sa(
     q: Qubo,
     reads: int,
@@ -433,21 +392,20 @@ def sample_sa(
     fields = np.zeros((nv, reads), dtype)
     total_load = np.zeros(reads, dtype)  # L, one per read
     sgn = np.ascontiguousarray(states.T, dtype=dtype)  # x until set-up ends
-    # two blocks of thresholds: the producer fills one while a sweep reads
-    # the other (see the module docstring)
+    # two blocks of uniforms, turned into thresholds in place: the worker
+    # draws into one while a sweep reads the other
     blocks = (np.empty((nv, reads), dtype), np.empty((nv, reads), dtype))
     # per block, per variable: its rows of fields, sgn and thresholds, its
     # load scale (None without a load), and the rows its flips update,
-    # under each coupling value
-    scalar = dtype.type
+    # under each coupling value, as 0-d arrays (see the module docstring)
     targets = [*fields, total_load]
     coupled = [
-        [(scalar(w_ij), [targets[j] for j in cols]) for w_ij, cols in groups[i]]
+        [(np.array(w_ij, dtype), [targets[j] for j in cols]) for w_ij, cols in groups[i]]
         for i in range(nv)
     ]
     plans = [
         [
-            (fields[i], sgn[i], thresholds[i], scalar(c_i) if c_i else None, coupled[i])
+            (fields[i], sgn[i], thresholds[i], np.array(c_i, dtype) if c_i else None, coupled[i])
             for i, c_i in enumerate(scales)
         ]
         for thresholds in blocks
@@ -462,23 +420,25 @@ def sample_sa(
     fields += diag[:, None]
     sgn *= -2.0
     sgn += 1.0
-    free, full = queue.SimpleQueue(), queue.SimpleQueue()
-    for k in range(len(blocks)):
-        free.put(k)
-    producer = threading.Thread(
-        target=_fill_thresholds,
-        args=(rng, blocks, betas, free, full),
-        name="sa-thresholds",
-        daemon=True,
-    )
-    producer.start()
-    multiply, less, count_nonzero = np.multiply, np.less, np.count_nonzero
-    try:
-        for _ in betas:
-            k = full.get()
-            if isinstance(k, BaseException):
-                raise k
-            for field_i, sgn_i, t_i, c_i, coupled_i in plans[k]:
+    multiply, less, count_nonzero, log = np.multiply, np.less, np.count_nonzero, np.log
+    # imported on first use: concurrent.futures imports logging, about 10 ms
+    # of every command's start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    # one worker draws the next sweep's uniforms while this sweep runs; the
+    # with block joins it on return and on raise (see the module docstring)
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="sa-uniforms") as worker:
+        drawn = worker.submit(rng.random, out=blocks[0], dtype=dtype)
+        for s, beta in enumerate(betas):
+            drawn.result()  # re-raises the worker's exception
+            if s + 1 < sched.sweeps:
+                drawn = worker.submit(rng.random, out=blocks[(s + 1) % 2], dtype=dtype)
+            # t = -ln(u) / beta, +inf for u = 0 or past the largest float: an accept
+            t = blocks[s % 2]
+            with np.errstate(divide="ignore", over="ignore"):
+                log(t, out=t)
+                multiply(t, dtype.type(-1.0 / beta), t)
+            for field_i, sgn_i, t_i, c_i, coupled_i in plans[s % 2]:
                 if c_i is not None:  # delta = sgn_i * (fields_i + 2M a_i L)
                     multiply(total_load, c_i, delta)
                     delta += field_i
@@ -496,10 +456,6 @@ def sample_sa(
                     multiply(dx, w_ij, product)
                     for row in rows:
                         row += product
-            free.put(k)
-    finally:
-        free.put(None)  # stops a producer still waiting for a block
-        producer.join()
     states = np.ascontiguousarray((sgn < 0.0).T, dtype=np.uint8)  # x = 1 where sgn = -1
     return SampleSet.from_states(states, q.energies(states), "sa", seed)
 
@@ -521,6 +477,26 @@ def _bit_rows(bits: int) -> np.ndarray:
     """(bits, 2^bits) float 0/1 rows: row i is bit i of each index."""
     index = np.arange(1 << bits)
     return ((index >> np.arange(bits)[:, None]) & 1).astype(np.float64)
+
+
+def _check_states(
+    q: Qubo, states: np.ndarray, best: tuple[float, int] | None
+) -> tuple[float, int]:
+    """``best``, the least energy so far and its lexicographically first
+    state, updated with ``states`` (integers, variable i at bit i), whose
+    energies take one ``Qubo.energies`` call."""
+    nv = q.num_variables
+    bits = np.empty((nv, len(states)), dtype=np.uint8)  # one row per variable
+    for i in range(nv):
+        np.bitwise_and(states >> i, 1, out=bits[i], casting="unsafe")
+    energies = q.energies(bits.T)
+    energy = float(energies.min())
+    if best is None or energy <= best[0]:
+        ties = states[energies == energy]
+        if best is not None and energy == best[0]:
+            ties = np.append(ties, best[1])
+        best = (energy, _lexicographic_first(ties, nv))
+    return best
 
 
 def solve_exhaustive(q: Qubo) -> tuple[np.ndarray, float]:
@@ -576,6 +552,7 @@ def solve_exhaustive(q: Qubo) -> tuple[np.ndarray, float]:
     estimate = np.empty_like(table)
     least = math.inf  # the least estimate so far
     best: tuple[float, int] | None = None  # the exact minimum so far and its winner
+    unchecked = np.empty(0, dtype=np.intp)  # kept states, fewer than a chunk, not yet checked
     for high in range(num_blocks):
         with np.errstate(over="ignore", invalid="ignore"):
             e_a = (linear[high, :half, None] * a_rows).sum(axis=0)
@@ -591,17 +568,12 @@ def solve_exhaustive(q: Qubo) -> tuple[np.ndarray, float]:
             estimate += e_c[:, None]
             kept = np.flatnonzero(~(estimate > limit))  # a NaN estimate stays in
         kept |= high << low_bits
-        for start in range(0, len(kept), _EXHAUSTIVE_CHUNK_ROWS):
-            chunk = kept[start : start + _EXHAUSTIVE_CHUNK_ROWS]
-            bits = np.empty((nv, len(chunk)), dtype=np.uint8)  # one row per variable
-            for i in range(nv):
-                np.bitwise_and(chunk >> i, 1, out=bits[i], casting="unsafe")
-            energies = q.energies(bits.T)
-            energy = float(energies.min())
-            if best is None or energy <= best[0]:
-                ties = chunk[energies == energy]
-                if best is not None and energy == best[0]:
-                    ties = np.append(ties, best[1])
-                best = (energy, _lexicographic_first(ties, nv))
+        unchecked = np.concatenate([unchecked, kept])
+        full = len(unchecked) - len(unchecked) % _EXHAUSTIVE_CHUNK_ROWS
+        for start in range(0, full, _EXHAUSTIVE_CHUNK_ROWS):
+            best = _check_states(q, unchecked[start : start + _EXHAUSTIVE_CHUNK_ROWS], best)
+        unchecked = unchecked[full:]
+    if len(unchecked):
+        best = _check_states(q, unchecked, best)
     energy, k = best
     return np.array([(k >> i) & 1 for i in range(nv)], dtype=np.uint8), energy

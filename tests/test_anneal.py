@@ -214,24 +214,26 @@ def test_exhaustive_memory_is_one_block():
 
 
 def _checked_states(monkeypatch, q):
-    """(the states ``solve_exhaustive(q)`` passes to ``Qubo.energies``, its result)."""
-    checked = []
+    """(the states ``solve_exhaustive(q)`` passes to ``Qubo.energies``, one
+    list per call, its result)."""
+    calls = []
     energies = Qubo.energies
 
     def counted(self, bits):
-        checked.extend((np.asarray(bits) << np.arange(bits.shape[1])).sum(axis=1).tolist())
+        calls.append((np.asarray(bits) << np.arange(bits.shape[1])).sum(axis=1).tolist())
         return energies(self, bits)
 
     with monkeypatch.context() as patch:
         patch.setattr(Qubo, "energies", counted)
-        return checked, solve_exhaustive(q)
+        return calls, solve_exhaustive(q)
 
 
 def test_exhaustive_checks_the_states_the_bound_admits(monkeypatch):
     # integer energies plus the offset: every minimiser of the table is
     # checked, and few other states are
     q = _tie_rich_qubo(np.random.default_rng(97), 20)
-    checked, (bits, energy) = _checked_states(monkeypatch, q)
+    calls, (bits, energy) = _checked_states(monkeypatch, q)
+    checked = sum(calls, [])
     ref_bits, ref_energy = reference_solve_exhaustive(q)
     assert bits.tolist() == ref_bits.tolist() and energy == ref_energy
     minimisers = np.flatnonzero(q.energy_table() == ref_energy)
@@ -239,9 +241,23 @@ def test_exhaustive_checks_the_states_the_bound_admits(monkeypatch):
     assert set(minimisers.tolist()) <= set(checked)
     assert len(checked) < 1000
     # with every state tied, every state is checked
-    checked, (bits, energy) = _checked_states(monkeypatch, Qubo({}, offset=2.0, num_variables=20))
-    assert sorted(checked) == list(range(2**20))
+    calls, (bits, energy) = _checked_states(monkeypatch, Qubo({}, offset=2.0, num_variables=20))
+    assert sorted(sum(calls, [])) == list(range(2**20))
     assert bits.tolist() == [0] * 20 and energy == 2.0
+
+
+# the kept states of every block are checked together, in full chunks
+# but the last: 2^14 rows take the seed-97 states in one call
+@pytest.mark.parametrize("chunk_rows", [5, 64, 2**14])
+def test_exhaustive_checks_kept_states_in_full_chunks(chunk_rows, monkeypatch):
+    monkeypatch.setattr(anneal, "_EXHAUSTIVE_CHUNK_ROWS", chunk_rows)
+    q = _tie_rich_qubo(np.random.default_rng(97), 20)
+    calls, (bits, energy) = _checked_states(monkeypatch, q)
+    ref_bits, ref_energy = reference_solve_exhaustive(q)
+    assert bits.tolist() == ref_bits.tolist() and energy == ref_energy
+    checked = sum(calls, [])
+    assert len(calls) == math.ceil(len(checked) / chunk_rows)
+    assert all(len(call) == chunk_rows for call in calls[:-1])
 
 
 def test_exhaustive_size_guard():
@@ -536,13 +552,13 @@ class _Injected(Exception):
     pass
 
 
-def _raise_on_call(fn, n):
-    """``fn``, except that its ``n``-th call raises ``_Injected``."""
+def _raise_on_call(fn, n, exc=_Injected):
+    """``fn``, except that its ``n``-th call raises ``exc(n)``."""
 
     def wrapper(*args, **kwargs):
         wrapper.calls += 1
         if wrapper.calls == n:
-            raise _Injected(n)
+            raise exc(n)
         return fn(*args, **kwargs)
 
     wrapper.calls = 0
@@ -559,32 +575,62 @@ def test_sample_sa_leaves_no_thread_behind():
     assert threading.enumerate() == before
 
 
-# the thresholds of sweep 1, and of sweep 4 while the main thread anneals
+class _FailingDraws:
+    """A generator whose ``n``-th ``random`` call raises ``_Injected``."""
+
+    def __init__(self, rng, n):
+        self._rng = rng
+        self.random = _raise_on_call(rng.random, n)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+# the uniforms of sweep 1, drawn before the first sweep, and of sweep 4,
+# drawn while the main thread anneals sweep 3
 @pytest.mark.parametrize("n", [1, 4])
-def test_a_failure_in_the_threshold_thread_reaches_the_caller(n, monkeypatch):
+def test_a_failure_in_the_uniform_worker_reaches_the_caller(n, monkeypatch):
     build, reads, sched = _LIFECYCLE_CASE
     q = build()
     before = threading.enumerate()
-    log = _raise_on_call(np.log, n)
-    monkeypatch.setattr(np, "log", log)
+    generators = []
+    default_rng = np.random.default_rng
+
+    def failing_rng(seed):
+        generators.append(_FailingDraws(default_rng(seed), n))
+        return generators[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", failing_rng)
     with pytest.raises(_Injected) as raised:
         sample_sa(q, reads, sched, seed=1)
     assert raised.value.args == (n,)
-    assert log.calls == n  # no later sweep's thresholds were drawn
+    [rng] = generators
+    assert rng.random.calls == n  # no later sweep's uniforms were drawn
     assert threading.enumerate() == before
 
 
-# a failure in the sweep loop, in its first sweep and in a later one
-@pytest.mark.parametrize("n", [1, 40])
-def test_a_failure_in_the_sweep_loop_stops_the_threshold_thread(n, monkeypatch):
+# a failure in the sweep loop, in its first sweep and in a later one, and
+# in the thresholds it makes of sweeps 1 and 4; an interrupt, too, must
+# stop the worker
+@pytest.mark.parametrize(
+    "name, n, exc",
+    [
+        pytest.param("count_nonzero", 1, _Injected, id="1"),
+        pytest.param("count_nonzero", 40, _Injected, id="40"),
+        pytest.param("log", 1, _Injected, id="log-1"),
+        pytest.param("log", 4, _Injected, id="log-4"),
+        pytest.param("count_nonzero", 40, KeyboardInterrupt, id="interrupt-40"),
+    ],
+)
+def test_a_failure_in_the_sweep_loop_stops_the_uniform_worker(name, n, exc, monkeypatch):
     build, reads, sched = _LIFECYCLE_CASE
     q = build()
     before = threading.enumerate()
-    count_nonzero = _raise_on_call(np.count_nonzero, n)
-    monkeypatch.setattr(np, "count_nonzero", count_nonzero)
-    with pytest.raises(_Injected):
+    failing = _raise_on_call(getattr(np, name), n, exc)
+    monkeypatch.setattr(np, name, failing)
+    with pytest.raises(exc):
         sample_sa(q, reads, sched, seed=1)
-    assert count_nonzero.calls == n
+    assert failing.calls == n
     assert threading.enumerate() == before
 
 
