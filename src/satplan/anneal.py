@@ -420,7 +420,7 @@ def sample_sa(
     fields += diag[:, None]
     sgn *= -2.0
     sgn += 1.0
-    multiply, less, count_nonzero, log = np.multiply, np.less, np.count_nonzero, np.log
+    multiply, less, count_nonzero = np.multiply, np.less, np.count_nonzero
     # imported on first use: concurrent.futures imports logging, about 10 ms
     # of every command's start-up
     from concurrent.futures import ThreadPoolExecutor
@@ -436,7 +436,7 @@ def sample_sa(
             # t = -ln(u) / beta, +inf for u = 0 or past the largest float: an accept
             t = blocks[s % 2]
             with np.errstate(divide="ignore", over="ignore"):
-                log(t, out=t)
+                np.log(t, out=t)
                 multiply(t, dtype.type(-1.0 / beta), t)
             for field_i, sgn_i, t_i, c_i, coupled_i in plans[s % 2]:
                 if c_i is not None:  # delta = sgn_i * (fields_i + 2M a_i L)
